@@ -51,18 +51,14 @@ class SquareDocument:
         entries = square.to_lists() if hasattr(square, "to_lists") else [list(r_) for r_ in square]
         return cls(order=len(entries), entries=entries, p=p, k=k, r=r, metadata=dict(metadata or {}))
 
-    def to_grid(self) -> Grid:
-        return Grid(self.entries)
-
-    def to_natural_square(self) -> NaturalSquare:
-        return NaturalSquare(self.to_grid())
-
 
 def _validate_entries(entries, order: int) -> list:
     if len(entries) != order:
         raise SquareFormatError(f"expected {order} rows, found {len(entries)}")
     out = []
     for idx, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise SquareFormatError(f"row {idx} is not a list")
         if len(row) != order:
             raise SquareFormatError(f"row {idx} has {len(row)} values, expected {order}")
         clean = []
@@ -93,7 +89,14 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
         if schema is not None and schema != SCHEMA_ID:
             raise SquareFormatError(f"unsupported schema {schema!r}")
         entries = raw["entries"]
-        order = int(raw.get("order", len(entries)))
+        if not isinstance(entries, list):
+            raise SquareFormatError("'entries' must be a list of rows")
+        order = raw.get("order", len(entries))
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise SquareFormatError(f"'order' must be an integer, got {order!r}")
+        metadata = raw.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise SquareFormatError("'metadata' must be an object")
         entries = _validate_entries(entries, order)
         _warn_if_duplicates(entries)
         return SquareDocument(
@@ -102,7 +105,7 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
             p=raw.get("p"),
             k=raw.get("k"),
             r=raw.get("r"),
-            metadata=dict(raw.get("metadata", {})),
+            metadata=dict(metadata),
         )
     if fmt == "csv":
         rows = []
@@ -156,10 +159,18 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _load_document(path: str | None) -> SquareDocument:
+def _load(path: str | None):
+    """Read and parse a square; return (document, NaturalSquare or, failing that, Grid)."""
     text = _read_input(path)
-    fmt = "csv" if path and path.endswith(".csv") else "json"
-    return parse_square(text, fmt)
+    doc = parse_square(text, "csv" if path and path.endswith(".csv") else "json")
+    try:
+        grid = Grid(doc.entries)
+    except OverflowError as exc:
+        raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
+    try:
+        return doc, NaturalSquare(grid)
+    except ValueError:
+        return doc, grid  # the natural verdict carries the failure
 
 
 def _report_lines(report) -> list[str]:
@@ -177,9 +188,7 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_construct(args) -> int:
-    config = GeneratorConfig(
-        p=args.p, r=args.r, seed=args.seed, max_attempts=args.max_attempts, family=args.family
-    )
+    config = GeneratorConfig(p=args.p, r=args.r, seed=args.seed, family=args.family)
     square = generate_most_perfect(config)
     doc = SquareDocument.from_square(
         square, p=args.p, r=args.r,
@@ -190,14 +199,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    doc = _load_document(args.infile)
-    params = TypeParams(args.p, doc.order)
-    grid = doc.to_grid()
-    try:
-        square = NaturalSquare(grid)
-        transformed = theta(square, params)
-    except ValueError:
-        transformed = theta(grid, params)
+    doc, target = _load(args.infile)
+    transformed = theta(target, TypeParams(args.p, doc.order))
     out = SquareDocument.from_square(
         transformed, p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
@@ -210,11 +213,10 @@ def _cmd_pattern(args) -> int:
     spec = PatternSpec(args.direction, args.alpha, args.offset, params)
     cells = franklin_cells(spec)
     if args.sum:
-        doc = _load_document(args.infile)
+        doc, target = _load(args.infile)
         if doc.order != params.n:
             raise SquareFormatError(f"square order {doc.order} does not match n={params.n}")
-        grid = doc.to_grid().entries
-        total = int(sum(int(grid[r, c]) for r, c in cells))
+        total = int(sum(int(target.entries[r, c]) for r, c in cells))
         print(total)
     else:
         print(json.dumps([[r, c] for r, c in cells.sorted_cells()], separators=(",", ":")))
@@ -222,13 +224,8 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _load_document(args.infile)
+    doc, target = _load(args.infile)
     params = TypeParams(args.p, doc.order)
-    target = doc.to_grid()
-    try:
-        target = NaturalSquare(target)
-    except ValueError:
-        pass  # verify the raw grid; the natural verdict will carry the failure
     alphas = (args.alpha,) if args.weakened else None
     report = verify_all(target, params, franklin_alphas=alphas)
     if args.json:
@@ -257,13 +254,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = _load_document(args.infile)
+    doc, target = _load(args.infile)
     params = TypeParams(args.p, doc.order)
-    target = doc.to_grid()
-    try:
-        target = NaturalSquare(target)
-    except ValueError:
-        pass
     report = verify_all(target, params)
 
     def target_or_na(flag, value):
@@ -298,11 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("construct", help="search for a most-perfect square of order p^r")
+    c = sub.add_parser("construct", help="build a verified most-perfect square of order p^r")
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--max-attempts", type=int, default=100000)
+    c.add_argument("--seed", type=int, default=0, help="picks the digit offset (mod p^(2r))")
     c.add_argument("--family", choices=("digit_linear", "fixtures_only"), default="digit_linear")
     c.add_argument("--out", default=None)
     c.add_argument("--csv", action="store_true")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Grid, NaturalSquare, TypeParams
-from .patterns import DIRECTIONS, PatternSpec, franklin_cells
+from .patterns import DIRECTIONS, PatternSpec, block_intersection, franklin_cells, select_blocks
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -350,8 +350,6 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
     For a transformed most-perfect square these equal n(n^2-1)/p for every
     outer band pair and n(n^2-1)/2p for the central band (odd p).
     """
-    from .patterns import block_intersection, select_blocks
-
     a = _require_order(square_or_grid, params)
     q = DIRECTIONS.index(direction)
     view = np.rot90(a, q)

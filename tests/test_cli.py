@@ -184,6 +184,24 @@ class TestCommands:
         assert main(["verify", "--p", "2", "--in", str(bad)]) == EXIT_INPUT_ERROR
         assert main(["verify", "--p", "2", "--in", str(tmp_path / "missing.json")]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"entries": 5}',
+            '{"entries": [5]}',
+            '{"order": null, "entries": [[0, 1], [2, 3]]}',
+            '{"order": 2, "entries": [[0, 1], [2, 3]], "metadata": 5}',
+            '{"order": 2, "entries": [[0, 1], [2, 9223372036854775808]]}',
+            '{"order": 2.7, "entries": [[0, 1], [2, 3]]}',
+        ],
+    )
+    def test_malformed_document_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["verify", "--p", "2", "--in", str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_rejects_invalid_params(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "figure2_mp9")
         assert main(["verify", "--p", "2", "--in", str(path)]) == EXIT_INPUT_ERROR  # 2 does not divide 9
