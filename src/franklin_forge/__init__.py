@@ -21,7 +21,6 @@ from .core import (
     TypeParams,
     block_at,
     get_toric,
-    magic_sum,
     rotate_cw,
 )
 from .involution import digit_swap, theta, theta_col, theta_row
@@ -94,7 +93,6 @@ __all__ = [
     "get_toric",
     "lemma_diagsum_oracle",
     "lemma_moremoresums2_oracle",
-    "magic_sum",
     "rotate_cw",
     "select_blocks",
     "theta",

@@ -208,11 +208,6 @@ class BlockAddress:
     col_origin: int
 
 
-def magic_sum(params: TypeParams) -> int:
-    """Required total of every counted line or pattern: n(n^2-1)/2."""
-    return params.magic_sum
-
-
 def get_toric(grid: Grid, row: int, col: int) -> int:
     """Entry at (row mod rows, col mod cols) using mathematical modulus."""
     return int(grid.entries[row % grid.rows, col % grid.cols])

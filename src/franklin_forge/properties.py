@@ -3,6 +3,12 @@
 Each check returns a PropertyVerdict; a failing verdict carries a witness whose
 cells re-sum to the reported actual value. Witness scan order is deterministic
 (row-major / enumeration order), so reports are byte-stable across runs.
+
+Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
+differences) and _shift_add (cyclic line shifts: diagonals, p-sets, patterns).
+An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
+so each sum equals a direct int64 addition; _array rejects any Grid whose true
+sums could leave int64.
 """
 
 from __future__ import annotations
@@ -124,9 +130,12 @@ class PropertyReport:
 
 def _array(obj) -> np.ndarray:
     if isinstance(obj, NaturalSquare):
-        return obj.entries
+        return obj.entries  # entries below n^2: no sum comes near 2^63
     if isinstance(obj, Grid):
-        return obj.entries
+        a = obj.entries  # Python ints: abs() of the int64 minimum would wrap
+        if max(-int(a.min()), int(a.max())) * max(a.shape) ** 2 > 2**63 - 1:
+            raise ValueError("grid entries too large: a sum could overflow a signed 64-bit integer")
+        return a
     raise TypeError(f"expected NaturalSquare or Grid, got {type(obj).__name__}")
 
 
@@ -135,6 +144,41 @@ def _require_order(obj, params: TypeParams) -> np.ndarray:
     if a.shape != (params.n, params.n):
         raise ValueError(f"square of order {a.shape} does not match params order {params.n}")
     return a
+
+
+def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
+    """Sum of every width x width window (wrapping when toric), indexed by its top-left cell.
+
+    Wrapped windows read the same prefix array: no padded copy, two full arrays at most."""
+    for _ in range(2):  # down the rows, then down the rows of the transpose
+        c = np.cumsum(a, axis=0)
+        m, a = len(c), None  # release the input before allocating the output
+        a = np.empty((m if toric else m - width + 1, c.shape[1]), dtype=c.dtype)
+        a[0] = c[width - 1]
+        np.subtract(c[width:], c[: m - width], out=a[1 : m - width + 1])
+        if toric:  # window from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
+            a[m - width + 1 :] = c[-1] - c[m - width : -1] + c[: width - 1]
+        a, c = a.T, None
+    return a
+
+
+def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
+    """acc[c] += vec[(c + k) % n] for every c, as two slice adds."""
+    k %= len(vec)
+    acc[: len(vec) - k] += vec[k:]
+    acc[len(vec) - k :] += vec[:k]
+
+
+def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
+    """D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, for i < m.
+
+    Every such set meets rows 0..m-1, so D's first failure is the torus's first.
+    """
+    n, m = len(a), len(a) // count
+    d = np.zeros((m, n), dtype=a.dtype)
+    for r in range(n):
+        _shift_add(d[r % m], a[r], sign * (r - r % m))
+    return d
 
 
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
@@ -169,10 +213,8 @@ def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """All 2n broken diagonals sum to the magic sum."""
     a = _require_order(square_or_grid, params)
     n, magic = params.n, params.magic_sum
-    i = np.arange(n)
     for sign, label in ((1, "main"), (-1, "anti")):
-        cols = (sign * i[:, None] + i[None, :]) % n  # cols[r, offset]
-        sums = a[i[:, None], cols].sum(axis=0)
+        sums = _diagonal_sums(a, n, sign)[0]
         bad = np.nonzero(sums != magic)[0]
         if bad.size:
             c = int(bad[0])
@@ -197,19 +239,12 @@ def check_complementary(square_or_grid, params: TypeParams, direction: str = "ma
     step = n // p
     sign = 1 if direction == "main" else -1
     target = params.complement_sum
-    total = np.zeros_like(a)
-    for t in range(p):
-        total += np.roll(np.roll(a, -t * step, axis=0), -sign * t * step, axis=1)
-    bad = np.argwhere(total != target)
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
+    total = _diagonal_sums(a, p, sign)
+    bad = total != target
+    if bad.any():  # argmax finds the first row-major failure without listing them all
+        i, j = (int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
         cells = tuple(((i + t * step) % n, (j + sign * t * step) % n) for t in range(p))
-        w = Witness(
-            f"{direction}-diagonal p-set at ({i}, {j})",
-            expected=target,
-            actual=int(total[i, j]),
-            cells=cells,
-        )
+        w = Witness(f"{direction}-diagonal p-set at ({i}, {j})", target, int(total[i, j]), cells)
         return PropertyVerdict(COMPLEMENTARY, False, w)
     return PropertyVerdict(COMPLEMENTARY, True)
 
@@ -222,25 +257,15 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     """
     pinned = isinstance(square_or_grid, NaturalSquare) and isinstance(params, TypeParams)
     p = params.p if isinstance(params, TypeParams) else int(params)
-    a = _array(square_or_grid)
-    if pinned:
-        a = _require_order(square_or_grid, params)
+    a = _require_order(square_or_grid, params) if pinned else _array(square_or_grid)
     if a.shape[0] < p or a.shape[1] < p:
         raise ValueError(f"grid {a.shape} smaller than window size {p}")
-    total = np.zeros_like(a)
-    for dr in range(p):
-        for dc in range(p):
-            total += np.roll(np.roll(a, -dr, axis=0), -dc, axis=1)
-    if pinned:
-        target = params.pxp_sum
-    else:
-        target = int(total[0, 0])
-    bad = np.argwhere(total != target)
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        cells = tuple(
-            ((i + dr) % a.shape[0], (j + dc) % a.shape[1]) for dr in range(p) for dc in range(p)
-        )
+    total = _window_sums(a, p, toric=True)
+    target = params.pxp_sum if pinned else int(total[0, 0])
+    bad = total != target
+    if bad.any():
+        i, j = (int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
+        cells = tuple(((i + dr) % a.shape[0], (j + dc) % a.shape[1]) for dr in range(p) for dc in range(p))
         w = Witness(f"window at ({i}, {j})", expected=target, actual=int(total[i, j]), cells=cells)
         return PropertyVerdict(PXP, False, w)
     return PropertyVerdict(PXP, True)
@@ -282,37 +307,28 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """Every Franklin pattern sums to the magic sum.
 
     Patterns range over 4 directions, the selected partition set (default all
-    alpha in 1..p-1), and all n frame offsets. Directions are evaluated by
-    rotating the square and re-using the up-pattern geometry; offsets by
-    translating the offset-0 cells, which the patterns module guarantees.
+    alpha in 1..p-1; PatternSpec rejects others), and all n frame offsets. A
+    direction is the up pattern on the square rotated q quarter turns, and the
+    n offsets translate the offset-0 cells down the rows (patterns guarantees it).
     """
     a = _require_order(square_or_grid, params)
     if params.franklin_k is None:
         raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
     n, p, magic = params.n, params.p, params.magic_sum
     chosen = tuple(range(1, p)) if alphas is None else tuple(alphas)
-    for alpha in chosen:
-        if not 1 <= alpha < p:
-            raise ValueError(f"alpha={alpha} outside 1..{p - 1}")
-    offsets = np.arange(n)
+    bases = [franklin_cells(PatternSpec("up", alpha, 0, params)).sorted_cells() for alpha in chosen]
+    cols = np.empty_like(a)  # cols[c] is column c of rot90(a, q), contiguous
     for q, direction in enumerate(DIRECTIONS):
-        view = np.rot90(a, q)  # sum of rotated pattern on a == sum of up pattern on view
-        for alpha in chosen:
-            base = franklin_cells(PatternSpec("up", alpha, 0, params)).sorted_cells()
-            base_r = np.array([r for r, _ in base])
-            base_c = np.array([c for _, c in base])
-            sums = view[(base_r[None, :] + offsets[:, None]) % n, base_c[None, :]].sum(axis=1)
+        np.copyto(cols, np.rot90(a, q).T)
+        for alpha, base in zip(chosen, bases):
+            sums = np.zeros(n, dtype=a.dtype)
+            for r, c in base:  # the up pattern at offset o holds (r + o, c) for each (r, c) at offset 0
+                _shift_add(sums, cols[c], r)
             bad = np.nonzero(sums != magic)[0]
             if bad.size:
                 off = int(bad[0])
-                spec = PatternSpec(direction, alpha, off, params)
-                cells = tuple(franklin_cells(spec).sorted_cells())
-                w = Witness(
-                    f"{direction} pattern, alpha={alpha}, offset={off}",
-                    expected=magic,
-                    actual=int(sums[off]),
-                    cells=cells,
-                )
+                cells = tuple(franklin_cells(PatternSpec(direction, alpha, off, params)).sorted_cells())
+                w = Witness(f"{direction} pattern, alpha={alpha}, offset={off}", magic, int(sums[off]), cells)
                 return PropertyVerdict(FRANKLIN_PATTERNS, False, w)
     return PropertyVerdict(FRANKLIN_PATTERNS, True)
 
@@ -374,18 +390,8 @@ def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
     rows, cols = a.shape
     if rows < p or cols < p:
         raise ValueError(f"grid {a.shape} smaller than window size {p}")
-    if toric:
-        total = np.zeros_like(a)
-        for dr in range(p):
-            for dc in range(p):
-                total += np.roll(np.roll(a, -dr, axis=0), -dc, axis=1)
-        return bool(total.min() == total.max())
-    first = a[:p, :p].sum()
-    return all(
-        a[i : i + p, j : j + p].sum() == first
-        for i in range(rows - p + 1)
-        for j in range(cols - p + 1)
-    )
+    sums = _window_sums(a, p, toric)
+    return bool(sums.min() == sums.max())
 
 
 def lemma_diagsum_oracle(grid_or_array, p: int) -> bool:

@@ -1,8 +1,13 @@
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import franklin_forge as ff
 from franklin_forge.cli import (
@@ -202,6 +207,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("row0", [[2**62, 2**62, 2**62 - 3], [2**62, 2**62, 12 - 2**63]])
+    def test_overflowing_grid_exit_code(self, tmp_path, capsys, row0):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps({"order": 3, "entries": [row0, [0, 1, 2], [3, 4, 5]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate symbols
+            assert main(["verify", "--p", "3", "--in", str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_verify_rejects_invalid_params(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "figure2_mp9")
         assert main(["verify", "--p", "2", "--in", str(path)]) == EXIT_INPUT_ERROR  # 2 does not divide 9
@@ -216,3 +231,27 @@ class TestCommands:
         transformed = capsys.readouterr().out
         monkeypatch.setattr("sys.stdin", io.StringIO(transformed))
         assert main(["verify", "--p", "2", "--expect", "pandiagonal_franklin_type_p"]) == EXIT_OK
+
+
+@st.composite
+def small_documents(draw):
+    """A JSON square of order 1..6 with entries anywhere in the int64 range."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    return json.dumps({"order": n, "entries": draw(st.lists(row, min_size=n, max_size=n))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=small_documents(), p=st.sampled_from([2, 3, 5]))
+def test_verify_fuzz_exits_cleanly(text, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(["verify", "--p", str(p), "--in", str(path)])
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INPUT_ERROR)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_INPUT_ERROR:
+        assert err.getvalue().startswith("error: ")

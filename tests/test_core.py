@@ -11,16 +11,16 @@ from conftest import BOXED_W_CELLS
 
 class TestTypeParams:
     def test_magic_sum_degenerate_order(self):
-        assert ff.magic_sum(ff.TypeParams(2, 1)) == 0
+        assert ff.TypeParams(2, 1).magic_sum == 0
 
     def test_magic_sum_order8_matches_symbol_average(self):
         # independent oracle: total of symbols 0..63 spread over 8 rows
-        assert ff.magic_sum(ff.TypeParams(2, 8)) == sum(range(64)) // 8 == 252
+        assert ff.TypeParams(2, 8).magic_sum == sum(range(64)) // 8 == 252
 
     def test_magic_sum_order27_matches_pattern_cells(self, f27):
         square, params = f27
         boxed_total = sum(int(square.entries[r, c]) for r, c in BOXED_W_CELLS)
-        assert ff.magic_sum(params) == boxed_total == 9828
+        assert params.magic_sum == boxed_total == 9828
 
     @pytest.mark.parametrize(
         "p,n,magic,segment,window,complement",

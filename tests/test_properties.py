@@ -279,6 +279,40 @@ class TestBandSums:
             assert sum(sums) == params.magic_sum
 
 
+class TestInt64Guard:
+    """A generic Grid whose sums could leave int64 is rejected instead of reporting a wrapped sum."""
+
+    @pytest.mark.parametrize(
+        "row0",
+        [[2**62, 2**62, 2**62 - 3], [2**62, 2**62, 12 - 2**63]],  # the second wraps onto the magic sum 12
+    )
+    def test_wrapping_rows_raise(self, row0):
+        grid = ff.Grid([row0, [0, 1, 2], [3, 4, 5]])
+        with pytest.raises(ValueError, match="64-bit"):
+            ff.check_semi_magic(grid, ff.TypeParams(3, 3))
+        with pytest.raises(ValueError, match="64-bit"):
+            ff.verify_all(grid, ff.TypeParams(3, 3))
+
+    def test_bound_is_max_entry_times_side_squared(self):
+        limit = (2**63 - 1) // 9
+        for edge in (limit, -limit):
+            grid = ff.Grid([[edge, 0, 0], [0, 0, 0], [0, 0, 0]])
+            verdict = ff.check_semi_magic(grid, ff.TypeParams(3, 3))
+            assert verdict.witness.actual == edge  # exact, no wrap
+            assert ff.check_pxp(grid, 3).passed
+        for edge in (limit + 1, -limit - 1):
+            with pytest.raises(ValueError):
+                ff.check_pxp(ff.Grid([[edge, 0, 0], [0, 0, 0], [0, 0, 0]]), 3)
+        with pytest.raises(ValueError):  # |int64 min| is computed without wrapping
+            ff.check_pxp(ff.Grid([[-(2**63)]]), 1)
+
+    def test_rectangular_grid_uses_longer_side(self):
+        limit = (2**63 - 1) // 16
+        assert not ff.check_pxp(ff.Grid([[limit, 0, 0, 0]]), 1).passed  # in bound: checked, not rejected
+        with pytest.raises(ValueError):
+            ff.check_pxp(ff.Grid([[limit + 1, 0, 0, 0]]), 1)
+
+
 class TestLemmaOracles:
     def test_smallest_case(self):
         rng = random.Random(2)

@@ -1,0 +1,179 @@
+"""Slow plain-Python references for the vectorised checks, compared verdict for verdict.
+
+Each reference walks its cell sets in the documented scan order and sums them
+with Python integers, so it shares no arithmetic with the numpy kernels. The
+fast check must return the same PropertyVerdict, witness included.
+"""
+
+import functools
+import random
+
+import numpy as np
+import pytest
+
+import franklin_forge as ff
+from franklin_forge.properties import COMPLEMENTARY, FRANKLIN_PATTERNS, PANDIAGONAL, PXP
+
+from conftest import random_natural_square, random_toric_window_grid, random_window_grid
+
+FRANKLIN_ORDERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+POWER_ORDERS = [(2, 2), (3, 2), (5, 2), (7, 2)]  # r = 2: no Franklin patterns
+
+
+def first_failure(name, candidates, a, expected=None):
+    """First (location, cells) whose sum misses expected (default: the first sum)."""
+    for location, cells in candidates:
+        total = sum(a[r][c] for r, c in cells)
+        if expected is None:
+            expected = total
+        if total != expected:
+            return ff.PropertyVerdict(name, False, ff.Witness(location, expected, total, tuple(cells)))
+    return ff.PropertyVerdict(name, True)
+
+
+def ref_pandiagonal(obj, params):
+    n = params.n
+    candidates = (
+        (f"{label} diagonal, offset {c}", [(r, (sign * r + c) % n) for r in range(n)])
+        for sign, label in ((1, "main"), (-1, "anti"))
+        for c in range(n)
+    )
+    return first_failure(PANDIAGONAL, candidates, obj.entries.tolist(), params.magic_sum)
+
+
+def ref_complementary(obj, params, direction):
+    n, p = params.n, params.p
+    step, sign = n // p, 1 if direction == "main" else -1
+    candidates = (
+        (f"{direction}-diagonal p-set at ({i}, {j})",
+         [((i + t * step) % n, (j + sign * t * step) % n) for t in range(p)])
+        for i in range(n)
+        for j in range(n)
+    )
+    return first_failure(COMPLEMENTARY, candidates, obj.entries.tolist(), params.complement_sum)
+
+
+def ref_pxp(obj, params):
+    """Pinned to p^2(n^2-1)/2 for a NaturalSquare with TypeParams, else windows compared to the first."""
+    pinned = isinstance(obj, ff.NaturalSquare) and isinstance(params, ff.TypeParams)
+    p = params.p if isinstance(params, ff.TypeParams) else params
+    rows, cols = obj.entries.shape
+    candidates = (
+        (f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)])
+        for i in range(rows)
+        for j in range(cols)
+    )
+    return first_failure(PXP, candidates, obj.entries.tolist(), params.pxp_sum if pinned else None)
+
+
+def ref_window_sums_all_equal(grid, p, toric):
+    a = grid.entries.tolist()
+    rows, cols = len(a), len(a[0])
+    last_i, last_j = (rows, cols) if toric else (rows - p + 1, cols - p + 1)
+    sums = {
+        sum(a[(i + dr) % rows][(j + dc) % cols] for dr in range(p) for dc in range(p))
+        for i in range(last_i)
+        for j in range(last_j)
+    }
+    return len(sums) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def all_pattern_cells(params):
+    return [(spec, tuple(ff.franklin_cells(spec).sorted_cells())) for spec in ff.enumerate_patterns(params)]
+
+
+def ref_franklin(obj, params, alphas):
+    chosen = set(range(1, params.p)) if alphas is None else set(alphas)
+    candidates = (
+        (f"{spec.direction} pattern, alpha={spec.alpha}, offset={spec.frame_offset}", cells)
+        for spec, cells in all_pattern_cells(params)
+        if spec.alpha in chosen
+    )
+    return first_failure(FRANKLIN_PATTERNS, candidates, obj.entries.tolist(), params.magic_sum)
+
+
+def swap_two_cells(square, rng):
+    a = np.array(square.entries)
+    n = len(a)
+    (r1, c1), (r2, c2) = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+    a[r1, c1], a[r2, c2] = a[r2, c2], a[r1, c1]
+    return ff.NaturalSquare(ff.Grid(a))
+
+
+@functools.lru_cache(maxsize=None)
+def cases(p, n):
+    """Closed-form most-perfect square (random natural where n is no prime power), its θ,
+    each with and without a two-cell swap, and two random integer grids."""
+    rng = random.Random(1000 * p + n)
+    params = ff.TypeParams(p, n)
+    r = round(np.log(n) / np.log(p))
+    if p**r == n:
+        base = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+    else:
+        base = random_natural_square(n, rng)
+    squares = [base, ff.theta(base, params)]
+    squares += [swap_two_cells(s, rng) for s in squares]
+    grids = [ff.Grid([[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
+    return params, squares + grids
+
+
+ALL_ORDERS = [(p, k * p**3) for p, k in FRANKLIN_ORDERS] + [(p, p**r) for p, r in POWER_ORDERS]
+ORDER_IDS = [f"p{p}-n{n}" for p, n in ALL_ORDERS]
+
+
+@pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
+def test_diagonal_checks_match_reference(p, n):
+    params, squares = cases(p, n)
+    for square in squares:
+        assert ff.check_pandiagonal(square, params) == ref_pandiagonal(square, params)
+        if params.has_complement_sum:
+            for direction in ("main", "anti"):
+                fast = ff.check_complementary(square, params, direction)
+                assert fast == ref_complementary(square, params, direction)
+
+
+@pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
+def test_pxp_matches_reference(p, n):
+    params, squares = cases(p, n)
+    for square in squares:
+        if params.has_pxp_sum:
+            assert ff.check_pxp(square, params) == ref_pxp(square, params)
+        assert ff.check_pxp(square, p) == ref_pxp(square, p)
+
+
+@pytest.mark.parametrize("p,n", [(p, k * p**3) for p, k in FRANKLIN_ORDERS], ids=ORDER_IDS[:6])
+def test_franklin_matches_reference(p, n):
+    params, squares = cases(p, n)
+    for square in squares:
+        for alphas in (None, (1,)):
+            fast = ff.check_franklin_patterns(square, params, alphas)
+            assert fast == ref_franklin(square, params, alphas)
+
+
+def test_verdicts_pass_and_fail_across_the_cases():
+    """The inputs exercise both branches of every compared check."""
+    outcomes = {}
+    for p, n in ALL_ORDERS:
+        params, squares = cases(p, n)
+        for square in squares:
+            for verdict in ff.verify_all(square, params).verdicts:
+                outcomes.setdefault(verdict.property_name, set()).add(verdict.passed)
+    for name in (PANDIAGONAL, COMPLEMENTARY, PXP, FRANKLIN_PATTERNS):
+        assert outcomes[name] == {True, False}, name
+
+
+def test_rectangular_grids_match_reference():
+    rng = random.Random(77)
+    for rows, cols, p in ((3, 3, 2), (5, 7, 2), (7, 6, 3), (4, 9, 3), (9, 4, 2), (6, 6, 6), (2, 5, 2)):
+        grids = [
+            random_window_grid(rows, cols, p, rng),
+            ff.Grid([[rng.randrange(-9, 9) for _ in range(cols)] for _ in range(rows)]),
+            ff.Grid([[4] * cols for _ in range(rows)]),
+        ]
+        if rows == cols and rows % p == 0:
+            grids.append(random_toric_window_grid(rows, p, rng))
+        for grid in grids:
+            assert ff.check_pxp(grid, p) == ref_pxp(grid, p)
+            for toric in (False, True):
+                assert ff.window_sums_all_equal(grid, p, toric) == ref_window_sums_all_equal(grid, p, toric)
