@@ -5,8 +5,10 @@ JSON schema (canonical form, one entries row per line):
     {"schema": "franklin-forge/1", "order": n, "p": p, "entries": [[...], ...],
      "metadata": {...}}
 
-CSV is bare comma-separated rows. Exit codes: 0 success/pass, 1 verification
-fail, 2 input error, 3 generator exhaustion.
+CSV is bare comma-separated rows. Either format is parsed straight to one int64
+Grid, the document's only copy of the entries; p, k and r, if given, must be
+integers, and a loaded document's p must match --p. Exit codes: 0 success/pass, 1
+verification fail, 2 input error, 3 generator exhaustion.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
 from .core import Grid, NaturalSquare, TypeParams
@@ -37,43 +41,51 @@ class SquareFormatError(ValueError):
 
 @dataclass
 class SquareDocument:
-    """A square plus provenance, as stored on disk."""
+    """A square plus provenance, as stored on disk; the entries are held once, as a Grid."""
 
-    order: int
-    entries: list
+    grid: Grid
     p: int | None = None
     k: int | None = None
     r: int | None = None
     metadata: dict = field(default_factory=dict)
 
+    @property
+    def order(self) -> int:
+        return self.grid.rows
+
+    @property
+    def entries(self) -> list[list[int]]:
+        """The rows as Python ints; each read converts the whole grid."""
+        return self.grid.to_lists()
+
     @classmethod
     def from_square(cls, square, p=None, k=None, r=None, metadata=None) -> "SquareDocument":
-        entries = square.to_lists() if hasattr(square, "to_lists") else [list(r_) for r_ in square]
-        return cls(order=len(entries), entries=entries, p=p, k=k, r=r, metadata=dict(metadata or {}))
+        grid = square.grid if isinstance(square, NaturalSquare) else square
+        return cls(grid, p=p, k=k, r=r, metadata=dict(metadata or {}))
 
 
-def _validate_entries(entries, order: int) -> list:
-    if len(entries) != order:
-        raise SquareFormatError(f"expected {order} rows, found {len(entries)}")
-    out = []
-    for idx, row in enumerate(entries):
+def _parse_grid(rows: list, order: int) -> Grid:
+    """Check the rows row by row, build the int64 Grid once, and warn on duplicate symbols."""
+    if len(rows) != order:
+        raise SquareFormatError(f"expected {order} rows, found {len(rows)}")
+    for idx, row in enumerate(rows):
         if not isinstance(row, list):
             raise SquareFormatError(f"row {idx} is not a list")
         if len(row) != order:
             raise SquareFormatError(f"row {idx} has {len(row)} values, expected {order}")
-        clean = []
-        for token in row:
-            if isinstance(token, bool) or not isinstance(token, int):
-                raise SquareFormatError(f"non-integer entry {token!r} in row {idx}")
-            clean.append(token)
-        out.append(clean)
-    return out
-
-
-def _warn_if_duplicates(entries) -> None:
-    flat = [x for row in entries for x in row]
-    if len(set(flat)) != len(flat):
+        if not set(map(type, row)) <= {int}:  # bool is its own type, so it fails too
+            token = next(t for t in row if type(t) is not int)
+            raise SquareFormatError(f"non-integer entry {token!r} in row {idx}")
+    try:
+        grid = Grid(rows)
+    except OverflowError as exc:
+        raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
+    except ValueError as exc:  # no rows at all
+        raise SquareFormatError(str(exc)) from exc
+    flat = np.sort(grid.entries, axis=None)
+    if (flat[1:] == flat[:-1]).any():
         warnings.warn("square contains duplicate symbols; not a natural square", stacklevel=3)
+    return grid
 
 
 def parse_square(text: str, fmt: str = "json") -> SquareDocument:
@@ -92,21 +104,17 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
         if not isinstance(entries, list):
             raise SquareFormatError("'entries' must be a list of rows")
         order = raw.get("order", len(entries))
-        if isinstance(order, bool) or not isinstance(order, int):
+        if type(order) is not int:
             raise SquareFormatError(f"'order' must be an integer, got {order!r}")
         metadata = raw.get("metadata", {})
         if not isinstance(metadata, dict):
             raise SquareFormatError("'metadata' must be an object")
-        entries = _validate_entries(entries, order)
-        _warn_if_duplicates(entries)
-        return SquareDocument(
-            order=order,
-            entries=entries,
-            p=raw.get("p"),
-            k=raw.get("k"),
-            r=raw.get("r"),
-            metadata=dict(metadata),
-        )
+        grid = _parse_grid(entries, order)
+        for key in ("p", "k", "r"):
+            value = raw.get(key)
+            if value is not None and type(value) is not int:
+                raise SquareFormatError(f"'{key}' must be an integer, got {value!r}")
+        return SquareDocument(grid, p=raw.get("p"), k=raw.get("k"), r=raw.get("r"), metadata=metadata)
     if fmt == "csv":
         rows = []
         for line in text.strip().splitlines():
@@ -114,29 +122,28 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
             if not line:
                 continue
             try:
-                rows.append([int(tok) for tok in line.split(",")])
+                rows.append(list(map(int, line.split(","))))
             except ValueError as exc:
                 raise SquareFormatError(f"non-integer token in CSV: {exc}") from exc
-        entries = _validate_entries(rows, len(rows))
-        _warn_if_duplicates(entries)
-        return SquareDocument(order=len(rows), entries=entries)
+        return SquareDocument(_parse_grid(rows, len(rows)))
     raise SquareFormatError(f"unknown format {fmt!r}")
 
 
 def emit_square(doc: SquareDocument, fmt: str = "json") -> str:
     """Canonical serialization: stable key order, one entries row per line."""
-    if fmt == "csv":
-        return "\n".join(",".join(str(x) for x in row) for row in doc.entries) + "\n"
-    if fmt != "json":
+    if fmt not in ("csv", "json"):
         raise SquareFormatError(f"unknown format {fmt!r}")
+    rows = doc.entries
+    if fmt == "csv":
+        return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
     lines = ["{", f'  "schema": {json.dumps(SCHEMA_ID)},', f'  "order": {doc.order},']
     for key in ("p", "k", "r"):
         value = getattr(doc, key)
         if value is not None:
             lines.append(f'  "{key}": {int(value)},')
     lines.append('  "entries": [')
-    for idx, row in enumerate(doc.entries):
-        comma = "," if idx < len(doc.entries) - 1 else ""
+    for idx, row in enumerate(rows):
+        comma = "," if idx < len(rows) - 1 else ""
         lines.append("    " + json.dumps(row, separators=(", ", ": ")) + comma)
     lines.append("  ],")
     lines.append(f'  "metadata": {json.dumps(doc.metadata, sort_keys=True)}')
@@ -159,18 +166,16 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _load(path: str | None):
-    """Read and parse a square; return (document, NaturalSquare or, failing that, Grid)."""
+def _load(path: str | None, p: int):
+    """Read a square, check its p against p; return (document, NaturalSquare or, failing that, Grid)."""
     text = _read_input(path)
     doc = parse_square(text, "csv" if path and path.endswith(".csv") else "json")
+    if doc.p is not None and doc.p != p:
+        raise SquareFormatError(f"document has p={doc.p}, but --p is {p}")
     try:
-        grid = Grid(doc.entries)
-    except OverflowError as exc:
-        raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
-    try:
-        return doc, NaturalSquare(grid)
+        return doc, NaturalSquare(doc.grid)
     except ValueError:
-        return doc, grid  # the natural verdict carries the failure
+        return doc, doc.grid  # the natural verdict carries the failure
 
 
 def _report_lines(report) -> list[str]:
@@ -199,7 +204,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    doc, target = _load(args.infile)
+    doc, target = _load(args.infile, args.p)
     transformed = theta(target, TypeParams(args.p, doc.order))
     out = SquareDocument.from_square(
         transformed, p=args.p, metadata={**doc.metadata, "transform": "theta"}
@@ -213,7 +218,7 @@ def _cmd_pattern(args) -> int:
     spec = PatternSpec(args.direction, args.alpha, args.offset, params)
     cells = franklin_cells(spec)
     if args.sum:
-        doc, target = _load(args.infile)
+        doc, target = _load(args.infile, args.p)
         if doc.order != params.n:
             raise SquareFormatError(f"square order {doc.order} does not match n={params.n}")
         total = int(sum(int(target.entries[r, c]) for r, c in cells))
@@ -224,7 +229,7 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc, target = _load(args.infile)
+    doc, target = _load(args.infile, args.p)
     params = TypeParams(args.p, doc.order)
     alphas = (args.alpha,) if args.weakened else None
     report = verify_all(target, params, franklin_alphas=alphas)
@@ -254,7 +259,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc, target = _load(args.infile)
+    doc, target = _load(args.infile, args.p)
     params = TypeParams(args.p, doc.order)
     report = verify_all(target, params)
 

@@ -54,7 +54,7 @@ class Grid:
         return self._a
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):

@@ -184,6 +184,8 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Entries are exactly the symbols 0..n^2-1, each once."""
     a = _require_order(square_or_grid, params)
+    if isinstance(square_or_grid, NaturalSquare):
+        return PropertyVerdict(NATURAL, True)  # proved at construction; the entries are read-only
     n = params.n
     flat = np.sort(a, axis=None)
     bad = np.nonzero(flat != np.arange(n * n))[0]

@@ -67,6 +67,29 @@ class TestFormats:
         with pytest.warns(UserWarning, match="duplicate"):
             parse_square('{"order":2,"entries":[[0,0],[1,2]]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"order": 3, "entries": [[0, 1], [2, 3]]}', "expected 3 rows, found 2"),
+            ('{"order": 2, "entries": [[0, 1], 5]}', "row 1 is not a list"),
+            ('{"order": 2, "entries": [[0, 1], [2]]}', "row 1 has 1 values, expected 2"),
+            ('{"order": 2, "entries": [[0, 1], [true, 3]]}', "non-integer entry True in row 1"),
+            ('{"order": 2, "entries": [[0, 1], [2, 3.0]]}', "non-integer entry 3.0 in row 1"),
+            ('{"order": 2, "entries": [["0", 1], [2, 3]]}', "non-integer entry '0' in row 0"),
+            ('{"order": 2, "entries": [[0, 1], [2, null]]}', "non-integer entry None in row 1"),
+            ('{"order": 2, "entries": [[0, [1]], [2, 3]]}', "non-integer entry [1] in row 0"),
+            ('{"entries": [[0, 1], [2, 9223372036854775808]]}', "entries must fit a signed 64-bit integer"),
+            ('{"entries": [[0, -9223372036854775809], [2, 3]]}', "entries must fit a signed 64-bit integer"),
+            ('{"order": 2, "entries": [[0, 1.5], 7]}', "non-integer entry 1.5 in row 0"),  # row 0 wins
+            ('{"entries": [], "k": 1}', "grid entries must form a non-empty 2-D array"),
+            ('{"entries": [[0]], "k": false}', "'k' must be an integer, got False"),
+        ],
+    )
+    def test_format_error_messages(self, text, message):
+        with pytest.raises(SquareFormatError) as excinfo:
+            parse_square(text)
+        assert str(excinfo.value) == message
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(SquareFormatError):
             parse_square('{"schema":"other/9","order":2,"entries":[[0,1],[2,3]]}')
@@ -198,6 +221,12 @@ class TestCommands:
             '{"order": 2, "entries": [[0, 1], [2, 3]], "metadata": 5}',
             '{"order": 2, "entries": [[0, 1], [2, 9223372036854775808]]}',
             '{"order": 2.7, "entries": [[0, 1], [2, 3]]}',
+            '{"entries": [[0, 1], [2, 3]], "p": []}',
+            '{"entries": [[0, 1], [2, 3]], "p": 2.7}',
+            '{"entries": [[0, 1], [2, 3]], "p": true}',
+            '{"entries": [[0, 1], [2, 3]], "r": "1"}',
+            '{"entries": []}',
+            '{"entries": [[0, 1], [2, 3]], "p": 3}',  # verified with --p 2
         ],
     )
     def test_malformed_document_exit_code(self, tmp_path, capsys, text):
@@ -255,3 +284,45 @@ def test_verify_fuzz_exits_cleanly(text, p):
     assert "Traceback" not in err.getvalue()
     if code == EXIT_INPUT_ERROR:
         assert err.getvalue().startswith("error: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def json_documents(draw):
+    """Each document key left out, well-formed, or holding any JSON value."""
+    n = draw(st.integers(0, 4))
+    row = st.lists(st.integers(-(2**64), 2**64), min_size=n, max_size=n)
+    well_formed = {
+        "schema": st.just("franklin-forge/1"),
+        "order": st.just(n),
+        "p": st.integers(),
+        "k": st.integers(),
+        "r": st.integers(),
+        "entries": st.lists(row, min_size=n, max_size=n),
+        "metadata": st.dictionaries(st.text(max_size=2), json_values, max_size=3),
+    }
+    doc = {}
+    for key, value in well_formed.items():
+        kind = draw(st.integers(0, 5))  # 0 leaves the key out, 1 puts any JSON value in it
+        if kind:
+            doc[key] = draw(json_values if kind == 1 else value)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=json_documents())
+def test_parse_square_fuzz(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicate symbols
+        try:
+            doc = parse_square(text)
+        except SquareFormatError:
+            return
+        canonical = emit_square(doc)
+        assert emit_square(parse_square(canonical)) == canonical
