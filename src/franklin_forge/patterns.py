@@ -213,6 +213,21 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
     return cells
 
 
+def split_rows(params: TypeParams) -> tuple[list[int], list[int]]:
+    """Rows (first, rest) of the offset-0 up pattern in each aligned group of p columns.
+
+    For every alpha the pattern takes columns g*p .. g*p+alpha-1 from row
+    first[g] and the rest of group g from row rest[g]. Each group is the column
+    span of one p x p sub-block: outside the central band the first alpha cells
+    of one sub-block row and the last beta of the other; in the central band
+    the bottom rows of the two subsquares the pattern meets in that span (one
+    row, first[g] == rest[g], where it takes a whole bottom row).
+    """
+    row_of = {c: r for r, c in franklin_cells(PatternSpec("up", 1, 0, params))}
+    starts = range(0, params.n, params.p)
+    return [row_of[c] for c in starts], [row_of[c + params.p - 1] for c in starts]
+
+
 def rotate_cells(cells, n: int, quarter_turns: int):
     """Image of a cell set under clockwise quarter turns of the ambient square."""
     out = list(cells)

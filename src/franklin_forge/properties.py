@@ -6,6 +6,9 @@ cells re-sum to the reported actual value. Witness scan order is deterministic
 
 Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
 differences) and _shift_add (cyclic line shifts: diagonals, p-sets, patterns).
+An up pattern takes each aligned group of p columns from two rows split at
+alpha, the same two for every alpha (patterns.split_rows), so the Franklin
+check shift-adds each group twice per direction and is O(n^2) whatever p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64.
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Grid, NaturalSquare, TypeParams
-from .patterns import DIRECTIONS, PatternSpec, block_intersection, franklin_cells, select_blocks
+from .patterns import DIRECTIONS, PatternSpec, block_intersection, franklin_cells, select_blocks, split_rows
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -163,10 +166,11 @@ def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
-    """acc[c] += vec[(c + k) % n] for every c, as two slice adds."""
-    k %= len(vec)
-    acc[: len(vec) - k] += vec[k:]
-    acc[len(vec) - k :] += vec[:k]
+    """acc[..., c] += vec[..., (c + k) % n] for every c along the last axis, as two slice adds."""
+    n = vec.shape[-1]
+    k %= n
+    acc[..., : n - k] += vec[..., k:]
+    acc[..., n - k :] += vec[..., :k]
 
 
 def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
@@ -179,6 +183,14 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
     for r in range(n):
         _shift_add(d[r % m], a[r], sign * (r - r % m))
     return d
+
+
+def _rotated_columns(a: np.ndarray) -> tuple:
+    """For q = 0..3, a view whose row c is column c of np.rot90(a, q); rows run forward or reversed.
+
+    One copy at most: a Grid's entries are C or F ordered, so a or a.T is contiguous already."""
+    rows, cols = np.ascontiguousarray(a), np.ascontiguousarray(a.T)
+    return cols, rows[:, ::-1], cols[::-1, ::-1], rows[::-1]
 
 
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
@@ -309,23 +321,34 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """Every Franklin pattern sums to the magic sum.
 
     Patterns range over 4 directions, the selected partition set (default all
-    alpha in 1..p-1; PatternSpec rejects others), and all n frame offsets. A
-    direction is the up pattern on the square rotated q quarter turns, and the
-    n offsets translate the offset-0 cells down the rows (patterns guarantees it).
+    alpha in 1..p-1; PatternSpec rejects others; scanned ascending, once each),
+    and all n frame offsets. A direction is the up pattern on the square
+    rotated q quarter turns, and the n offsets translate the offset-0 cells
+    down the rows (patterns guarantees it). At offset 0 the pattern takes the
+    first alpha columns of each aligned group g of p from row first[g] and the
+    rest from row rest[g], for every alpha (split_rows). So one shift-add per
+    group by first[g] into lo and one by rest[g] into hi serve every alpha: its
+    n offset sums are lo's first alpha columns plus hi's last p - alpha.
     """
     a = _require_order(square_or_grid, params)
     if params.franklin_k is None:
         raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
     n, p, magic = params.n, params.p, params.magic_sum
-    chosen = tuple(range(1, p)) if alphas is None else tuple(alphas)
-    bases = [franklin_cells(PatternSpec("up", alpha, 0, params)).sorted_cells() for alpha in chosen]
-    cols = np.empty_like(a)  # cols[c] is column c of rot90(a, q), contiguous
-    for q, direction in enumerate(DIRECTIONS):
-        np.copyto(cols, np.rot90(a, q).T)
-        for alpha, base in zip(chosen, bases):
-            sums = np.zeros(n, dtype=a.dtype)
-            for r, c in base:  # the up pattern at offset o holds (r + o, c) for each (r, c) at offset 0
-                _shift_add(sums, cols[c], r)
+    chosen = range(1, p) if alphas is None else sorted({PatternSpec("up", x, 0, params).alpha for x in alphas})
+    if not chosen:
+        return PropertyVerdict(FRANKLIN_PATTERNS, True)
+    first, rest = split_rows(params)
+    top, low = max(chosen), min(chosen)  # lo needs columns 0..top-1 of a group, hi columns low..p-1
+    for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
+        groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
+        lo, hi = np.zeros((top, n), dtype=a.dtype), np.zeros((p - low, n), dtype=a.dtype)
+        for g, (ra, rb) in enumerate(zip(first, rest)):  # at offset o the pattern holds (r + o, c)
+            _shift_add(lo, groups[g, :top], ra)
+            _shift_add(hi, groups[g, low:], rb)
+        np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
+        np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
+        for alpha in chosen:
+            sums = lo[alpha - 1] + hi[alpha - low]
             bad = np.nonzero(sums != magic)[0]
             if bad.size:
                 off = int(bad[0])

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import franklin_forge as ff
-from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE
+from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE, split_rows
 
 from conftest import BOXED_W_CELLS
 
@@ -107,6 +107,22 @@ class TestFranklinCells:
             for offset in (1, n // 2, n - 1):
                 shifted = {((r + offset) % n, c) for r, c in base}
                 assert ff.franklin_cells(up_spec(p, k, 1, offset)).cells == shifted
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_split_rows_build_every_alpha(self, p):
+        """Every k with n <= 1400 (odd and even k), and (13, 1): for each alpha and offset o
+        the up cells are each column's split row (first below alpha, rest from alpha on)
+        moved down o."""
+        for k in range(1, max(1400 // p**3, 1) + 1):
+            params = ff.TypeParams.for_franklin(p, k)
+            n = params.n
+            first, rest = split_rows(params)
+            assert len(first) == len(rest) == n // p
+            for alpha in range(1, p):
+                rows = [first[c // p] if c % p < alpha else rest[c // p] for c in range(n)]
+                for offset in (0, 1, n // 2, n - 1):
+                    expected = {((r + offset) % n, c) for c, r in enumerate(rows)}
+                    assert ff.franklin_cells(up_spec(p, k, alpha, offset)).cells == expected
 
     def test_rotation_coherence(self):
         params = ff.TypeParams(3, 27)

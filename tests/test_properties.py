@@ -13,6 +13,7 @@ from franklin_forge.properties import (
     PANDIAGONAL,
     PXP,
     SEMI_MAGIC,
+    _rotated_columns,
 )
 
 from conftest import (
@@ -192,6 +193,52 @@ class TestFranklinPatterns:
         square, params = mp9
         with pytest.raises(ValueError):
             ff.check_franklin_patterns(square, params)
+
+    @pytest.fixture(scope="class")
+    def mp343(self):
+        params = ff.TypeParams.for_franklin(7, 1)
+        return ff.generate_most_perfect(ff.GeneratorConfig(7, 3)), params
+
+    @staticmethod
+    def count_calls(monkeypatch, name, *modules):
+        """Record the calls to function `name`, bound under that name in each of modules."""
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_pattern_resolution_per_check(self, mp343, monkeypatch):
+        """The geometry is resolved once for every direction and alpha; a failure adds its witness."""
+        square, params = mp343
+        calls = self.count_calls(monkeypatch, "franklin_cells", ff.patterns, ff.properties)
+        assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
+        assert len(calls) == 1
+        calls.clear()
+        assert not ff.check_franklin_patterns(square, params).passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_rotated_columns_with_one_copy(self, layout):
+        a = layout(np.arange(42).reshape(6, 7))
+        views = _rotated_columns(a)
+        for q, lines in enumerate(views):
+            assert np.array_equal(lines, np.rot90(a, q).T)
+        assert sum(np.shares_memory(lines, a) for lines in views) == 2
+
+    def test_two_shift_adds_per_column_group_and_direction(self, mp343, monkeypatch):
+        """Each group of p columns is shift-added once into lo and once into hi: 2n/p calls
+        per direction, each moving the p - 1 columns that every alpha shares."""
+        square, params = mp343
+        calls = self.count_calls(monkeypatch, "_shift_add", ff.properties)
+        assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
+        assert len(calls) == 4 * 2 * params.n // params.p
+        assert {acc.shape for acc, _, _ in calls} == {(params.p - 1, params.n)}
 
 
 class TestVerifyAll:

@@ -146,9 +146,23 @@ def test_pxp_matches_reference(p, n):
 def test_franklin_matches_reference(p, n):
     params, squares = cases(p, n)
     for square in squares:
-        for alphas in (None, (1,)):
+        for alphas in (None, (1,), (p - 1,), tuple(range(p - 1, 0, -1)), (1, 1)):
             fast = ff.check_franklin_patterns(square, params, alphas)
             assert fast == ref_franklin(square, params, alphas)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (3, 27), (5, 125)])
+def test_franklin_right_pattern_failure_matches_reference(p, n):
+    """θ of a most-perfect square plus a zero-sum shift per column: every up and
+    down pattern keeps its magic sum, so the first failure is a right pattern."""
+    params, squares = cases(p, n)
+    rng = random.Random(n)
+    shift = [rng.randrange(-9, 10) for _ in range(n - 1)]
+    grid = ff.Grid(squares[1].entries + np.array(shift + [-sum(shift)]))
+    for alphas in (None, (p - 1,), tuple(range(p - 1, 0, -1))):
+        fast = ff.check_franklin_patterns(grid, params, alphas)
+        assert fast == ref_franklin(grid, params, alphas)
+        assert fast.witness.location.startswith("right pattern")
 
 
 def test_verdicts_pass_and_fail_across_the_cases():
