@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
-from .core import Grid, NaturalSquare, TypeParams
+from .core import Grid, NaturalSquare, TypeParams, _is_permutation
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
 from .properties import CLASSIFICATIONS, REQUIRED_VERDICTS, band_sums, check_complementary, verify_all
@@ -82,9 +82,10 @@ def _parse_grid(rows: list, order: int) -> Grid:
         raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
     except ValueError as exc:  # no rows at all
         raise SquareFormatError(str(exc)) from exc
-    flat = np.sort(grid.entries, axis=None)
-    if (flat[1:] == flat[:-1]).any():
-        warnings.warn("square contains duplicate symbols; not a natural square", stacklevel=3)
+    if not _is_permutation(grid.entries):
+        flat = np.sort(grid.entries, axis=None)
+        if (flat[1:] == flat[:-1]).any():
+            warnings.warn("square contains duplicate symbols; not a natural square", stacklevel=3)
     return grid
 
 
@@ -95,6 +96,8 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SquareFormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SquareFormatError("invalid JSON: nested too deeply") from exc
         if not isinstance(raw, dict) or "entries" not in raw:
             raise SquareFormatError("JSON square document needs an 'entries' key")
         schema = raw.get("schema")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures as _fixtures
-from .core import Grid, NaturalSquare, TypeParams, is_prime
+from .core import Grid, NaturalSquare, TypeParams
 from .properties import REQUIRED_VERDICTS, verify_all
 
 
@@ -36,10 +36,9 @@ class GeneratorConfig:
     family: str = "digit_linear"
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
         if self.r < 2:
             raise ValueError("most-perfect construction needs r >= 2")
+        TypeParams.for_power(self.p, self.r)  # bounds r, then the order, then checks p is prime
         if self.family not in ("digit_linear", "fixtures_only"):
             raise ValueError(f"unknown family {self.family!r}")
 

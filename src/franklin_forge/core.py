@@ -25,16 +25,26 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def _is_permutation(a: np.ndarray) -> bool:
+    """Are a's entries exactly 0..a.size-1? In range, they set all a.size marks only if no two are equal."""
+    if a.min() < 0 or a.max() >= a.size:  # first: a negative entry would index the marks from the end
+        return False
+    seen = np.zeros(a.size, dtype=bool)
+    seen[a.ravel()] = True
+    return bool(seen.all())
+
+
 class Grid:
     """Immutable rectangular integer grid with toroidal index semantics.
 
     Entries must fit a 64-bit signed integer; dimensions must be at least 1x1.
+    The entries are always stored C-ordered, whatever the input's layout.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.int64)
+        a = np.array(entries, dtype=np.int64, order="C")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("grid entries must form a non-empty 2-D array")
         a.setflags(write=False)
@@ -69,7 +79,11 @@ class Grid:
 
 
 class NaturalSquare:
-    """Order-n square grid whose entries are exactly the symbols 0..n^2-1."""
+    """Order-n square grid whose entries are exactly the symbols 0..n^2-1.
+
+    Every instance is proved on construction: each entry lies in 0..n^2-1, and
+    one boolean mark per symbol, set at each entry, leaves every mark set.
+    """
 
     __slots__ = ("_grid",)
 
@@ -81,8 +95,7 @@ class NaturalSquare:
             raise ValueError(f"natural square must be square, got {grid.rows}x{grid.cols}")
         if n > MAX_ORDER:
             raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-        flat = np.sort(grid.entries, axis=None)
-        if not (flat == np.arange(n * n)).all():
+        if not _is_permutation(grid.entries):
             raise ValueError(f"entries are not a permutation of 0..{n * n - 1}")
         self._grid = grid
 
@@ -132,10 +145,13 @@ class TypeParams:
     n: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        # Bounds before primality: trial division of a huge p would not finish.
         if not 1 <= self.n <= MAX_ORDER:
             raise ValueError(f"order n={self.n} outside 1..{MAX_ORDER}")
+        if self.p > MAX_ORDER:  # implied by p | n for n > 1
+            raise ValueError(f"p={self.p} exceeds the maximum order {MAX_ORDER}")
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
         if self.n > 1 and self.n % self.p:
             raise ValueError(f"p={self.p} does not divide n={self.n}")
 
@@ -156,6 +172,8 @@ class TypeParams:
         """Frame for a prime-power order n = p^r."""
         if r < 1:
             raise ValueError("r must be positive")
+        if r >= MAX_ORDER.bit_length():  # p^r >= 2^r > MAX_ORDER; refused before p**r is computed
+            raise ValueError(f"order n={p}^{r} outside 1..{MAX_ORDER}")
         return cls(p, p**r)
 
     @property

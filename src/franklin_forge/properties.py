@@ -188,9 +188,9 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
 def _rotated_columns(a: np.ndarray) -> tuple:
     """For q = 0..3, a view whose row c is column c of np.rot90(a, q); rows run forward or reversed.
 
-    One copy at most: a Grid's entries are C or F ordered, so a or a.T is contiguous already."""
-    rows, cols = np.ascontiguousarray(a), np.ascontiguousarray(a.T)
-    return cols, rows[:, ::-1], cols[::-1, ::-1], rows[::-1]
+    One copy: a Grid's entries are C-ordered, so only a.T is copied to make every row contiguous."""
+    cols = a.T.copy()
+    return cols, a[:, ::-1], cols[::-1, ::-1], a[::-1]
 
 
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -66,6 +67,12 @@ class TestFormats:
     def test_duplicate_symbols_warn(self):
         with pytest.warns(UserWarning, match="duplicate"):
             parse_square('{"order":2,"entries":[[0,0],[1,2]]}')
+        with pytest.warns(UserWarning, match="duplicate"):  # out of range as well
+            parse_square('{"order":2,"entries":[[5,5],[1,2]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_square('{"order":2,"entries":[[3,1],[2,0]]}')
+            parse_square('{"order":2,"entries":[[0,1],[2,5]]}')  # not natural, but no symbol twice
 
     @pytest.mark.parametrize(
         "text, message",
@@ -227,6 +234,7 @@ class TestCommands:
             '{"entries": [[0, 1], [2, 3]], "r": "1"}',
             '{"entries": []}',
             '{"entries": [[0, 1], [2, 3]], "p": 3}',  # verified with --p 2
+            pytest.param("[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
         ],
     )
     def test_malformed_document_exit_code(self, tmp_path, capsys, text):
@@ -243,6 +251,29 @@ class TestCommands:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # duplicate symbols
             assert main(["verify", "--p", "3", "--in", str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--p", "1000000000000000003", "--r", "2"],
+            ["pattern", "--p", "1000000000000000003", "--k", "1", "--direction", "up", "--alpha", "1",
+             "--offset", "0"],
+            ["construct", "--p", "3", "--r", "100000000"],
+            ["verify", "--p", "1000000000000000003", "--in", "{order1}"],
+        ],
+        ids=["construct-huge-p", "pattern-huge-p", "construct-huge-r", "verify-huge-p-order1"],
+    )
+    def test_huge_parameters_exit_fast(self, tmp_path, capsys, argv):
+        """A prime p far beyond the order cap, or a huge r, is refused before any trial division
+        or p**r: exit 2 with one error line, within a second."""
+        doc = tmp_path / "order1.json"
+        doc.write_text('{"entries": [[0]]}')
+        start = time.perf_counter()
+        code = main([str(doc) if a == "{order1}" else a for a in argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -270,20 +301,61 @@ def small_documents(draw):
     return json.dumps({"order": n, "entries": draw(st.lists(row, min_size=n, max_size=n))})
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=small_documents(), p=st.sampled_from([2, 3, 5]))
-def test_verify_fuzz_exits_cleanly(text, p):
+def assert_exits_cleanly(argv, text):
+    """main(argv) on a file holding text gives a documented exit code and no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(text)
         err = io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
             warnings.simplefilter("ignore")
-            code = main(["verify", "--p", str(p), "--in", str(path)])
+            code = main(argv + ["--in", str(path)])
     assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_INPUT_ERROR)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_INPUT_ERROR:
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=small_documents(), p=st.sampled_from([2, 3, 5]))
+def test_verify_fuzz_exits_cleanly(text, p):
+    assert_exits_cleanly(["verify", "--p", str(p)], text)
+
+
+@st.composite
+def nested_documents(draw):
+    """A document nested up to 5000 deep: the whole document, a row entry, the metadata or p."""
+    nest = "[" * draw(st.integers(1, 5000))
+    nest += "]" * len(nest)
+    return draw(st.sampled_from([
+        nest,
+        '{"entries": [[%s]]}' % nest,
+        '{"entries": [[0]], "metadata": {"m": %s}}' % nest,
+        '{"entries": [[0]], "p": %s}' % nest,
+    ]))
+
+
+# small values, any integer up to 2^70, and primes beyond the order cap
+integer_args = (
+    st.sampled_from([1, 2, 3, 5])
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([3001, 2**61 - 1, 1_000_000_000_000_000_003])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "theta", "report", "pattern"]),
+    text=small_documents() | nested_documents(),
+    numbers=st.tuples(integer_args, integer_args, integer_args, integer_args),
+    direction=st.sampled_from(ff.patterns.DIRECTIONS),
+)
+def test_main_fuzz_exits_cleanly(command, text, numbers, direction):
+    p, k, alpha, offset = map(str, numbers)
+    argv = [command, "--p", p]
+    if command == "pattern":
+        argv += ["--k", k, "--direction", direction, "--alpha", alpha, "--offset", offset, "--sum"]
+    assert_exits_cleanly(argv, text)
 
 
 json_values = st.recursive(

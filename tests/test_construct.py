@@ -119,6 +119,9 @@ class TestGenerator:
             if r >= 3:
                 report = ff.verify_all(ff.theta(square, params), params)
                 assert report.classification == "pandiagonal_franklin_type_p"
+            for transform in (ff.theta, ff.theta_row, ff.theta_col):  # re-proved apart from NaturalSquare
+                entries = transform(square, params).entries
+                assert np.array_equal(np.sort(entries, axis=None), np.arange(params.n**2))
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 2)])
     def test_seed_picks_offset_mod_p_to_the_2r(self, p, r):

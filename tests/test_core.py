@@ -61,6 +61,15 @@ class TestTypeParams:
         with pytest.raises(ValueError):
             ff.TypeParams(2, MAX_ORDER + 2)
 
+    def test_bounds_are_checked_before_primality(self):
+        # a huge prime p or exponent r is refused at once, not after trial division or p**r
+        assert ff.TypeParams(2999, 1).magic_sum == 0  # the largest prime allowed at order 1
+        cases = [(ff.TypeParams, 3001, 1), (ff.TypeParams, 2**61 - 1, 1),
+                 (ff.TypeParams.for_power, 2**61 - 1, 2), (ff.TypeParams.for_power, 3, 10**8)]
+        for make, p, m in cases:
+            with pytest.raises(ValueError):
+                make(p, m)
+
     def test_franklin_k(self):
         assert ff.TypeParams(2, 8).franklin_k == 1
         assert ff.TypeParams(2, 16).franklin_k == 2
@@ -85,6 +94,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.entries[0, 0] = 9
 
+    def test_entries_are_c_ordered(self):
+        a = np.arange(12).reshape(3, 4)
+        for entries in (np.asfortranarray(a), a.T, a[:, ::-1], a.tolist()):
+            grid = ff.Grid(entries)
+            assert grid.entries.flags.c_contiguous
+            assert np.array_equal(grid.entries, entries)
+
     def test_equality_and_lists(self):
         g = ff.Grid([[1, 2], [3, 4]])
         assert g == ff.Grid([[1, 2], [3, 4]])
@@ -100,6 +116,15 @@ class TestNaturalSquare:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             ff.NaturalSquare.from_rows([[0, 1, 2], [3, 4, 5]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1], [2, -1]], [[0, 1], [2, 4]], [[0, 1], [2, -(2**63)]]],
+        ids=["negative-entry-aliases-3", "entry-n-squared", "int64-min"],
+    )
+    def test_rejects_entries_outside_the_symbol_range(self, rows):
+        with pytest.raises(ValueError, match="not a permutation"):
+            ff.NaturalSquare.from_rows(rows)
 
     def test_entries_are_exact_symbol_range(self, fig1):
         square, _ = fig1

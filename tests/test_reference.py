@@ -93,6 +93,19 @@ def ref_franklin(obj, params, alphas):
     return first_failure(FRANKLIN_PATTERNS, candidates, obj.entries.tolist(), params.magic_sum)
 
 
+def ref_theta(obj, params, swap_rows, swap_cols):
+    """Output (i, j) is input (swap(i // bs)*bs + i % bs, swap(j // bs)*bs + j % bs), bs = n/p^2,
+    with the row or column side left as it is when not swapped."""
+    p, n = params.p, params.n
+    bs = n // (p * p)
+
+    def source(i, swapped):
+        return ff.digit_swap(i // bs, p) * bs + i % bs if swapped else i
+
+    a = obj.entries.tolist()
+    return [[a[source(i, swap_rows)][source(j, swap_cols)] for j in range(n)] for i in range(n)]
+
+
 def swap_two_cells(square, rng):
     a = np.array(square.entries)
     n = len(a)
@@ -191,3 +204,22 @@ def test_rectangular_grids_match_reference():
             assert ff.check_pxp(grid, p) == ref_pxp(grid, p)
             for toric in (False, True):
                 assert ff.window_sums_all_equal(grid, p, toric) == ref_window_sums_all_equal(grid, p, toric)
+
+
+THETA_ORDERS = [(2, 4), (2, 12), (2, 64), (3, 9), (3, 54), (5, 50), (5, 125), (7, 49), (13, 169)]
+
+
+@pytest.mark.parametrize("p,n", THETA_ORDERS, ids=[f"p{p}-n{n}" for p, n in THETA_ORDERS])
+def test_theta_matches_reference(p, n):
+    """θ and both one-sided variants on a natural square and on a generic grid: the same
+    entries as the digit_swap reference, the input's type, C-ordered entries."""
+    rng = random.Random(n)
+    params = ff.TypeParams(p, n)
+    grid = ff.Grid([[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)])
+    for obj in (random_natural_square(n, rng), grid):
+        for transform, swap_rows, swap_cols in ((ff.theta, True, True), (ff.theta_row, True, False),
+                                                (ff.theta_col, False, True)):
+            out = transform(obj, params)
+            assert type(out) is type(obj)
+            assert out.entries.flags.c_contiguous
+            assert out.to_lists() == ref_theta(obj, params, swap_rows, swap_cols)
