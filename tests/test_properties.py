@@ -214,9 +214,9 @@ class TestFranklinPatterns:
         return calls
 
     def test_one_pattern_resolution_per_check(self, mp343, monkeypatch):
-        """The geometry is resolved once for every direction and alpha; a failure adds its witness."""
+        """The blocks are walked once for every direction and alpha; a failure adds its witness."""
         square, params = mp343
-        calls = self.count_calls(monkeypatch, "franklin_cells", ff.patterns, ff.properties)
+        calls = self.count_calls(monkeypatch, "select_blocks", ff.patterns)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
         assert len(calls) == 1
         calls.clear()
@@ -324,6 +324,15 @@ class TestBandSums:
         for direction in ff.DIRECTIONS:
             sums = ff.band_sums(square, params, 1, 7, direction=direction)
             assert sum(sums) == params.magic_sum
+
+    def test_band_sums_reject_bad_alpha_and_direction(self, f27):
+        """Offsets wrap instead (test_reference.test_band_sums_match_reference)."""
+        square, params = f27
+        for alpha in (0, params.p):
+            with pytest.raises(ValueError, match="alpha"):
+                ff.band_sums(square, params, alpha, 0)
+        with pytest.raises(ValueError, match="direction"):
+            ff.band_sums(square, params, 1, 0, direction="diagonal")
 
 
 class TestInt64Guard:

@@ -78,9 +78,35 @@ def ref_window_sums_all_equal(grid, p, toric):
     return len(sums) == 1
 
 
+def turned_block_cells(params, frame_offset, alpha, direction):
+    """(band, cell) of the paper's block walk at the frame offset, each cell turned clockwise once per
+    quarter turn of the direction: the geometry by definition, not by the split-row table."""
+    n = params.n
+    for block in ff.select_blocks(params, frame_offset):
+        addr = block.address
+        for r, c in ff.block_intersection(block, alpha):
+            cell = ((addr.row_origin + r) % n, (addr.col_origin + c) % n)
+            for _ in range(ff.DIRECTIONS.index(direction)):
+                cell = (cell[1], n - 1 - cell[0])
+            yield block.band, cell
+
+
+def ref_franklin_cells(spec):
+    return frozenset(cell for _, cell in turned_block_cells(spec.params, spec.frame_offset, spec.alpha, spec.direction))
+
+
+def ref_band_sums(obj, params, alpha, frame_offset, direction):
+    """Python-int sum of each band's cells, band j added to its mirror p-1-j."""
+    p, a = params.p, obj.entries.tolist()
+    sums = [0] * ((p + 1) // 2)
+    for band, (r, c) in turned_block_cells(params, frame_offset, alpha, direction):
+        sums[min(band, p - 1 - band)] += a[r][c]
+    return tuple(sums)
+
+
 @functools.lru_cache(maxsize=None)
 def all_pattern_cells(params):
-    return [(spec, tuple(ff.franklin_cells(spec).sorted_cells())) for spec in ff.enumerate_patterns(params)]
+    return [(spec, tuple(sorted(ref_franklin_cells(spec)))) for spec in ff.enumerate_patterns(params)]
 
 
 def ref_franklin(obj, params, alphas):
@@ -176,6 +202,28 @@ def test_franklin_right_pattern_failure_matches_reference(p, n):
         fast = ff.check_franklin_patterns(grid, params, alphas)
         assert fast == ref_franklin(grid, params, alphas)
         assert fast.witness.location.startswith("right pattern")
+
+
+@pytest.mark.parametrize("p,k", FRANKLIN_ORDERS)
+def test_franklin_cells_match_reference(p, k):
+    """Every spec: all directions, alphas and frame offsets."""
+    for spec, cells in all_pattern_cells(ff.TypeParams.for_franklin(p, k)):
+        assert tuple(ff.franklin_cells(spec).sorted_cells()) == cells
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 1), (3, 2), (5, 1)])
+def test_band_sums_match_reference(p, k):
+    """On a random natural square every band has its own sum, so a band folded with the wrong
+    mirror shows; offsets -1 and n check the wrap."""
+    params = ff.TypeParams.for_franklin(p, k)
+    n = params.n
+    rng = random.Random(n)
+    square = random_natural_square(n, rng)
+    for direction in ff.DIRECTIONS:
+        for alpha in range(1, p):
+            for offset in (-1, 0, 1, rng.randrange(n), n - 1, n):
+                expected = ref_band_sums(square, params, alpha, offset, direction)
+                assert ff.band_sums(square, params, alpha, offset, direction) == expected
 
 
 def test_verdicts_pass_and_fail_across_the_cases():
