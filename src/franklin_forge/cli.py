@@ -5,16 +5,19 @@ JSON schema (canonical form, one entries row per line):
     {"schema": "franklin-forge/1", "order": n, "p": p, "entries": [[...], ...],
      "metadata": {...}}
 
-CSV is bare comma-separated rows. Either format is parsed straight to one int64
-Grid, the document's only copy of the entries; p, k and r, if given, must be
-integers, and a loaded document's p must match --p. Exit codes: 0 success/pass, 1
-verification fail, 2 input error, 3 generator exhaustion.
+CSV is bare comma-separated rows of plain decimal integers (an optional sign and
+ASCII digits, spaces around). Either format is parsed straight to one int64 Grid,
+the document's only copy of the entries, and proved natural once: a natural
+document holds a NaturalSquare, any other a plain Grid. p, k and r, if given, must
+be integers, and a loaded document's p must match --p. Exit codes: 0
+success/pass, 1 verification fail, 2 input error, 3 generator exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
-from .core import Grid, NaturalSquare, TypeParams, _is_permutation
+from .core import Grid, NaturalSquare, TypeParams
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
 from .properties import CLASSIFICATIONS, REQUIRED_VERDICTS, band_sums, check_complementary, verify_all
@@ -34,6 +37,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_EXHAUSTED = 3
 
+_CSV_TOKEN = r"[ \t]*[+-]?[0-9]+[ \t]*"  # int() alone would also take "1_0" and non-ASCII digits
+_CSV_ROW = re.compile(rf"(?:{_CSV_TOKEN},)*{_CSV_TOKEN}")
+
 
 class SquareFormatError(ValueError):
     pass
@@ -41,7 +47,7 @@ class SquareFormatError(ValueError):
 
 @dataclass
 class SquareDocument:
-    """A square plus provenance, as stored on disk; the entries are held once, as a Grid."""
+    """A square plus provenance, as stored on disk; the entries are held once, as a Grid or NaturalSquare."""
 
     grid: Grid
     p: int | None = None
@@ -60,12 +66,11 @@ class SquareDocument:
 
     @classmethod
     def from_square(cls, square, p=None, k=None, r=None, metadata=None) -> "SquareDocument":
-        grid = square.grid if isinstance(square, NaturalSquare) else square
-        return cls(grid, p=p, k=k, r=r, metadata=dict(metadata or {}))
+        return cls(square, p=p, k=k, r=r, metadata=dict(metadata or {}))
 
 
 def _parse_grid(rows: list, order: int) -> Grid:
-    """Check the rows row by row, build the int64 Grid once, and warn on duplicate symbols."""
+    """Check the rows, build the int64 Grid once and prove it natural once; else warn on duplicates."""
     if len(rows) != order:
         raise SquareFormatError(f"expected {order} rows, found {len(rows)}")
     for idx, row in enumerate(rows):
@@ -82,7 +87,9 @@ def _parse_grid(rows: list, order: int) -> Grid:
         raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
     except ValueError as exc:  # no rows at all
         raise SquareFormatError(str(exc)) from exc
-    if not _is_permutation(grid.entries):
+    try:
+        return NaturalSquare(grid)
+    except ValueError:
         flat = np.sort(grid.entries, axis=None)
         if (flat[1:] == flat[:-1]).any():
             warnings.warn("square contains duplicate symbols; not a natural square", stacklevel=3)
@@ -124,10 +131,11 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rows.append(list(map(int, line.split(","))))
-            except ValueError as exc:
-                raise SquareFormatError(f"non-integer token in CSV: {exc}") from exc
+            tokens = line.split(",")
+            if not _CSV_ROW.fullmatch(line):
+                bad = next(t for t in tokens if not re.fullmatch(_CSV_TOKEN, t))
+                raise SquareFormatError(f"non-integer token in CSV: {bad!r}")
+            rows.append(list(map(int, tokens)))
         return SquareDocument(_parse_grid(rows, len(rows)))
     raise SquareFormatError(f"unknown format {fmt!r}")
 
@@ -169,16 +177,13 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _load(path: str | None, p: int):
-    """Read a square, check its p against p; return (document, NaturalSquare or, failing that, Grid)."""
+def _load(path: str | None, p: int) -> SquareDocument:
+    """Read a square and check its p against p; its grid is a NaturalSquare if natural."""
     text = _read_input(path)
     doc = parse_square(text, "csv" if path and path.endswith(".csv") else "json")
     if doc.p is not None and doc.p != p:
         raise SquareFormatError(f"document has p={doc.p}, but --p is {p}")
-    try:
-        return doc, NaturalSquare(doc.grid)
-    except ValueError:
-        return doc, doc.grid  # the natural verdict carries the failure
+    return doc
 
 
 def _report_lines(report) -> list[str]:
@@ -207,8 +212,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    doc, target = _load(args.infile, args.p)
-    transformed = theta(target, TypeParams(args.p, doc.order))
+    doc = _load(args.infile, args.p)
+    transformed = theta(doc.grid, TypeParams(args.p, doc.order))
     out = SquareDocument.from_square(
         transformed, p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
@@ -221,10 +226,10 @@ def _cmd_pattern(args) -> int:
     spec = PatternSpec(args.direction, args.alpha, args.offset, params)
     cells = franklin_cells(spec)
     if args.sum:
-        doc, target = _load(args.infile, args.p)
+        doc = _load(args.infile, args.p)
         if doc.order != params.n:
             raise SquareFormatError(f"square order {doc.order} does not match n={params.n}")
-        total = int(sum(int(target.entries[r, c]) for r, c in cells))
+        total = int(sum(int(doc.grid.entries[r, c]) for r, c in cells))
         print(total)
     else:
         print(json.dumps([[r, c] for r, c in cells.sorted_cells()], separators=(",", ":")))
@@ -232,10 +237,10 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc, target = _load(args.infile, args.p)
+    doc = _load(args.infile, args.p)
     params = TypeParams(args.p, doc.order)
     alphas = (args.alpha,) if args.weakened else None
-    report = verify_all(target, params, franklin_alphas=alphas)
+    report = verify_all(doc.grid, params, franklin_alphas=alphas)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
     else:
@@ -262,8 +267,8 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc, target = _load(args.infile, args.p)
-    params = TypeParams(args.p, doc.order)
+    doc = _load(args.infile, args.p)
+    target, params = doc.grid, TypeParams(args.p, doc.order)
     report = verify_all(target, params)
 
     def target_or_na(flag, value):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures as _fixtures
-from .core import Grid, NaturalSquare, TypeParams
+from .core import NaturalSquare, TypeParams
 from .properties import REQUIRED_VERDICTS, verify_all
 
 
@@ -98,7 +98,7 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     for d in range(2 * r):  # symbol digits, most significant first
         out *= p
         out += np.add.outer(row_part[d] + b[d], col_part[d]) % p
-    return NaturalSquare(Grid(out))
+    return NaturalSquare(out)
 
 
 def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate:

@@ -1,7 +1,9 @@
 """Toroidal integer grids, natural squares, and the arithmetic frame for type-p sums.
 
-Everything here is an immutable value: operations return new objects and are safe
-to share across threads.
+A NaturalSquare is a Grid proved natural once, when it is built: its entries are
+exactly the symbols 0..n^2-1. Everything here is an immutable value: operations
+return new objects and are safe to share across threads, so Grid(g) shares g's
+read-only entries instead of copying them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ class Grid:
     __slots__ = ("_a",)
 
     def __init__(self, entries):
+        if isinstance(entries, Grid):  # read-only, so shared rather than copied
+            self._a = entries._a
+            return
         a = np.array(entries, dtype=np.int64, order="C")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("grid entries must form a non-empty 2-D array")
@@ -78,53 +83,36 @@ class Grid:
         return f"Grid({self.rows}x{self.cols})"
 
 
-class NaturalSquare:
-    """Order-n square grid whose entries are exactly the symbols 0..n^2-1.
+class NaturalSquare(Grid):
+    """Order-n square Grid whose entries are exactly the symbols 0..n^2-1.
 
     Every instance is proved on construction: each entry lies in 0..n^2-1, and
     one boolean mark per symbol, set at each entry, leaves every mark set.
     """
 
-    __slots__ = ("_grid",)
+    __slots__ = ()
 
-    def __init__(self, grid: Grid):
-        if not isinstance(grid, Grid):
-            grid = Grid(grid)
-        n = grid.rows
-        if grid.cols != n:
-            raise ValueError(f"natural square must be square, got {grid.rows}x{grid.cols}")
+    def __init__(self, entries):
+        super().__init__(entries)
+        n = self.rows
+        if self.cols != n:
+            raise ValueError(f"natural square must be square, got {self.rows}x{self.cols}")
         if n > MAX_ORDER:
             raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-        if not _is_permutation(grid.entries):
+        if not _is_permutation(self._a):
             raise ValueError(f"entries are not a permutation of 0..{n * n - 1}")
-        self._grid = grid
 
     @classmethod
     def from_rows(cls, rows) -> "NaturalSquare":
-        return cls(Grid(rows))
+        return cls(rows)
 
     @property
     def order(self) -> int:
-        return self._grid.rows
+        return self.rows
 
     @property
     def grid(self) -> Grid:
-        return self._grid
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._grid.entries
-
-    def to_lists(self) -> list[list[int]]:
-        return self._grid.to_lists()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NaturalSquare):
-            return NotImplemented
-        return self._grid == other._grid
-
-    def __hash__(self):
-        return hash(self._grid)
+        return self
 
     def __repr__(self) -> str:
         return f"NaturalSquare(order={self.order})"
@@ -234,7 +222,7 @@ def get_toric(grid: Grid, row: int, col: int) -> int:
 def rotate_cw(square: NaturalSquare, quarter_turns: int) -> NaturalSquare:
     """Clockwise rotation; one quarter turn sends input (n-1-j, i) to output (i, j)."""
     q = quarter_turns % 4
-    return NaturalSquare(Grid(np.rot90(square.entries, -q)))
+    return NaturalSquare(np.rot90(square.entries, -q))
 
 
 def block_at(

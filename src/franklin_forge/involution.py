@@ -9,13 +9,13 @@ Row i = (l*p + m)*bs + t, with bs = n/p^2, is index (l, m, t) of a (p, p, bs)
 view, so swapping the digits of every block row is swapping the first two axes.
 The involution is therefore one axis transpose of the (p, p, bs, p, p, bs) view
 of the entries, which the reshape back to n x n copies into C order; the
-one-sided variants transpose only the row axes or only the column axes. They
-only move cells, but their output is proved natural like every NaturalSquare.
+one-sided variants transpose only the row axes or only the column axes. The
+output has the input's type, so a NaturalSquare's image is proved natural too.
 """
 
 from __future__ import annotations
 
-from .core import Grid, NaturalSquare, TypeParams
+from .core import TypeParams
 
 
 def digit_swap(index: int, p: int) -> int:
@@ -26,9 +26,7 @@ def digit_swap(index: int, p: int) -> int:
     return m * p + l
 
 
-def _apply(obj, params: TypeParams, swap_rows: bool, swap_cols: bool):
-    square = isinstance(obj, NaturalSquare)
-    grid = obj.grid if square else obj
+def _apply(grid, params: TypeParams, swap_rows: bool, swap_cols: bool):
     if grid.rows != grid.cols:
         raise ValueError("involution requires a square grid")
     if grid.rows != params.n:
@@ -38,8 +36,7 @@ def _apply(obj, params: TypeParams, swap_rows: bool, swap_cols: bool):
         raise ValueError(f"p^2={p * p} does not divide order {n}")
     bs = n // (p * p)
     axes = ((1, 0, 2) if swap_rows else (0, 1, 2)) + ((4, 3, 5) if swap_cols else (3, 4, 5))
-    out = Grid(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n))
-    return NaturalSquare(out) if square else out
+    return type(grid)(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n))
 
 
 def theta(square, params: TypeParams):

@@ -321,22 +321,23 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """Every Franklin pattern sums to the magic sum.
 
     Patterns range over 4 directions, the selected partition set (default all
-    alpha in 1..p-1; PatternSpec rejects others; scanned ascending, once each),
-    and all n frame offsets. A direction is the up pattern on the square
-    rotated q quarter turns, and the n offsets translate the offset-0 cells
-    down the rows (patterns guarantees it). At offset 0 the pattern takes the
-    first alpha columns of each aligned group g of p from row first[g] and the
-    rest from row rest[g], for every alpha (split_rows). So one shift-add per
-    group by first[g] into lo and one by rest[g] into hi serve every alpha: its
-    n offset sums are lo's first alpha columns plus hi's last p - alpha.
+    alpha in 1..p-1; PatternSpec rejects others and an empty selection is an
+    error; scanned ascending, once each), and all n frame offsets. A direction
+    is the up pattern on the square rotated q quarter turns, and the n offsets
+    translate the offset-0 cells down the rows (patterns guarantees it). At
+    offset 0 the pattern takes the first alpha columns of each aligned group g
+    of p from row first[g] and the rest from row rest[g], for every alpha
+    (split_rows). So one shift-add per group by first[g] into lo and one by
+    rest[g] into hi serve every alpha: its n offset sums are lo's first alpha
+    columns plus hi's last p - alpha.
     """
     a = _require_order(square_or_grid, params)
     if params.franklin_k is None:
         raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
     n, p, magic = params.n, params.p, params.magic_sum
     chosen = range(1, p) if alphas is None else sorted({PatternSpec("up", x, 0, params).alpha for x in alphas})
-    if not chosen:
-        return PropertyVerdict(FRANKLIN_PATTERNS, True)
+    if not chosen:  # no pattern would be checked, so a pass would say nothing
+        raise ValueError("the alpha selection is empty")
     first, rest = split_rows(params)
     top, low = max(chosen), min(chosen)  # lo needs columns 0..top-1 of a group, hi columns low..p-1
     for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):

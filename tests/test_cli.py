@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import tempfile
 import time
 import warnings
@@ -59,8 +60,9 @@ class TestFormats:
             parse_square("\n".join(rows), "csv")
 
     def test_non_integer_token(self):
-        with pytest.raises(SquareFormatError):
-            parse_square("0,1\nx,3", "csv")
+        for text in ("0,1\nx,3", "0,1_0\n2,3", "0,1\n١٢,3"):  # int() alone reads 1_0 and ١٢
+            with pytest.raises(SquareFormatError, match="non-integer token"):
+                parse_square(text, "csv")
         with pytest.raises(SquareFormatError):
             parse_square('{"order":2,"entries":[[0,1],[2,3.5]]}')
 
@@ -244,6 +246,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["0,1_0\n2,3", "0,1\n١٢,3"], ids=["underscore", "arabic-indic-digits"])
+    def test_malformed_csv_exit_code(self, tmp_path, capsys, text):
+        """int() reads both tokens (as 10 and 12); a CSV token must be an optional sign and ASCII digits."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["verify", "--p", "2", "--in", str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_csv_tokens_may_carry_a_sign_and_spaces(self):
+        assert parse_square(" 0 , +1\n2,\t3 ", "csv").entries == [[0, 1], [2, 3]]
+
     @pytest.mark.parametrize("row0", [[2**62, 2**62, 2**62 - 3], [2**62, 2**62, 12 - 2**63]])
     def test_overflowing_grid_exit_code(self, tmp_path, capsys, row0):
         bad = tmp_path / "big.json"
@@ -276,6 +290,30 @@ class TestCommands:
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_one_natural_proof_per_load(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        proof = ff.core._is_permutation
+        for module in [m for name, m in sys.modules.items() if name.startswith("franklin_forge")]:
+            if getattr(module, "_is_permutation", None) is proof:  # every binding, imported ones too
+                monkeypatch.setattr(module, "_is_permutation", lambda a: calls.append(a.shape) or proof(a))
+        path = write_fixture(tmp_path, "figure2_mp8")
+        calls.clear()
+        assert main(["verify", "--p", "2", "--in", str(path)]) == EXIT_OK
+        assert len(calls) == 1
+
+        rows = json.loads(path.read_text())["entries"]
+        rows[0][0] = rows[0][1]  # a symbol twice, another missing
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps({"entries": rows}))
+        calls.clear()
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="duplicate symbols") as record:
+            assert main(["verify", "--p", "2", "--in", str(dup), "--json"]) == EXIT_VERIFY_FAIL
+        assert len(calls) == 1
+        assert len(record) == 1
+        verdicts = {v["property"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert not verdicts["natural"]["passed"]
 
     def test_verify_rejects_invalid_params(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "figure2_mp9")

@@ -107,8 +107,28 @@ class TestGrid:
         assert g != ff.Grid([[1, 2, 3], [4, 5, 6]])
         assert g.to_lists() == [[1, 2], [3, 4]]
 
+    def test_grid_of_a_grid_shares_its_read_only_entries(self):
+        g = ff.Grid([[1, 2], [3, 4]])
+        assert ff.Grid(g).entries is g.entries
+        assert not ff.Grid(g).entries.flags.writeable
+
 
 class TestNaturalSquare:
+    def test_is_a_grid_sharing_the_grid_it_proves(self):
+        g = ff.Grid([[3, 1], [2, 0]])
+        square = ff.NaturalSquare(g)
+        assert isinstance(square, ff.Grid)
+        assert square.entries is g.entries
+        assert square.grid is square
+
+    def test_equals_and_hashes_as_a_grid_with_the_same_entries(self, fig1):
+        square, _ = fig1
+        grid = ff.Grid(square.to_lists())
+        assert square == grid and grid == square
+        assert hash(square) == hash(grid)
+        assert len({square, grid}) == 1
+        assert square != ff.Grid([[0, 1], [2, 3]])
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ff.NaturalSquare.from_rows([[0, 1], [2, 2]])

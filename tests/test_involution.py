@@ -49,6 +49,15 @@ def test_theta_requires_matching_order(mp8):
         ff.theta(square, ff.TypeParams(2, 16))
 
 
+@pytest.mark.parametrize("transform", [ff.theta, ff.theta_row, ff.theta_col])
+def test_theta_returns_the_input_type(transform, mp8):
+    square, params = mp8
+    grid = ff.Grid(square.to_lists())
+    assert type(transform(grid, params)) is ff.Grid
+    assert type(transform(square, params)) is ff.NaturalSquare
+    assert transform(grid, params) == transform(square, params)
+
+
 class TestInvolutionAlgebra:
     def algebra_holds(self, square, params):
         assert ff.theta(ff.theta(square, params), params) == square

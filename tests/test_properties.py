@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import franklin_forge as ff
+from franklin_forge import properties
 from franklin_forge.properties import (
     COMPLEMENTARY,
     FRANKLIN_PATTERNS,
@@ -189,6 +190,15 @@ class TestFranklinPatterns:
         assert not verdict.passed
         assert "alpha=2" in verdict.witness.location
 
+    def test_empty_alpha_selection_raises(self):
+        mp = ff.generate_most_perfect(ff.GeneratorConfig(2, 3))
+        params = ff.TypeParams.for_power(2, 3)
+        assert not ff.check_franklin_patterns(mp, params).passed
+        with pytest.raises(ValueError, match="empty"):
+            ff.check_franklin_patterns(mp, params, alphas=())
+        with pytest.raises(ValueError, match="empty"):
+            ff.verify_all(mp, params, franklin_alphas=())
+
     def test_wrong_order_raises(self, mp9):
         square, params = mp9
         with pytest.raises(ValueError):
@@ -361,6 +371,22 @@ class TestInt64Guard:
                 ff.check_pxp(ff.Grid([[edge, 0, 0], [0, 0, 0], [0, 0, 0]]), 3)
         with pytest.raises(ValueError):  # |int64 min| is computed without wrapping
             ff.check_pxp(ff.Grid([[-(2**63)]]), 1)
+
+    def test_guard_is_skipped_only_for_a_natural_square(self, mp8, monkeypatch):
+        square, _ = mp8
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return max(*args)
+
+        monkeypatch.setattr(properties, "max", spy, raising=False)  # the guard's builtin max
+        assert properties._array(square) is square.entries
+        assert calls == []
+        grid = ff.Grid(square)
+        assert type(grid) is ff.Grid
+        assert properties._array(grid) is square.entries
+        assert calls
 
     def test_rectangular_grid_uses_longer_side(self):
         limit = (2**63 - 1) // 16
