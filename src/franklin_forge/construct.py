@@ -3,6 +3,12 @@
 A digit-linear candidate gives cell (i, j), with base-p digit vector v (row
 digits first, most significant first), the symbol whose digit vector is
 matrix @ v + offset (mod p). An invertible matrix makes the square natural.
+Each symbol digit is R_d[i] + C_d[j] mod p, with R_d (row digits and offset)
+and C_d (column digits) reduced once per digit on length-n vectors. Two
+residues sum below 2p, so the digit is R_d + C_d - p*[R_d + C_d >= p], and the
+square is outer(w.R, w.C) - p*carry with w_d = p^(2r-1-d): the carry is one
+boolean compare per digit, and no modulo runs over the n^2 cells. Every partial
+value is below 2n^2 <= 1.8e7 in size, so the map runs in int32.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -22,6 +28,8 @@ import numpy as np
 from . import fixtures as _fixtures
 from .core import NaturalSquare, TypeParams
 from .properties import REQUIRED_VERDICTS, verify_all
+
+_DIGIT_DTYPE = np.int32  # the digit map's accumulator: see candidate_to_square
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -83,7 +91,11 @@ def is_invertible_mod(matrix, p: int) -> bool:
 
 
 def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> NaturalSquare:
-    """Materialize the digit map; raises on a non-invertible matrix."""
+    """Materialize the digit map; raises on a non-invertible matrix.
+
+    Carry form: out = outer(w.R, w.C) - p*carry, where carry = sum_d w_d*[R_d[i] >= p - C_d[j]]
+    is built by Horner, one compare per digit. |partial values| < 2n^2, so _DIGIT_DTYPE is int32.
+    """
     m = np.asarray(candidate.matrix, dtype=np.int64) % p
     b = np.asarray(candidate.offset, dtype=np.int64) % p
     if m.shape != (2 * r, 2 * r) or b.shape != (2 * r,):
@@ -93,11 +105,16 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     n = p**r
     idx = np.arange(n)
     digits = np.stack([(idx // p ** (r - 1 - d)) % p for d in range(r)])  # msb first
-    row_part, col_part = m[:, :r] @ digits, m[:, r:] @ digits
-    out = np.zeros((n, n), dtype=np.int64)
-    for d in range(2 * r):  # symbol digits, most significant first
+    row_res = ((m[:, :r] @ digits + b[:, None]) % p).astype(_DIGIT_DTYPE)  # R_d, symbol digits msb first
+    col_res = ((m[:, r:] @ digits) % p).astype(_DIGIT_DTYPE)  # C_d
+    weights = p ** np.arange(2 * r - 1, -1, -1, dtype=_DIGIT_DTYPE)
+    out = np.zeros((n, n), dtype=_DIGIT_DTYPE)  # the carry, then the square
+    for d in range(2 * r):
         out *= p
-        out += np.add.outer(row_part[d] + b[d], col_part[d]) % p
+        out += np.greater_equal.outer(row_res[d], p - col_res[d])
+    out *= -p
+    out += (weights @ row_res)[:, None]
+    out += weights @ col_res
     return NaturalSquare(out)
 
 

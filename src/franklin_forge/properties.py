@@ -6,6 +6,8 @@ cells re-sum to the reported actual value. Witness scan order is deterministic
 
 Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
 differences) and _shift_add (cyclic line shifts: diagonals, p-sets, patterns).
+Both window prefixes read contiguous memory: the vertical one adds whole rows of
+the C-ordered grid, and the horizontal one runs along the rows of that result.
 An up pattern takes each aligned group of p columns from two rows split at
 alpha, the same two for every alpha (patterns.split_rows), so the Franklin
 check shift-adds each group twice per direction and is O(n^2) whatever p.
@@ -149,14 +151,30 @@ def _require_order(obj, params: TypeParams) -> np.ndarray:
     return a
 
 
+def _prefix_down(a: np.ndarray) -> np.ndarray:
+    """np.cumsum(a, axis=0), dtype included, reading a's memory in order.
+
+    numpy's axis-0 cumsum is fast only where columns are contiguous; on C-ordered rows it
+    steps down strided columns, so there the prefix is built one whole row at a time."""
+    if a.flags.f_contiguous:
+        return np.cumsum(a, axis=0)
+    c = np.empty(a.shape, dtype=np.cumsum(a[:0], axis=0).dtype)
+    c[0] = a[0]
+    for i in range(1, len(a)):
+        np.add(c[i - 1], a[i], out=c[i])
+    return c
+
+
 def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
     """Sum of every width x width window (wrapping when toric), indexed by its top-left cell.
 
+    Down the rows, then down the rows of the transpose: on a C-ordered input the first
+    prefix adds whole rows and the second runs along them, so both read contiguous memory.
     Wrapped windows read the same prefix array: no padded copy, two full arrays at most."""
-    for _ in range(2):  # down the rows, then down the rows of the transpose
-        c = np.cumsum(a, axis=0)
+    for _ in range(2):
+        c = _prefix_down(a)
         m, a = len(c), None  # release the input before allocating the output
-        a = np.empty((m if toric else m - width + 1, c.shape[1]), dtype=c.dtype)
+        a = np.empty_like(c, shape=(m if toric else m - width + 1, c.shape[1]))  # c's layout
         a[0] = c[width - 1]
         np.subtract(c[width:], c[: m - width], out=a[1 : m - width + 1])
         if toric:  # window from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
@@ -407,7 +425,9 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
 
 
 def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
-    """Do all p x p windows of consecutive rows/columns share one sum?"""
+    """Do all p x p windows of consecutive rows/columns share one sum?
+
+    A raw int64 array is summed in int64, so its sums are compared modulo 2^64."""
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
     rows, cols = a.shape
     if rows < p or cols < p:

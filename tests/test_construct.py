@@ -7,7 +7,7 @@ import pytest
 import franklin_forge as ff
 from franklin_forge import construct
 from franklin_forge.construct import closed_form_candidate, most_perfect_requirements_met
-from franklin_forge.core import is_prime
+from franklin_forge.core import MAX_ORDER, is_prime
 
 # sha256 prefixes of the seed-0 squares, pinned so seed-0 output stays byte-stable
 SEED0_DIGESTS = {
@@ -46,6 +46,19 @@ class TestCandidateToSquare:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ff.candidate_to_square(identity_candidate(2, 2), 2, 3)
+
+    def test_carry_fits_the_digit_map_accumulator(self):
+        """At every accepted p^r with r >= 2: the largest p*carry, p(p^(2r)-1)/(p-1), and the largest
+        partial value, w.R + w.C <= 2(p^(2r)-1), fit the accumulator. Raising MAX_ORDER past what it
+        holds fails here instead of wrapping."""
+        info = np.iinfo(construct._DIGIT_DTYPE)
+        orders = [(p, r) for p in range(2, MAX_ORDER + 1) if is_prime(p)
+                  for r in range(2, MAX_ORDER.bit_length()) if p**r <= MAX_ORDER]
+        assert (2, 11) in orders and (53, 2) in orders
+        for p, r in orders:
+            cells = p ** (2 * r)
+            assert -p * (cells - 1) // (p - 1) >= info.min, (p, r)
+            assert 2 * (cells - 1) <= info.max, (p, r)
 
     def test_random_invertible_candidates_are_natural(self):
         rng = random.Random(17)

@@ -271,3 +271,146 @@ def test_theta_matches_reference(p, n):
             assert type(out) is type(obj)
             assert out.entries.flags.c_contiguous
             assert out.to_lists() == ref_theta(obj, params, swap_rows, swap_cols)
+
+
+def ref_candidate_to_square(candidate, p, r):
+    """Cell (i, j) has digit vector v (row digits, then column digits, most significant first);
+    its symbol's base-p digits are matrix @ v + offset mod p, in Python ints."""
+    n = p**r
+
+    def digits(x):
+        return [(x // p ** (r - 1 - d)) % p for d in range(r)]
+
+    def symbol(v):
+        value = 0
+        for row, b in zip(candidate.matrix, candidate.offset):
+            value = value * p + (sum(x * y for x, y in zip(row, v)) + b) % p
+        return value
+
+    return [[symbol(digits(i) + digits(j)) for j in range(n)] for i in range(n)]
+
+
+def per_digit_modulo_square(candidate, p, r):
+    """The digit map as 2r int64 passes of outer add and % p over the n^2 cells: the numpy form
+    that the carry form replaced, kept as a second reference at orders too large for Python ints."""
+    m = np.asarray(candidate.matrix, dtype=np.int64) % p
+    b = np.asarray(candidate.offset, dtype=np.int64) % p
+    n = p**r
+    idx = np.arange(n)
+    digits = np.stack([(idx // p ** (r - 1 - d)) % p for d in range(r)])
+    row_part, col_part = m[:, :r] @ digits, m[:, r:] @ digits
+    out = np.zeros((n, n), dtype=np.int64)
+    for d in range(2 * r):
+        out *= p
+        out += np.add.outer(row_part[d] + b[d], col_part[d]) % p
+    return out
+
+
+def random_unreduced_candidate(p, r, rng):
+    """A candidate invertible mod p whose matrix and offset entries run from -2p to 3p - 1."""
+    size = 2 * r
+    while True:
+        matrix = [[rng.randrange(-2 * p, 3 * p) for _ in range(size)] for _ in range(size)]
+        if ff.construct.is_invertible_mod(np.array(matrix), p):
+            return ff.DigitLinearCandidate.of(matrix, [rng.randrange(-2 * p, 3 * p) for _ in range(size)])
+
+
+DIGIT_MAP_ORDERS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("p,r", DIGIT_MAP_ORDERS, ids=[f"p{p}-r{r}" for p, r in DIGIT_MAP_ORDERS])
+def test_digit_map_matches_reference(p, r):
+    """Unreduced random invertible candidates (negative entries and entries >= p) and the
+    closed form: the same cells as the Python-int digit map."""
+    rng = random.Random(100 * p + r)
+    candidates = [random_unreduced_candidate(p, r, rng) for _ in range(3)]
+    candidates.append(ff.construct.closed_form_candidate(p, r, rng.randrange(p ** (2 * r))))
+    for candidate in candidates:
+        square = ff.candidate_to_square(candidate, p, r)
+        assert square.entries.dtype == np.int64
+        assert square.to_lists() == ref_candidate_to_square(candidate, p, r)
+
+
+def test_digit_map_matches_per_digit_modulo_at_the_widest_carry():
+    """(53, 2) has the largest p^(2r) of any order up to 3000, so the largest carry."""
+    p, r = 53, 2
+    rng = random.Random(53)
+    for candidate in (ff.construct.closed_form_candidate(p, r, rng.randrange(p**4)),
+                      random_unreduced_candidate(p, r, rng)):
+        expected = per_digit_modulo_square(candidate, p, r)
+        assert np.array_equal(ff.candidate_to_square(candidate, p, r).entries, expected)
+
+
+def ref_window_sum_set(rows, p, toric, modulus=None):
+    """Python-int sums of every p x p window of the lists rows, each reduced mod modulus if given."""
+    height, width = len(rows), len(rows[0])
+    last_i, last_j = (height, width) if toric else (height - p + 1, width - p + 1)
+    sums = (
+        sum(rows[(i + dr) % height][(j + dc) % width] for dr in range(p) for dc in range(p))
+        for i in range(last_i)
+        for j in range(last_j)
+    )
+    return {s % modulus if modulus else s for s in sums}
+
+
+def test_window_sums_wrap_modulo_2_64_on_raw_int64():
+    """Entries near 2^62 make every prefix sum wrap; window sums are compared modulo 2^64."""
+    rng = random.Random(62)
+    big = 2**62
+    arrays = []
+    for rows, cols, p in ((5, 7, 2), (6, 6, 3), (4, 9, 2)):
+        window = random_window_grid(rows, cols, p, rng).entries + big
+        bumped = window.copy()
+        bumped[rows // 2, cols // 2] += 1
+        noise = np.array([[big + rng.randrange(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        arrays += [window, bumped, noise]
+    arrays.append(random_toric_window_grid(6, 2, rng).entries + big)
+    # window (0, 0) sums to 2^64 less than window (0, 1): unequal as integers, equal modulo 2^64
+    arrays.append(np.array([[-big, 0, big], [-big, 0, big]], dtype=np.int64))
+    assert len(ref_window_sum_set(arrays[-1].tolist(), 2, False)) == 2
+    outcomes = set()
+    for a in arrays:
+        for p in [q for q in (2, 3) if q <= min(a.shape)]:
+            for toric in (False, True):
+                expected = len(ref_window_sum_set(a.tolist(), p, toric, 2**64)) == 1
+                assert ff.window_sums_all_equal(a, p, toric) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_window_sums_of_narrow_arrays_do_not_wrap_at_the_input_width(dtype):
+    """Two windows 256 apart: equal if the prefix were summed in the input's 8 bits."""
+    edge = -128 if dtype == np.int8 else 128
+    column = 0 if dtype == np.int8 else 2
+    pair = np.zeros((2, 3), dtype=dtype)
+    pair[:, column] = edge
+    rng = np.random.default_rng(8)
+    info = np.iinfo(dtype)
+    arrays = [pair, np.full((4, 5), info.max, dtype=dtype),
+              rng.integers(info.min, info.max, size=(5, 7), endpoint=True, dtype=dtype)]
+    for a in arrays:
+        for toric in (False, True):
+            expected = len(ref_window_sum_set(a.tolist(), 2, toric)) == 1
+            assert ff.window_sums_all_equal(a, 2, toric) == expected
+    assert not ff.window_sums_all_equal(pair, 2)
+
+
+def test_window_sums_at_the_smallest_shapes():
+    """Width equal to the row count (one row of non-toric windows) and a one-row grid with
+    width 1, toric and not."""
+    rng = random.Random(3)
+    grids = [
+        random_window_grid(3, 5, 3, rng),
+        ff.Grid([[rng.randrange(-9, 9) for _ in range(5)] for _ in range(3)]),
+        ff.Grid([[rng.randrange(-9, 9) for _ in range(5)] for _ in range(2)]),
+        ff.Grid([[4, 4, 4, 4]]),
+        ff.Grid([[4, 4, 5, 4]]),
+        ff.Grid([[7]]),
+    ]
+    for grid in grids:
+        p = grid.rows
+        for toric in (False, True):
+            expected = len(ref_window_sum_set(grid.to_lists(), p, toric)) == 1
+            assert ff.window_sums_all_equal(grid, p, toric) == expected
+        assert ff.check_pxp(grid, p) == ref_pxp(grid, p)
