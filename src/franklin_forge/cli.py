@@ -239,7 +239,8 @@ def _cmd_pattern(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _load(args.infile, args.p)
     params = TypeParams(args.p, doc.order)
-    alphas = (args.alpha,) if args.weakened else None
+    alpha = 1 if args.weakened and args.alpha is None else args.alpha
+    alphas = None if alpha is None else (alpha,)
     report = verify_all(doc.grid, params, franklin_alphas=alphas)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")))
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int, required=True)
     v.add_argument("--in", dest="infile", default=None)
     v.add_argument("--weakened", action="store_true",
-                   help="check a single partition alpha instead of all")
-    v.add_argument("--alpha", type=int, default=1)
+                   help="check a single partition alpha instead of all (alpha 1 unless --alpha is given)")
+    v.add_argument("--alpha", type=int, default=None, help="check only this partition alpha")
     v.add_argument("--json", action="store_true")
     v.add_argument("--expect", choices=CLASSIFICATIONS[1:], default=None)
     v.set_defaults(func=_cmd_verify)

@@ -33,6 +33,13 @@ SIDE_RIGHT = "right"
 SIDE_SOLE = "sole"
 
 
+def _franklin_k(params: TypeParams) -> int:
+    """k of the order n = k*p^3; any other order has no Franklin patterns."""
+    if params.franklin_k is None:
+        raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
+    return params.franklin_k
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """One Franklin pattern: direction, split alpha (beta = p - alpha), frame offset."""
@@ -48,8 +55,7 @@ class PatternSpec:
         p = self.params.p
         if not 1 <= self.alpha < p:
             raise ValueError(f"alpha={self.alpha} outside 1..{p - 1}")
-        if self.params.franklin_k is None:
-            raise ValueError(f"order {self.params.n} is not of the form k*p^3 for p={p}")
+        _franklin_k(self.params)
         if not 0 <= self.frame_offset < self.params.n:
             raise ValueError(f"frame offset {self.frame_offset} outside 0..{self.params.n - 1}")
 
@@ -124,9 +130,7 @@ def _central_rows(p: int, k: int) -> list[tuple[int, int | None, int | None]]:
 
 def select_blocks(params: TypeParams, frame_offset: int) -> list[BandBlock]:
     """All blocks of the frame at frame_offset met by the up pattern, band-major order."""
-    k = params.franklin_k
-    if k is None:
-        raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
+    k = _franklin_k(params)
     p = params.p
     bs = k * p
     mid = (p - 1) // 2 if p % 2 == 1 else None
@@ -237,15 +241,21 @@ def franklin_cells(spec: PatternSpec) -> CellSet:
     return CellSet(frozenset(zip(lines[q], lines[q + 1])), n)
 
 
-def enumerate_patterns(params: TypeParams, alphas=None) -> Iterator[PatternSpec]:
-    """Every pattern spec: 4 directions x selected alphas x n frame offsets.
+def select_alphas(params: TypeParams, alphas=None) -> list[int]:
+    """The partitions a pattern scan covers, ascending and once each: 1..p-1 by default (the strong
+    definition), else the iterable given (the weakened mode passes one). An empty selection raises:
+    a scan of no pattern would pass and say nothing."""
+    _franklin_k(params)
+    pool = range(1, params.p) if alphas is None else alphas
+    chosen = sorted({PatternSpec("up", x, 0, params).alpha for x in pool})
+    if not chosen:
+        raise ValueError("the alpha selection is empty")
+    return chosen
 
-    alphas=None selects the full partition set 1..p-1 (the strong definition);
-    pass an iterable to restrict, e.g. the weakened single-partition mode.
-    """
-    if params.franklin_k is None:
-        raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
-    chosen = tuple(range(1, params.p)) if alphas is None else tuple(alphas)
+
+def enumerate_patterns(params: TypeParams, alphas=None) -> Iterator[PatternSpec]:
+    """Every pattern spec: 4 directions x selected alphas (select_alphas) x n frame offsets."""
+    chosen = select_alphas(params, alphas)
     for direction in DIRECTIONS:
         for alpha in chosen:
             for offset in range(params.n):

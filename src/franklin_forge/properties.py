@@ -1,8 +1,9 @@
 """Property verifiers and witnessed certificates for magic-square structure.
 
 Each check returns a PropertyVerdict; a failing verdict carries a witness whose
-cells re-sum to the reported actual value. Witness scan order is deterministic
-(row-major / enumeration order), so reports are byte-stable across runs.
+cells re-sum to the reported actual value. Every sum check but check_natural
+reports through _verdict, whose docstring states the one scan order, so reports
+are byte-stable across runs.
 
 Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
 differences) and _shift_add (cyclic line shifts: diagonals, p-sets, patterns).
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Grid, NaturalSquare, TypeParams
-from .patterns import DIRECTIONS, PatternSpec, franklin_cells, split_rows, up_rows
+from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows, up_rows
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -191,16 +192,51 @@ def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
     acc[..., n - k :] += vec[..., :k]
 
 
-def _diagonal_sums(a: np.ndarray, count: int, sign: int) -> np.ndarray:
-    """D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, for i < m.
+def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple:
+    """D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, for i < m, and its witness.
 
-    Every such set meets rows 0..m-1, so D's first failure is the torus's first.
+    Every such set meets rows 0..m-1, so D's first failure is the torus's first. With count n
+    the sets are the broken diagonals and j is the offset. location is formatted with i and j.
     """
     n, m = len(a), len(a) // count
     d = np.zeros((m, n), dtype=a.dtype)
     for r in range(n):
         _shift_add(d[r % m], a[r], sign * (r - r % m))
-    return d
+
+    def witness(i, j):
+        return location.format(i=i, j=j), [((i + t * m) % n, (j + sign * t * m) % n) for t in range(count)]
+
+    return d, witness
+
+
+def _segment_sums(a: np.ndarray, axis: str, parts: int) -> tuple:
+    """S[i, s] = sum of segment s of line i (a row, or a column for axis "cols"), each line cut
+    into parts aligned runs of n/parts cells, and its witness; one part is the whole line."""
+    n, seg = len(a), len(a) // parts
+    lines, label = (a, "row") if axis == "rows" else (a.T, "column")
+
+    def witness(i, s):
+        span = range(s * seg, (s + 1) * seg)
+        segment = f", segment {s} (indices {span[0]}..{span[-1]})" if parts > 1 else ""
+        return f"{label} {i}{segment}", [(i, c) if axis == "rows" else (c, i) for c in span]
+
+    return lines.reshape(n, parts, seg).sum(axis=2), witness
+
+
+def _verdict(name: str, target: int, tables) -> PropertyVerdict:
+    """The one sum scan: the first sum that misses target, with its witness, fails the property.
+
+    tables yields (sums, witness) pairs, read in order and each sums array row-major; witness(*index)
+    gives the location and cells of sums[index]. So rows precede columns, main diagonals anti ones,
+    segments go by line then position, p-sets and windows by top-left cell, and patterns by
+    direction, alpha, then offset. No table after a failing one is built."""
+    for sums, witness in tables:
+        bad = sums != target
+        if bad.any():  # argmax finds the first row-major failure without listing them all
+            index = tuple(int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
+            location, cells = witness(*index)
+            return PropertyVerdict(name, False, Witness(location, target, int(sums[index]), tuple(cells)))
+    return PropertyVerdict(name, True)
 
 
 def _rotated_columns(a: np.ndarray) -> tuple:
@@ -229,31 +265,15 @@ def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
 def check_semi_magic(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Every row and column sums to the magic sum."""
     a = _require_order(square_or_grid, params)
-    n, magic = params.n, params.magic_sum
-    for axis, label in ((1, "row"), (0, "column")):
-        sums = a.sum(axis=axis)
-        bad = np.nonzero(sums != magic)[0]
-        if bad.size:
-            i = int(bad[0])
-            cells = tuple((i, c) for c in range(n)) if label == "row" else tuple((r, i) for r in range(n))
-            w = Witness(f"{label} {i}", expected=magic, actual=int(sums[i]), cells=cells)
-            return PropertyVerdict(SEMI_MAGIC, False, w)
-    return PropertyVerdict(SEMI_MAGIC, True)
+    return _verdict(SEMI_MAGIC, params.magic_sum, (_segment_sums(a, axis, 1) for axis in ("rows", "cols")))
 
 
 def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """All 2n broken diagonals sum to the magic sum."""
     a = _require_order(square_or_grid, params)
-    n, magic = params.n, params.magic_sum
-    for sign, label in ((1, "main"), (-1, "anti")):
-        sums = _diagonal_sums(a, n, sign)[0]
-        bad = np.nonzero(sums != magic)[0]
-        if bad.size:
-            c = int(bad[0])
-            cells = tuple((int(r), int((sign * r + c) % n)) for r in range(n))
-            w = Witness(f"{label} diagonal, offset {c}", expected=magic, actual=int(sums[c]), cells=cells)
-            return PropertyVerdict(PANDIAGONAL, False, w)
-    return PropertyVerdict(PANDIAGONAL, True)
+    tables = (_diagonal_sums(a, params.n, sign, label + " diagonal, offset {j}")
+              for sign, label in ((1, "main"), (-1, "anti")))
+    return _verdict(PANDIAGONAL, params.magic_sum, tables)
 
 
 def check_complementary(square_or_grid, params: TypeParams, direction: str = "main") -> PropertyVerdict:
@@ -268,39 +288,31 @@ def check_complementary(square_or_grid, params: TypeParams, direction: str = "ma
         raise ValueError(f"p={p} does not divide order {n}")
     if direction not in ("main", "anti"):
         raise ValueError("direction must be 'main' or 'anti'")
-    step = n // p
     sign = 1 if direction == "main" else -1
-    target = params.complement_sum
-    total = _diagonal_sums(a, p, sign)
-    bad = total != target
-    if bad.any():  # argmax finds the first row-major failure without listing them all
-        i, j = (int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
-        cells = tuple(((i + t * step) % n, (j + sign * t * step) % n) for t in range(p))
-        w = Witness(f"{direction}-diagonal p-set at ({i}, {j})", target, int(total[i, j]), cells)
-        return PropertyVerdict(COMPLEMENTARY, False, w)
-    return PropertyVerdict(COMPLEMENTARY, True)
+    table = _diagonal_sums(a, p, sign, direction + "-diagonal p-set at ({i}, {j})")
+    return _verdict(COMPLEMENTARY, params.complement_sum, [table])
 
 
 def check_pxp(square_or_grid, params) -> PropertyVerdict:
     """Every toric p x p window shares one sum.
 
     Natural squares must hit the pinned target p^2(n^2-1)/2; generic grids only
-    need all windows equal (the lemma-oracle mode), and may pass a bare p.
+    need all windows equal (the lemma-oracle mode). A bare p selects that mode with
+    no order check, so the grid may be rectangular.
     """
-    pinned = isinstance(square_or_grid, NaturalSquare) and isinstance(params, TypeParams)
-    p = params.p if isinstance(params, TypeParams) else int(params)
-    a = _require_order(square_or_grid, params) if pinned else _array(square_or_grid)
+    typed = isinstance(params, TypeParams)
+    p = params.p if typed else int(params)
+    a = _require_order(square_or_grid, params) if typed else _array(square_or_grid)
     if a.shape[0] < p or a.shape[1] < p:
         raise ValueError(f"grid {a.shape} smaller than window size {p}")
     total = _window_sums(a, p, toric=True)
-    target = params.pxp_sum if pinned else int(total[0, 0])
-    bad = total != target
-    if bad.any():
-        i, j = (int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
-        cells = tuple(((i + dr) % a.shape[0], (j + dc) % a.shape[1]) for dr in range(p) for dc in range(p))
-        w = Witness(f"window at ({i}, {j})", expected=target, actual=int(total[i, j]), cells=cells)
-        return PropertyVerdict(PXP, False, w)
-    return PropertyVerdict(PXP, True)
+    rows, cols = a.shape
+
+    def witness(i, j):
+        return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
+
+    pinned = typed and isinstance(square_or_grid, NaturalSquare)
+    return _verdict(PXP, params.pxp_sum if pinned else int(total[0, 0]), [(total, witness)])
 
 
 def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> PropertyVerdict:
@@ -312,69 +324,45 @@ def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> 
     if n % p:
         raise ValueError(f"p={p} does not divide order {n}")
     name = ONE_OVER_P_ROWS if axis == "rows" else ONE_OVER_P_COLS
-    seg = n // p
-    target = params.segment_sum
-    lines = a if axis == "rows" else a.T
-    sums = lines.reshape(n, p, seg).sum(axis=2)
-    bad = np.argwhere(sums != target)
-    if bad.size:
-        i, s = (int(x) for x in bad[0])
-        label = "row" if axis == "rows" else "column"
-        span = (s * seg, (s + 1) * seg - 1)
-        if axis == "rows":
-            cells = tuple((i, c) for c in range(s * seg, (s + 1) * seg))
-        else:
-            cells = tuple((r, i) for r in range(s * seg, (s + 1) * seg))
-        w = Witness(
-            f"{label} {i}, segment {s} (indices {span[0]}..{span[1]})",
-            expected=target,
-            actual=int(sums[i, s]),
-            cells=cells,
-        )
-        return PropertyVerdict(name, False, w)
-    return PropertyVerdict(name, True)
+    return _verdict(name, params.segment_sum, [_segment_sums(a, axis, p)])
 
 
 def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> PropertyVerdict:
     """Every Franklin pattern sums to the magic sum.
 
-    Patterns range over 4 directions, the selected partition set (default all
-    alpha in 1..p-1; PatternSpec rejects others and an empty selection is an
-    error; scanned ascending, once each), and all n frame offsets. A direction
-    is the up pattern on the square rotated q quarter turns, and the n offsets
-    translate the offset-0 cells down the rows (patterns guarantees it). At
-    offset 0 the pattern takes the first alpha columns of each aligned group g
-    of p from row first[g] and the rest from row rest[g], for every alpha
-    (split_rows). So one shift-add per group by first[g] into lo and one by
-    rest[g] into hi serve every alpha: its n offset sums are lo's first alpha
-    columns plus hi's last p - alpha.
+    Patterns range over 4 directions, the alphas of patterns.select_alphas (default
+    all of 1..p-1), and all n frame offsets. A direction is the up pattern on the
+    square rotated q quarter turns, and the n offsets translate the offset-0 cells
+    down the rows (patterns guarantees it). At offset 0 the pattern takes the first
+    alpha columns of each aligned group g of p from row first[g] and the rest from
+    row rest[g], for every alpha (split_rows). So one shift-add per group by
+    first[g] into lo and one by rest[g] into hi serve every alpha: its n offset
+    sums are lo's first alpha columns plus hi's last p - alpha.
     """
     a = _require_order(square_or_grid, params)
-    if params.franklin_k is None:
-        raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
-    n, p, magic = params.n, params.p, params.magic_sum
-    chosen = range(1, p) if alphas is None else sorted({PatternSpec("up", x, 0, params).alpha for x in alphas})
-    if not chosen:  # no pattern would be checked, so a pass would say nothing
-        raise ValueError("the alpha selection is empty")
+    chosen = np.array(select_alphas(params, alphas))
+    n, p = params.n, params.p
     first, rest = split_rows(params)
-    top, low = max(chosen), min(chosen)  # lo needs columns 0..top-1 of a group, hi columns low..p-1
-    for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
-        groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-        lo, hi = np.zeros((top, n), dtype=a.dtype), np.zeros((p - low, n), dtype=a.dtype)
-        for g, (ra, rb) in enumerate(zip(first, rest)):  # at offset o the pattern holds (r + o, c)
-            _shift_add(lo, groups[g, :top], ra)
-            _shift_add(hi, groups[g, low:], rb)
-        np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
-        np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
-        for alpha in chosen:
-            sums = lo[alpha - 1] + hi[alpha - low]
-            bad = np.nonzero(sums != magic)[0]
-            if bad.size:
-                off = int(bad[0])
-                cells = tuple(franklin_cells(PatternSpec(direction, alpha, off, params)).sorted_cells())
-                w = Witness(f"{direction} pattern, alpha={alpha}, offset={off}", magic, int(sums[off]), cells)
-                return PropertyVerdict(FRANKLIN_PATTERNS, False, w)
-    return PropertyVerdict(FRANKLIN_PATTERNS, True)
+    top, low = int(chosen[-1]), int(chosen[0])  # lo needs columns 0..top-1 of a group, hi columns low..p-1
+
+    def tables():
+        for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
+            groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
+            lo, hi = np.zeros((top, n), dtype=a.dtype), np.zeros((p - low, n), dtype=a.dtype)
+            for g, (ra, rb) in enumerate(zip(first, rest)):  # at offset o the pattern holds (r + o, c)
+                _shift_add(lo, groups[g, :top], ra)
+                _shift_add(hi, groups[g, low:], rb)
+            np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
+            np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
+
+            def witness(i, offset, direction=direction):
+                spec = PatternSpec(direction, int(chosen[i]), offset, params)
+                cells = franklin_cells(spec).sorted_cells()
+                return f"{direction} pattern, alpha={spec.alpha}, offset={offset}", cells
+
+            yield lo[chosen - 1] + hi[chosen - low], witness  # row i holds alpha chosen[i]
+
+    return _verdict(FRANKLIN_PATTERNS, params.magic_sum, tables())
 
 
 def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None) -> PropertyReport:

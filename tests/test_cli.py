@@ -143,9 +143,19 @@ class TestCommands:
         assert main(args + ["--expect", "most_perfect_type_p"]) == EXIT_OK
         assert main(args + ["--expect", "franklin_type_p"]) == EXIT_VERIFY_FAIL
 
-    def test_verify_weakened_mode(self, tmp_path):
+    def test_verify_weakened_mode(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "sec14_franklin27")
         assert main(["verify", "--p", "3", "--in", str(path), "--weakened", "--alpha", "2"]) == EXIT_OK
+        # On the seed-0 (3,3) square, --alpha alone selects the partition as --weakened --alpha does.
+        path = tmp_path / "mp27.json"
+        assert main(["construct", "--p", "3", "--r", "3", "--out", str(path)]) == EXIT_OK
+        outputs = []
+        for extra in (["--alpha", "2"], ["--weakened", "--alpha", "2"], []):
+            capsys.readouterr()
+            main(["verify", "--p", "3", "--in", str(path), "--json"] + extra)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+        assert "up pattern, alpha=2, offset=0" in outputs[0]
 
     def test_theta_then_verify_pipeline(self, tmp_path):
         src = write_fixture(tmp_path, "figure2_mp8")

@@ -194,6 +194,13 @@ class TestEnumerate:
         assert [s.frame_offset for s in specs[:3]] == [0, 1, 2]
         assert specs[27].alpha == 2 and specs[54].direction == "right"
 
+    def test_alphas_ascend_once_each(self):
+        params = ff.TypeParams(3, 27)
+        alphas = [s.alpha for s in ff.enumerate_patterns(params, (2, 1, 1)) if s.direction == "up"]
+        assert alphas == [1] * 27 + [2] * 27
+        with pytest.raises(ValueError, match="empty"):
+            list(ff.enumerate_patterns(params, ()))
+
     def test_rejects_non_franklin_order(self):
         with pytest.raises(ValueError):
             list(ff.enumerate_patterns(ff.TypeParams(3, 9)))

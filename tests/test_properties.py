@@ -47,6 +47,8 @@ class TestSemiMagic:
         square, _ = fig1
         with pytest.raises(ValueError):
             ff.check_semi_magic(square, ff.TypeParams(2, 16))
+        with pytest.raises(ValueError, match="does not match params order 8"):
+            ff.check_pxp(ff.Grid(np.zeros((4, 4), dtype=np.int64)), ff.TypeParams(2, 8))
 
 
 class TestPandiagonal:
@@ -249,6 +251,13 @@ class TestFranklinPatterns:
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
         assert len(calls) == 4 * 2 * params.n // params.p
         assert {acc.shape for acc, _, _ in calls} == {(params.p - 1, params.n)}
+        # A failing square stops at its first failure: the untransformed order-27 square fails
+        # an up pattern, so only the up direction's 2n/p shift-adds run.
+        params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
+        calls.clear()
+        verdict = ff.check_franklin_patterns(mp27, params)
+        assert verdict.witness.location == "up pattern, alpha=1, offset=0"
+        assert len(calls) == 2 * params.n // params.p == 18
 
 
 class TestVerifyAll:

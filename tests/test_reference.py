@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 import franklin_forge as ff
-from franklin_forge.properties import COMPLEMENTARY, FRANKLIN_PATTERNS, PANDIAGONAL, PXP
+from franklin_forge.properties import (
+    COMPLEMENTARY,
+    FRANKLIN_PATTERNS,
+    NATURAL,
+    ONE_OVER_P_COLS,
+    ONE_OVER_P_ROWS,
+    PANDIAGONAL,
+    PXP,
+    SEMI_MAGIC,
+)
 
 from conftest import random_natural_square, random_toric_window_grid, random_window_grid
 
@@ -29,6 +38,36 @@ def first_failure(name, candidates, a, expected=None):
         if total != expected:
             return ff.PropertyVerdict(name, False, ff.Witness(location, expected, total, tuple(cells)))
     return ff.PropertyVerdict(name, True)
+
+
+def ref_natural(obj, params):
+    """The first sorted entry that differs from its index; the witness names the index, not a sum."""
+    for k, value in enumerate(sorted(obj.entries.ravel().tolist())):
+        if value != k:
+            return ff.PropertyVerdict(NATURAL, False, ff.Witness(f"sorted entry {k}", k, value))
+    return ff.PropertyVerdict(NATURAL, True)
+
+
+def ref_semi_magic(obj, params):
+    """Every row, then every column."""
+    n = params.n
+    candidates = [(f"row {i}", [(i, c) for c in range(n)]) for i in range(n)]
+    candidates += [(f"column {i}", [(r, i) for r in range(n)]) for i in range(n)]
+    return first_failure(SEMI_MAGIC, candidates, obj.entries.tolist(), params.magic_sum)
+
+
+def ref_one_over_p(obj, params, axis):
+    """Line by line, each line's p aligned segments left to right (top to bottom for columns)."""
+    n, p = params.n, params.p
+    seg = n // p
+    label, name = ("row", ONE_OVER_P_ROWS) if axis == "rows" else ("column", ONE_OVER_P_COLS)
+    candidates = (
+        (f"{label} {i}, segment {s} (indices {s * seg}..{(s + 1) * seg - 1})",
+         [(i, c) if axis == "rows" else (c, i) for c in range(s * seg, (s + 1) * seg)])
+        for i in range(n)
+        for s in range(p)
+    )
+    return first_failure(name, candidates, obj.entries.tolist(), params.segment_sum)
 
 
 def ref_pandiagonal(obj, params):
@@ -162,6 +201,17 @@ ORDER_IDS = [f"p{p}-n{n}" for p, n in ALL_ORDERS]
 
 
 @pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
+def test_line_checks_match_reference(p, n):
+    params, squares = cases(p, n)
+    for square in squares:
+        assert ff.check_natural(square, params) == ref_natural(square, params)
+        assert ff.check_semi_magic(square, params) == ref_semi_magic(square, params)
+        if params.has_segment_sum:
+            for axis in ("rows", "cols"):
+                assert ff.check_one_over_p(square, params, axis) == ref_one_over_p(square, params, axis)
+
+
+@pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
 def test_diagonal_checks_match_reference(p, n):
     params, squares = cases(p, n)
     for square in squares:
@@ -234,7 +284,8 @@ def test_verdicts_pass_and_fail_across_the_cases():
         for square in squares:
             for verdict in ff.verify_all(square, params).verdicts:
                 outcomes.setdefault(verdict.property_name, set()).add(verdict.passed)
-    for name in (PANDIAGONAL, COMPLEMENTARY, PXP, FRANKLIN_PATTERNS):
+    for name in (NATURAL, SEMI_MAGIC, PANDIAGONAL, COMPLEMENTARY, PXP, ONE_OVER_P_ROWS, ONE_OVER_P_COLS,
+                 FRANKLIN_PATTERNS):
         assert outcomes[name] == {True, False}, name
 
 
