@@ -28,9 +28,9 @@ def is_prime(m: int) -> bool:
 
 
 def _is_permutation(a: np.ndarray) -> bool:
-    """Are a's entries exactly 0..a.size-1? In range, they set all a.size marks only if no two are equal."""
-    if a.min() < 0 or a.max() >= a.size:  # first: a negative entry would index the marks from the end
-        return False
+    """Are a's entries, known to lie in 0..a.size-1, each of those values once? Only if they set all marks.
+
+    The caller checks the range first: a negative entry would index the marks from the end."""
     seen = np.zeros(a.size, dtype=bool)
     seen[a.ravel()] = True
     return bool(seen.all())
@@ -43,17 +43,17 @@ class Grid:
     The entries are always stored C-ordered, whatever the input's layout.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_span")
 
     def __init__(self, entries):
-        if isinstance(entries, Grid):  # read-only, so shared rather than copied
-            self._a = entries._a
+        if isinstance(entries, Grid):  # read-only, so shared rather than copied, range included
+            self._a, self._span = entries._a, entries._span
             return
         a = np.array(entries, dtype=np.int64, order="C")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("grid entries must form a non-empty 2-D array")
         a.setflags(write=False)
-        self._a = a
+        self._a, self._span = a, (int(a.min()), int(a.max()))
 
     @property
     def rows(self) -> int:
@@ -67,6 +67,11 @@ class Grid:
     def entries(self) -> np.ndarray:
         """Read-only int64 view of the entries."""
         return self._a
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """(min, max) of the entries as Python ints, found once, when the entries were stored."""
+        return self._span
 
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
@@ -86,8 +91,8 @@ class Grid:
 class NaturalSquare(Grid):
     """Order-n square Grid whose entries are exactly the symbols 0..n^2-1.
 
-    Every instance is proved on construction: each entry lies in 0..n^2-1, and
-    one boolean mark per symbol, set at each entry, leaves every mark set.
+    Every instance is proved on construction: the Grid's recorded range lies in 0..n^2-1,
+    and one boolean mark per symbol, set at each entry, leaves every mark set.
     """
 
     __slots__ = ()
@@ -99,7 +104,8 @@ class NaturalSquare(Grid):
             raise ValueError(f"natural square must be square, got {self.rows}x{self.cols}")
         if n > MAX_ORDER:
             raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-        if not _is_permutation(self._a):
+        lo, hi = self._span
+        if lo < 0 or hi >= n * n or not _is_permutation(self._a):  # range first: see _is_permutation
             raise ValueError(f"entries are not a permutation of 0..{n * n - 1}")
 
     @classmethod

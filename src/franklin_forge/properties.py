@@ -14,7 +14,7 @@ alpha, the same two for every alpha (patterns.split_rows), so the Franklin
 check shift-adds each group twice per direction and is O(n^2) whatever p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
-sums could leave int64.
+sums could leave int64, reading the entry range the Grid recorded when it was built.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ PXP = "pxp"
 ONE_OVER_P_ROWS = "one_over_p_rows"
 ONE_OVER_P_COLS = "one_over_p_cols"
 FRANKLIN_PATTERNS = "franklin_patterns"
-
-ALL_PROPERTIES = (
-    NATURAL,
-    SEMI_MAGIC,
-    PANDIAGONAL,
-    COMPLEMENTARY,
-    PXP,
-    ONE_OVER_P_ROWS,
-    ONE_OVER_P_COLS,
-    FRANKLIN_PATTERNS,
-)
 
 CLASSIFICATIONS = (
     "none",
@@ -134,20 +123,17 @@ class PropertyReport:
         }
 
 
-def _array(obj) -> np.ndarray:
-    if isinstance(obj, NaturalSquare):
-        return obj.entries  # entries below n^2: no sum comes near 2^63
-    if isinstance(obj, Grid):
-        a = obj.entries  # Python ints: abs() of the int64 minimum would wrap
-        if max(-int(a.min()), int(a.max())) * max(a.shape) ** 2 > 2**63 - 1:
-            raise ValueError("grid entries too large: a sum could overflow a signed 64-bit integer")
-        return a
-    raise TypeError(f"expected NaturalSquare or Grid, got {type(obj).__name__}")
+def _array(obj, params: TypeParams | None = None) -> np.ndarray:
+    """obj's entries, of params' order when params is given, if no sum over them can leave int64.
 
-
-def _require_order(obj, params: TypeParams) -> np.ndarray:
-    a = _array(obj)
-    if a.shape != (params.n, params.n):
+    The guard reads obj's recorded range, in Python ints (abs() of the int64 minimum would
+    wrap). A natural square's entries lie below n^2, so it always passes."""
+    if not isinstance(obj, Grid):
+        raise TypeError(f"expected NaturalSquare or Grid, got {type(obj).__name__}")
+    a, (lo, hi) = obj.entries, obj.span
+    if max(-lo, hi) * max(a.shape) ** 2 > 2**63 - 1:
+        raise ValueError("grid entries too large: a sum could overflow a signed 64-bit integer")
+    if params is not None and a.shape != (params.n, params.n):
         raise ValueError(f"square of order {a.shape} does not match params order {params.n}")
     return a
 
@@ -172,6 +158,9 @@ def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
     Down the rows, then down the rows of the transpose: on a C-ordered input the first
     prefix adds whole rows and the second runs along them, so both read contiguous memory.
     Wrapped windows read the same prefix array: no padded copy, two full arrays at most."""
+    if not 1 <= width <= min(a.shape):
+        raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
+                         else f"window size {width} is not positive")
     for _ in range(2):
         c = _prefix_down(a)
         m, a = len(c), None  # release the input before allocating the output
@@ -249,7 +238,7 @@ def _rotated_columns(a: np.ndarray) -> tuple:
 
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Entries are exactly the symbols 0..n^2-1, each once."""
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     if isinstance(square_or_grid, NaturalSquare):
         return PropertyVerdict(NATURAL, True)  # proved at construction; the entries are read-only
     n = params.n
@@ -264,13 +253,13 @@ def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
 
 def check_semi_magic(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Every row and column sums to the magic sum."""
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     return _verdict(SEMI_MAGIC, params.magic_sum, (_segment_sums(a, axis, 1) for axis in ("rows", "cols")))
 
 
 def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """All 2n broken diagonals sum to the magic sum."""
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     tables = (_diagonal_sums(a, params.n, sign, label + " diagonal, offset {j}")
               for sign, label in ((1, "main"), (-1, "anti")))
     return _verdict(PANDIAGONAL, params.magic_sum, tables)
@@ -282,7 +271,7 @@ def check_complementary(square_or_grid, params: TypeParams, direction: str = "ma
     The defining property uses the main-diagonal direction; direction="anti" is
     an extra diagnostic and plays no role in classification.
     """
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     n, p = params.n, params.p
     if n % p:
         raise ValueError(f"p={p} does not divide order {n}")
@@ -298,13 +287,12 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
 
     Natural squares must hit the pinned target p^2(n^2-1)/2; generic grids only
     need all windows equal (the lemma-oracle mode). A bare p selects that mode with
-    no order check, so the grid may be rectangular.
+    no order check, so the grid may be rectangular. So the certificate depends on
+    the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
-    a = _require_order(square_or_grid, params) if typed else _array(square_or_grid)
-    if a.shape[0] < p or a.shape[1] < p:
-        raise ValueError(f"grid {a.shape} smaller than window size {p}")
+    a = _array(square_or_grid, params if typed else None)
     total = _window_sums(a, p, toric=True)
     rows, cols = a.shape
 
@@ -319,7 +307,7 @@ def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> 
     """Each line, split into p aligned segments of length n/p, hits n(n^2-1)/2p per segment."""
     if axis not in ("rows", "cols"):
         raise ValueError("axis must be 'rows' or 'cols'")
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     n, p = params.n, params.p
     if n % p:
         raise ValueError(f"p={p} does not divide order {n}")
@@ -339,7 +327,7 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     first[g] into lo and one by rest[g] into hi serve every alpha: its n offset
     sums are lo's first alpha columns plus hi's last p - alpha.
     """
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     chosen = np.array(select_alphas(params, alphas))
     n, p = params.n, params.p
     first, rest = split_rows(params)
@@ -373,7 +361,6 @@ def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None) -> Prop
     corresponding properties are unsatisfiable at this order, so they can never
     contribute to a classification).
     """
-    _require_order(square_or_grid, params)
     verdicts = [
         check_natural(square_or_grid, params),
         check_semi_magic(square_or_grid, params),
@@ -400,7 +387,7 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
     most-perfect square these equal n(n^2-1)/p for every outer band pair and
     n(n^2-1)/2p for the central band (odd p). The frame offset wraps mod n.
     """
-    a = _require_order(square_or_grid, params)
+    a = _array(square_or_grid, params)
     n, p = params.n, params.p
     spec = PatternSpec(direction, alpha, frame_offset % n, params)  # rejects a bad direction, alpha or order
     view = np.rot90(a, DIRECTIONS.index(direction))
@@ -417,9 +404,6 @@ def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
 
     A raw int64 array is summed in int64, so its sums are compared modulo 2^64."""
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
-    rows, cols = a.shape
-    if rows < p or cols < p:
-        raise ValueError(f"grid {a.shape} smaller than window size {p}")
     sums = _window_sums(a, p, toric)
     return bool(sums.min() == sums.max())
 
@@ -432,7 +416,7 @@ def lemma_diagsum_oracle(grid_or_array, p: int) -> bool:
     """
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
     rows, cols = a.shape
-    if rows < p + 1 or cols < p + 1 or (rows - 1) % p or (cols - 1) % p:
+    if p < 1 or rows < p + 1 or cols < p + 1 or (rows - 1) % p or (cols - 1) % p:  # p < 1 first: p = 0 divides by zero
         raise ValueError(f"grid {a.shape} is not (mp+1) x (np+1) for p={p}")
     return bool(a[0, 0] + a[-1, -1] == a[-1, 0] + a[0, -1])
 
@@ -446,7 +430,7 @@ def lemma_moremoresums2_oracle(grid_or_array, p: int, k_split: int) -> bool:
     """
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
     rows, cols = a.shape
-    if rows < p + 1 or (rows - 1) % p or cols < p or cols % p:
+    if p < 1 or rows < p + 1 or (rows - 1) % p or cols < p or cols % p:  # p < 1 first: p = 0 divides by zero
         raise ValueError(f"grid {a.shape} is not (mp+1) x (np) for p={p}")
     if k_split < 1:
         raise ValueError("k_split must be at least 1")

@@ -1,0 +1,107 @@
+"""Mutation smoke test: each kernel mutant below must fail the tier-1 tests named with it.
+
+Each mutant is a (file, old, new) triple: the one occurrence of old in file is replaced
+by new, in a temporary copy of src/ and tests/. The named tests then run on that copy,
+and the mutant is killed when they fail (or time out). Exits 1 if any mutant survives
+or no longer applies. Run from anywhere:
+
+    python tests/mutation_smoke.py
+
+pytest does not collect this file; CI runs it as its own step.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROPERTIES = "src/franklin_forge/properties.py"
+CORE = "src/franklin_forge/core.py"
+
+PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
+GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
+BATTERY = ["tests/test_certificate_bytes.py"]
+
+# (name, file, old, new, tests that must fail)
+MUTANTS = [
+    ("window wrap term", PROPERTIES, "+ c[: width - 1]", "+ c[1:width]", PXP_TESTS),
+    ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
+     "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
+    ("shift offset", PROPERTIES, "    k %= n\n", "    k = (k + 1) % n\n", ["tests/test_reference.py"]),
+    ("plain sign*r diagonal shift", PROPERTIES, "sign * (r - r % m)", "sign * r", ["tests/test_reference.py"]),
+    ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
+     "_shift_add(lo, groups[g, :top], -ra)", ["tests/test_reference.py"]),
+    ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
+    ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
+    ("rest used for first", "src/franklin_forge/patterns.py", "(rest if col % p else first)",
+     "(rest if col % p else rest)", ["tests/test_patterns.py"]),
+    ("> for >= in the carry", "src/franklin_forge/construct.py", "np.greater_equal.outer",
+     "np.greater.outer", ["tests/test_construct.py"]),
+    ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
+     "((0, 1, 2) if swap_rows", ["tests/test_involution.py"]),
+    ("range from the first row only", CORE, "(int(a.min()), int(a.max()))",
+     "(int(a[0].min()), int(a[0].max()))", ["tests/test_core.py"] + GUARD_TESTS),
+    ("no range test in the naturalness proof", CORE, "if lo < 0 or hi >= n * n or not _is_permutation",
+     "if not _is_permutation", ["tests/test_core.py"]),
+    ("Grid(g) does not share the range", CORE, "self._a, self._span = entries._a, entries._span",
+     "self._a = entries._a", GUARD_TESTS + BATTERY),
+]
+
+TIMEOUT_S = 120
+
+
+def tests_pass(work: Path, tests: list) -> bool:
+    """Do the tests pass on the copy in work? A run past TIMEOUT_S counts as a failure."""
+    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S).returncode == 0
+    except subprocess.TimeoutExpired:
+        return False
+
+
+def run_mutant(work: Path, file: str, old: str, new: str, tests: list) -> str:
+    """'killed', 'survived' or 'stale' (old no longer occurs exactly once) for one mutant."""
+    path = work / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return "stale"
+    path.write_text(text.replace(old, new))
+    try:
+        return "survived" if tests_pass(work, tests) else "killed"
+    finally:
+        path.write_text(text)
+
+
+def main() -> int:
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="franklin-mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        every_test = sorted({t for *_, tests in MUTANTS for t in tests})
+        if not tests_pass(work, every_test):  # else a failure would not be the mutant's doing
+            print("the unmutated tests fail; no mutant can be judged")
+            return 1
+        for name, file, old, new, tests in MUTANTS:
+            start = time.perf_counter()
+            outcome = run_mutant(work, file, old, new, tests)
+            print(f"{outcome:8}  {time.perf_counter() - start:5.1f} s  {name}", flush=True)
+            if outcome != "killed":
+                survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

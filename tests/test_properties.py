@@ -129,8 +129,15 @@ class TestPxp:
         assert not ff.window_sums_all_equal(contiguous, 2, toric=True)
 
     def test_dimension_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="smaller than window size 2"):
             ff.check_pxp(ff.Grid([[1, 2]]), 2)
+        grid = ff.Grid([[1, 2], [3, 4]])
+        for width in (0, -1):  # one size check, in _window_sums, for every caller
+            with pytest.raises(ValueError, match=f"window size {width} is not positive"):
+                ff.check_pxp(grid, width)
+            for toric in (False, True):
+                with pytest.raises(ValueError, match="not positive"):
+                    ff.window_sums_all_equal(grid, width, toric)
 
     def test_natural_square_pinned_to_formula(self):
         # natural square whose windows are equal but is not symbol-complete
@@ -378,24 +385,21 @@ class TestInt64Guard:
         for edge in (limit + 1, -limit - 1):
             with pytest.raises(ValueError):
                 ff.check_pxp(ff.Grid([[edge, 0, 0], [0, 0, 0], [0, 0, 0]]), 3)
+        assert ff.check_pxp(ff.Grid([[2**63 - 1]]), 1).passed  # exactly on the bound: accepted
         with pytest.raises(ValueError):  # |int64 min| is computed without wrapping
             ff.check_pxp(ff.Grid([[-(2**63)]]), 1)
 
-    def test_guard_is_skipped_only_for_a_natural_square(self, mp8, monkeypatch):
+    def test_guard_reads_the_range_recorded_at_build(self, mp8):
         square, _ = mp8
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return max(*args)
-
-        monkeypatch.setattr(properties, "max", spy, raising=False)  # the guard's builtin max
-        assert properties._array(square) is square.entries
-        assert calls == []
         grid = ff.Grid(square)
         assert type(grid) is ff.Grid
-        assert properties._array(grid) is square.entries
-        assert calls
+        assert grid.span == square.span == (0, 63)  # Grid(g) shares the range with the entries
+        for held in (square, grid):
+            assert properties._array(held) is square.entries
+        for forged in (ff.Grid(square), ff.NaturalSquare(square)):
+            forged._span = (0, 2**62)  # entries below 64, but the guard trusts the record
+            with pytest.raises(ValueError, match="64-bit"):  # and exempts no type
+                properties._array(forged)
 
     def test_rectangular_grid_uses_longer_side(self):
         limit = (2**63 - 1) // 16
@@ -425,6 +429,9 @@ class TestLemmaOracles:
     def test_diagsum_dimension_check(self):
         with pytest.raises(ValueError):
             ff.lemma_diagsum_oracle(ff.Grid([[1, 2], [3, 4]]), 2)
+        for p in (0, -1):  # no window size below 1, rather than a division by zero
+            with pytest.raises(ValueError):
+                ff.lemma_diagsum_oracle(ff.Grid([[1, 2], [3, 4]]), p)
 
     def test_split_identity_reduces_to_single_corner_form(self):
         # (p+1) x p grid: first entry plus trailing p-1 entries is the whole row
@@ -455,6 +462,9 @@ class TestLemmaOracles:
         ok = ff.Grid([[1, 2], [3, 4], [5, 6]])
         with pytest.raises(ValueError):
             ff.lemma_moremoresums2_oracle(ok, 2, 3)  # no room for the trailer
+        for p in (0, -1):
+            with pytest.raises(ValueError):
+                ff.lemma_moremoresums2_oracle(ok, p, 1)
 
 
 class TestTransversals:
