@@ -11,6 +11,19 @@ the document's only copy of the entries, and proved natural once: a natural
 document holds a NaturalSquare, any other a plain Grid. p, k and r, if given, must
 be integers, and a loaded document's p must match --p. Exit codes: 0
 success/pass, 1 verification fail, 2 input error, 3 generator exhaustion.
+
+Square text is written and read without a Python int or str per cell. emit_square
+renders bands of rows in numpy: fixed-width digit tokens padded with NUL bytes, which
+are dropped. parse_square first tries a plain JSON block: an ASCII document whose
+entries are n rows of n unsigned decimals of at most 18 digits, with no leading zero
+(RFC 8259 section 6), one separator ws ',' ws inside the rows and JSON whitespace
+elsewhere. That array is cut out and read as bytes, and the rest of the document is
+decoded with NaN in its place; the NaN must come back as the value of "entries", since
+the last duplicate key wins and "entries" may also sit inside metadata. The plain path
+only accepts. On anything else (a sign, a fraction or exponent, true, a leading zero,
+a 19-digit token, ragged rows, an order mismatch, a byte-order mark, any other NaN, a
+decode error) the whole text is decoded with json.loads and checked row by row, so
+every document is accepted, or rejected with the same message, on either path.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
-from .core import Grid, NaturalSquare, TypeParams
+from .core import MAX_ORDER, Grid, NaturalSquare, TypeParams
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
 from .properties import CLASSIFICATIONS, REQUIRED_VERDICTS, band_sums, check_complementary, verify_all
@@ -39,6 +52,23 @@ EXIT_EXHAUSTED = 3
 
 _CSV_TOKEN = r"[ \t]*[+-]?[0-9]+[ \t]*"  # int() alone would also take "1_0" and non-ASCII digits
 _CSV_ROW = re.compile(rf"(?:{_CSV_TOKEN},)*{_CSV_TOKEN}")
+
+_WS = r"[ \t\n\r]*"  # JSON whitespace only; Python's \s takes more
+_ENTRIES_KEY = re.compile(rf'"entries"{_WS}:{_WS}\[')
+_CLOSE = re.compile(rf"{_WS}\]")
+_HEAD_GAP = re.compile(rf"\[{_WS}\[")
+_SEP_GAP = re.compile(rf"{_WS},{_WS}")
+_ROW_GAP = re.compile(rf"\]{_WS},{_WS}\[")
+_TAIL_GAP = re.compile(rf"\]{_WS}\]")
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a plain token always fits int64
+# _KEEP_HIGH[step][length]: the bytes of the 8-byte word ending 8 * step digits before the end
+# of a run of that length that hold the run's digits; they are the word's high bytes
+_KEEP_HIGH = np.array([[2**64 - 2 ** (64 - 8 * min(max(length - 8 * step, 0), 8))
+                        for length in range(_MAX_DIGITS + 1)] for step in range((_MAX_DIGITS + 7) // 8)], np.uint64)
+# parse reads and emit writes whole rows in bands of about this many bytes or cells,
+# which bounds their temporaries
+_BAND_BYTES = 1 << 18
+_BAND_CELLS = 1 << 16
 
 
 class SquareFormatError(ValueError):
@@ -70,7 +100,7 @@ class SquareDocument:
 
 
 def _parse_grid(rows: list, order: int) -> Grid:
-    """Check the rows, build the int64 Grid once and prove it natural once; else warn on duplicates."""
+    """Check the rows and build the int64 Grid once."""
     if len(rows) != order:
         raise SquareFormatError(f"expected {order} rows, found {len(rows)}")
     for idx, row in enumerate(rows):
@@ -82,49 +112,222 @@ def _parse_grid(rows: list, order: int) -> Grid:
             token = next(t for t in row if type(t) is not int)
             raise SquareFormatError(f"non-integer entry {token!r} in row {idx}")
     try:
-        grid = Grid(rows)
+        return Grid(rows)
     except OverflowError as exc:
         raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
     except ValueError as exc:  # no rows at all
         raise SquareFormatError(str(exc)) from exc
+
+
+def _natural_or_warn(grid: Grid) -> Grid:
+    """Prove the grid natural once; else warn when a symbol occurs twice."""
     try:
         return NaturalSquare(grid)
     except ValueError:
-        flat = np.sort(grid.entries, axis=None)
-        if (flat[1:] == flat[:-1]).any():
+        n, (lo, hi) = grid.rows, grid.span
+        if grid.cols == n <= MAX_ORDER and 0 <= lo and hi < n * n:
+            repeated = True  # n^2 entries in range, not all n^2 symbols: pigeonhole
+        else:
+            flat = np.sort(grid.entries, axis=None)
+            repeated = bool((flat[1:] == flat[:-1]).any())
+        if repeated:
             warnings.warn("square contains duplicate symbols; not a natural square", stacklevel=3)
     return grid
+
+
+def _json_object(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SquareFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SquareFormatError("invalid JSON: nested too deeply") from exc
+
+
+def _fields(raw) -> tuple[list, int, dict]:
+    """The entries, order and metadata of a decoded document, checked in this order."""
+    if not isinstance(raw, dict) or "entries" not in raw:
+        raise SquareFormatError("JSON square document needs an 'entries' key")
+    schema = raw.get("schema")
+    if schema is not None and schema != SCHEMA_ID:
+        raise SquareFormatError(f"unsupported schema {schema!r}")
+    entries = raw["entries"]
+    if not isinstance(entries, list):
+        raise SquareFormatError("'entries' must be a list of rows")
+    order = raw.get("order", len(entries))
+    if type(order) is not int:
+        raise SquareFormatError(f"'order' must be an integer, got {order!r}")
+    metadata = raw.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SquareFormatError("'metadata' must be an object")
+    return entries, order, metadata
+
+
+def _provenance(raw: dict) -> tuple:
+    """The document's p, k and r, each an integer or None."""
+    for key in ("p", "k", "r"):
+        value = raw.get(key)
+        if value is not None and type(value) is not int:
+            raise SquareFormatError(f"'{key}' must be an integer, got {value!r}")
+    return raw.get("p"), raw.get("k"), raw.get("r")
+
+
+def _plain_json(text: str):
+    """(decoded document, n x n int64 values) when the entries are a plain block; None declines.
+
+    The entries array is cut out, the rest decoded with NaN in its place, and the block read
+    as bytes. Only a document that the full decode would accept with these entries gets
+    through, so declining is always safe: the caller then decodes the whole text."""
+    key = _ENTRIES_KEY.search(text) if text.isascii() else None
+    if key is None:
+        return None
+    start = end = key.end() - 1
+    close = None
+    while close is None:  # a plain block ends at its first ']' ws ']'
+        end = text.find("]", end) + 1
+        if not end:
+            return None
+        close = _CLOSE.match(text, end)
+    end = close.end()
+    if text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
+        return None  # so the one NaN token is the placeholder
+    placeholder = []
+    try:
+        raw = json.loads(text[:start] + "NaN" + text[end:],
+                         parse_constant=lambda name: placeholder if name == "NaN" else float(name))
+        _fields(raw)
+        _provenance(raw)
+    except (ValueError, RecursionError):  # SquareFormatError and JSONDecodeError are ValueErrors
+        return None
+    if raw["entries"] is not placeholder:  # a later duplicate key, or the block sat in metadata
+        return None
+    values = _read_block(text, start, end)
+    if values is None or raw.get("order", len(values)) != len(values):
+        return None
+    return raw, values
+
+
+def _read_block(text: str, start: int, end: int):
+    """The n x n values of the entries block text[start:end], or None unless it is plain.
+
+    Plain means '[' ws ROW (ws ',' ws ROW)* ws ']' with n ROWs, each '[' then n unsigned
+    decimals of at most 18 digits without a leading zero, joined by one separator ws ',' ws,
+    then ']'; ws is JSON whitespace. Every byte lies in a digit run or in a gap between runs,
+    and every gap is matched. Row 0 fixes n and the separator. The block is read as bytes in
+    bands of whole rows, each starting at the first digit of a row, so no run or gap is cut."""
+    values = None
+    lo = start
+    while lo < end:
+        hi = text.find("[", lo + _BAND_BYTES, end) + 1 or end
+        # 8 bytes before lo (inside '{"entries":' for the first band) let every run's last
+        # 8-byte word be read; position i of the band is text position lo + i.
+        data = text[lo - 8:hi].encode("ascii")
+        byte = np.frombuffer(data, np.uint8)
+        is_digit = byte - np.uint8(48) < 10
+        edges = np.flatnonzero(is_digit[8:] != is_digit[7:-1])  # byte lo - 1 is never a digit
+        band = byte[8:]
+        if values is None:
+            n = int(np.searchsorted(edges[1::2], text.find("]", start) - lo, "right"))  # runs in row 0
+            if n == 0 or n * n > end - start or not _HEAD_GAP.fullmatch(text, start, lo + edges[0]):
+                return None
+            sep = text[lo + edges[1]:lo + edges[2]] if n > 1 else ""
+            if n > 1 and not _SEP_GAP.fullmatch(sep):
+                return None
+            values, done = np.empty(n * n, np.int64), 0
+        elif edges.size == 0 or edges[0] != 0:
+            return None
+        if edges.size % (2 * n) or done + edges.size // 2 > n * n:
+            return None
+        starts, ends = (np.ascontiguousarray(side).reshape(-1, n) for side in (edges[0::2], edges[1::2]))
+        lengths = ends - starts
+        if lengths.max() > _MAX_DIGITS or ((band[starts] == 48) & (lengths > 1)).any():
+            return None  # too long to be sure of int64, or a leading zero, which JSON forbids
+        if ((starts[:, 1:] - ends[:, :-1]) != len(sep)).any():
+            return None
+        for i, char in enumerate(sep.encode()):
+            if (band[ends[:, :-1] + i] != char).any():
+                return None
+        *inner, last = zip((ends[:, -1] + lo).tolist(), (starts[1:, 0] + lo).tolist() + [hi])
+        if not all(_ROW_GAP.fullmatch(text, a, b) for a, b in inner):
+            return None
+        values[done:done + lengths.size] = _decimal_values(data, ends.ravel(), lengths.ravel())
+        done += lengths.size
+        final = hi == end
+        if (done == n * n) != final or not (_TAIL_GAP if final else _ROW_GAP).fullmatch(text, *last):
+            return None
+        lo = hi
+    return values.reshape(n, n)
+
+
+def _decimal_values(data: bytes, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 values of the digit runs of data whose last digit is byte at + 7, of the given lengths.
+
+    Each step reads the 8 bytes ending at a run's last unread digit as one little-endian word,
+    zeroes the bytes before the run, and folds the digits pairwise into one number (SWAR)."""
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # the 8 bytes from each offset
+    value = 0
+    for step in range((int(lengths.max()) + 7) // 8):
+        w = words[np.maximum(at - 8 * step, 0) if step else at] & _KEEP_HIGH[step][lengths]
+        w &= 0x0F0F0F0F0F0F0F0F  # ASCII digits to digit values
+        w = ((w * 2561) >> 8) & 0x00FF00FF00FF00FF  # 10 * first + second, per pair of bytes
+        w = ((w * 6553601) >> 16) & 0x0000FFFF0000FFFF  # per four bytes
+        w = (w * 42949672960001) >> 32  # all eight
+        value = value + w * 10 ** (8 * step) if step else w
+    return value.view(np.int64)
+
+
+def _format_rows(grid: Grid, prefix: bytes, sep: bytes, row_end: bytes, last_end: bytes) -> list[str]:
+    """The grid as decimal text, one str per band of rows, built without a Python object per cell.
+
+    Each row is prefix, then its entries joined by sep, then row_end (last_end on the last row).
+    Each entry fills a fixed-width token: a sign byte when any entry is negative, then digits
+    right-aligned. Unused bytes are NUL and are dropped once per band."""
+    a = grid.entries
+    rows, cols = a.shape
+    lo, hi = grid.span
+    signed = int(lo < 0)
+    width = signed + len(str(max(-lo, hi)))
+    ends = [end.ljust(max(len(row_end), len(last_end)), b"\0") for end in (row_end, last_end)]
+    token = width + len(sep)
+    line = np.frombuffer(prefix + (b"\0" * width + sep) * (cols - 1) + b"\0" * width + ends[0], np.uint8)
+    narrow = max(-lo, hi) < 2**32
+    band_rows = max(1, _BAND_CELLS // cols)
+    out = []
+    for top in range(0, rows, band_rows):
+        block = a[top:top + band_rows]
+        buf = np.empty((block.shape[0], line.size), np.uint8)
+        buf[:] = line
+        if top + block.shape[0] == rows:
+            buf[-1, line.size - len(ends[1]):] = np.frombuffer(ends[1], np.uint8)
+        digits = buf[:, len(prefix):len(prefix) + cols * token].reshape(block.shape[0], cols, token)
+        mag = block.view(np.uint64)
+        if signed:
+            negative = block < 0
+            digits[:, :, 0] = negative * ord("-")
+            mag = np.where(negative, -mag, mag)  # modulo 2**64, so -2**63 gives 2**63
+        if narrow:
+            mag = mag.astype(np.uint32)
+        for place in range(width - 1, signed - 1, -1):
+            rest, digit = np.divmod(mag, 10)
+            digit += 48
+            if place < width - 1:
+                digit *= mag != 0  # a leading zero becomes NUL
+            digits[:, :, place] = digit
+            mag = rest
+        out.append(buf[buf != 0].tobytes().decode("ascii"))
+    return out
 
 
 def parse_square(text: str, fmt: str = "json") -> SquareDocument:
     """Parse a square document; emit(parse(x)) is canonical."""
     if fmt == "json":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SquareFormatError(f"invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SquareFormatError("invalid JSON: nested too deeply") from exc
-        if not isinstance(raw, dict) or "entries" not in raw:
-            raise SquareFormatError("JSON square document needs an 'entries' key")
-        schema = raw.get("schema")
-        if schema is not None and schema != SCHEMA_ID:
-            raise SquareFormatError(f"unsupported schema {schema!r}")
-        entries = raw["entries"]
-        if not isinstance(entries, list):
-            raise SquareFormatError("'entries' must be a list of rows")
-        order = raw.get("order", len(entries))
-        if type(order) is not int:
-            raise SquareFormatError(f"'order' must be an integer, got {order!r}")
-        metadata = raw.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise SquareFormatError("'metadata' must be an object")
-        grid = _parse_grid(entries, order)
-        for key in ("p", "k", "r"):
-            value = raw.get(key)
-            if value is not None and type(value) is not int:
-                raise SquareFormatError(f"'{key}' must be an integer, got {value!r}")
-        return SquareDocument(grid, p=raw.get("p"), k=raw.get("k"), r=raw.get("r"), metadata=metadata)
+        plain = _plain_json(text)
+        raw, values = plain or (_json_object(text), None)
+        entries, order, metadata = _fields(raw)
+        grid = _parse_grid(entries, order) if values is None else Grid(values)
+        grid = _natural_or_warn(grid)
+        p, k, r = _provenance(raw)
+        return SquareDocument(grid, p=p, k=k, r=r, metadata=metadata)
     if fmt == "csv":
         rows = []
         for line in text.strip().splitlines():
@@ -136,7 +339,7 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
                 bad = next(t for t in tokens if not re.fullmatch(_CSV_TOKEN, t))
                 raise SquareFormatError(f"non-integer token in CSV: {bad!r}")
             rows.append(list(map(int, tokens)))
-        return SquareDocument(_parse_grid(rows, len(rows)))
+        return SquareDocument(_natural_or_warn(_parse_grid(rows, len(rows))))
     raise SquareFormatError(f"unknown format {fmt!r}")
 
 
@@ -144,22 +347,17 @@ def emit_square(doc: SquareDocument, fmt: str = "json") -> str:
     """Canonical serialization: stable key order, one entries row per line."""
     if fmt not in ("csv", "json"):
         raise SquareFormatError(f"unknown format {fmt!r}")
-    rows = doc.entries
     if fmt == "csv":
-        return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+        return "".join(_format_rows(doc.grid, b"", b",", b"\n", b"\n"))
     lines = ["{", f'  "schema": {json.dumps(SCHEMA_ID)},', f'  "order": {doc.order},']
     for key in ("p", "k", "r"):
         value = getattr(doc, key)
         if value is not None:
             lines.append(f'  "{key}": {int(value)},')
-    lines.append('  "entries": [')
-    for idx, row in enumerate(rows):
-        comma = "," if idx < len(rows) - 1 else ""
-        lines.append("    " + json.dumps(row, separators=(", ", ": ")) + comma)
-    lines.append("  ],")
-    lines.append(f'  "metadata": {json.dumps(doc.metadata, sort_keys=True)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append('  "entries": [\n')
+    rows = _format_rows(doc.grid, b"    [", b", ", b"],\n", b"]\n")
+    tail = f'  ],\n  "metadata": {json.dumps(doc.metadata, sort_keys=True)}\n}}\n'
+    return "".join(["\n".join(lines), *rows, tail])
 
 
 def _read_input(path: str | None) -> str:
@@ -213,11 +411,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_theta(args) -> int:
     doc = _load(args.infile, args.p)
-    transformed = theta(doc.grid, TypeParams(args.p, doc.order))
-    out = SquareDocument.from_square(
-        transformed, p=args.p, metadata={**doc.metadata, "transform": "theta"}
+    doc = SquareDocument.from_square(  # rebinding frees the input square before the output text is built
+        theta(doc.grid, TypeParams(args.p, doc.order)), p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
-    _write_output(emit_square(out, "csv" if args.csv else "json"), args.out)
+    _write_output(emit_square(doc, "csv" if args.csv else "json"), args.out)
     return EXIT_OK
 
 

@@ -192,7 +192,7 @@ class TypeParams:
 
     @property
     def has_pxp_sum(self) -> bool:
-        return (self.p * self.p * (self.n * self.n - 1)) % 2 == 0
+        return self.n % self.p == 0 and (self.p * self.p * (self.n * self.n - 1)) % 2 == 0
 
     @property
     def has_complement_sum(self) -> bool:

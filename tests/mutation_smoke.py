@@ -1,4 +1,4 @@
-"""Mutation smoke test: each kernel mutant below must fail the tier-1 tests named with it.
+"""Mutation smoke test: each kernel or I/O mutant below must fail the tier-1 tests named with it.
 
 Each mutant is a (file, old, new) triple: the one occurrence of old in file is replaced
 by new, in a temporary copy of src/ and tests/. The named tests then run on that copy,
@@ -27,6 +27,8 @@ CORE = "src/franklin_forge/core.py"
 PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
 BATTERY = ["tests/test_certificate_bytes.py"]
+CLI = "src/franklin_forge/cli.py"
+PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference"]
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
@@ -51,6 +53,16 @@ MUTANTS = [
      "if not _is_permutation", ["tests/test_core.py"]),
     ("Grid(g) does not share the range", CORE, "self._a, self._span = entries._a, entries._span",
      "self._a = entries._a", GUARD_TESTS + BATTERY),
+    ("leading-zero token read as plain", CLI, " or ((band[starts] == 48) & (lengths > 1)).any()", "",
+     PLAIN_TESTS),
+    ("19-digit tokens read as plain", CLI, "_MAX_DIGITS = 18", "_MAX_DIGITS = 19", PLAIN_TESTS),
+    ("a block one row short read as plain", CLI, "if (done == n * n) != final", "if (done >= n * n - n) != final",
+     PLAIN_TESTS),
+    ("a band's first run not checked to open a row", CLI, "elif edges.size == 0 or edges[0] != 0:",
+     "elif edges.size == 0:", PLAIN_TESTS),
+    ("separator bytes not compared", CLI, "if (band[ends[:, :-1] + i] != char).any():", "if False:", PLAIN_TESTS),
+    ("last row emitted with a trailing comma", CLI, 'b"],\\n", b"]\\n")', 'b"],\\n", b"],\\n")',
+     ["tests/test_cli.py::TestFormats::test_golden_serialization"]),
 ]
 
 TIMEOUT_S = 120

@@ -6,7 +6,9 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +327,28 @@ class TestCommands:
         verdicts = {v["property"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
         assert not verdicts["natural"]["passed"]
 
+    def test_duplicate_load_sorts_once(self, tmp_path, monkeypatch):
+        """A square grid in 0..n^2-1 that is not natural repeats a symbol (pigeonhole), so the load
+        warns without sorting; only check_natural sorts, for its witness."""
+        rows = ff.generate_most_perfect(ff.GeneratorConfig(p=3, r=6)).entries.copy()
+        rows[0, 0] = rows[0, 1]
+        path = tmp_path / "dup.json"
+        path.write_text(emit_square(SquareDocument(ff.Grid(rows), p=3)))
+        shapes = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, *args, **kw: shapes.append(np.shape(a)) or sort(a, *args, **kw))
+        with pytest.warns(UserWarning, match="duplicate symbols"), redirect_stdout(io.StringIO()):
+            assert main(["verify", "--p", "3", "--in", str(path), "--json"]) == EXIT_VERIFY_FAIL
+        assert shapes == [(729, 729)]
+
+    @pytest.mark.parametrize("argv", [["verify", "--p", "2"], ["report", "--p", "3"]])
+    def test_order_one_square_verifies(self, tmp_path, capsys, argv):
+        """p does not divide n = 1, so no p x p window fits and the window check does not apply."""
+        path = tmp_path / "order1.json"
+        path.write_text('{"entries": [[0]]}')
+        assert main(argv + ["--in", str(path)]) == EXIT_OK
+        assert "classification: pandiagonal_magic" in capsys.readouterr().out
+
     def test_verify_rejects_invalid_params(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "figure2_mp9")
         assert main(["verify", "--p", "2", "--in", str(path)]) == EXIT_INPUT_ERROR  # 2 does not divide 9
@@ -446,3 +470,260 @@ def test_parse_square_fuzz(text):
             return
         canonical = emit_square(doc)
         assert emit_square(parse_square(canonical)) == canonical
+
+
+def reference_parse_json(text):
+    """The JSON branch of parse_square without the plain-block path: one json.loads of the whole
+    text, then checks row by row. The plain-block path must agree with it on every text."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SquareFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SquareFormatError("invalid JSON: nested too deeply") from exc
+    if not isinstance(raw, dict) or "entries" not in raw:
+        raise SquareFormatError("JSON square document needs an 'entries' key")
+    schema = raw.get("schema")
+    if schema is not None and schema != "franklin-forge/1":
+        raise SquareFormatError(f"unsupported schema {schema!r}")
+    rows = raw["entries"]
+    if not isinstance(rows, list):
+        raise SquareFormatError("'entries' must be a list of rows")
+    order = raw.get("order", len(rows))
+    if type(order) is not int:
+        raise SquareFormatError(f"'order' must be an integer, got {order!r}")
+    metadata = raw.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SquareFormatError("'metadata' must be an object")
+    if len(rows) != order:
+        raise SquareFormatError(f"expected {order} rows, found {len(rows)}")
+    for idx, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise SquareFormatError(f"row {idx} is not a list")
+        if len(row) != order:
+            raise SquareFormatError(f"row {idx} has {len(row)} values, expected {order}")
+        if not set(map(type, row)) <= {int}:
+            token = next(t for t in row if type(t) is not int)
+            raise SquareFormatError(f"non-integer entry {token!r} in row {idx}")
+    try:
+        grid = ff.Grid(rows)
+    except OverflowError as exc:
+        raise SquareFormatError("entries must fit a signed 64-bit integer") from exc
+    except ValueError as exc:
+        raise SquareFormatError(str(exc)) from exc
+    try:
+        grid = ff.NaturalSquare(grid)
+    except ValueError:
+        flat = np.sort(grid.entries, axis=None)
+        if (flat[1:] == flat[:-1]).any():
+            warnings.warn("square contains duplicate symbols; not a natural square")
+    for key in ("p", "k", "r"):
+        value = raw.get(key)
+        if value is not None and type(value) is not int:
+            raise SquareFormatError(f"'{key}' must be an integer, got {value!r}")
+    return SquareDocument(grid, p=raw.get("p"), k=raw.get("k"), r=raw.get("r"), metadata=metadata)
+
+
+def parse_outcome(parse, text):
+    """Everything parse makes of text: the document's parts or the error message, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            doc = parse(text)
+            made = (type(doc.grid).__name__, doc.grid.entries.shape, doc.grid.entries.tobytes(),
+                    repr(doc.metadata), doc.p, doc.k, doc.r)
+        except SquareFormatError as exc:
+            made = ("error", str(exc))
+    return made, [str(w.message) for w in caught]
+
+
+def assert_parses_as_reference(text):
+    assert parse_outcome(parse_square, text) == parse_outcome(reference_parse_json, text)
+
+
+# Near-plain documents: a square in one of several layouts, then at most one edit to a
+# token, a row, or the document around the entries.
+TOKEN_EDITS = ["0{}", "-{}", "-0", "1e3", "1.0", "true", "null", "[1]", "{} {}", "", " {}", "{}\n", "+{}", "١",
+               str(10**18 - 1), str(10**18), "1" * 19, str(2**63 - 1), str(2**63), str(-(2**63)), str(2**64)]
+LAYOUTS = [  # head, separator inside a row, between rows, tail
+    ("[\n    [", ", ", "],\n    [", "]\n  ]"),  # emit_square
+    ("[[", ", ", "], [", "]]"),  # json.dumps
+    ("[[", ",", "],[", "]]"),
+    ("[ [", " , ", "] ,\r\n\t[", "] ]"),
+]
+DOC_EDITS = ["none", "order+1", "order-str", "no-order", "entries-twice-first", "entries-twice-last",
+             "entries-in-metadata", "escaped-key", "bom", "nan-metadata", "schema", "p-str", "k-false",
+             "metadata-list", "drop-row", "extra-cell"]
+
+
+@st.composite
+def near_plain_documents(draw):
+    n = draw(st.integers(1, 4))
+    value = st.integers(0, 40) | st.integers(0, 10**18 - 1)
+    tokens = [[str(draw(value)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        tokens[r][c] = draw(st.sampled_from(TOKEN_EDITS)).replace("{}", tokens[r][c])
+    edit = draw(st.just("none") | st.sampled_from(DOC_EDITS))
+    if edit == "drop-row" and n > 1:
+        tokens.pop()
+    if edit == "extra-cell":
+        tokens[-1].append("7")
+    head, sep, between, tail = draw(st.sampled_from(LAYOUTS))
+    block = head + between.join(sep.join(row) for row in tokens) + tail
+    order = {"order+1": n + 1, "order-str": '"2"', "no-order": None}.get(edit, n)
+    parts = ['"schema": "franklin-forge/1"'] if edit != "schema" else ['"schema": "other/1"']
+    if order is not None:
+        parts.append(f'"order": {order}')
+    parts.append('"p": "3"' if edit == "p-str" else '"p": 3')
+    if edit == "k-false":
+        parts.append('"k": false')
+    key = '"\\u0065ntries"' if edit == "escaped-key" else '"entries"'
+    if edit == "entries-twice-first":
+        parts.append('"entries": [[0]]')
+    if edit == "entries-in-metadata":
+        parts.append(f'"metadata": {{"entries": {block}}}')
+    parts.append(f"{key}: {block}")
+    if edit == "entries-twice-last":
+        parts.append('"entries": [[0]]')
+    metadata = {"nan-metadata": '{"x": NaN}', "metadata-list": "[]"}.get(edit, '{"name": "x", "m": [1, 2]}')
+    if edit != "entries-in-metadata":
+        parts.append(f'"metadata": {metadata}')
+    return ("\ufeff" if edit == "bom" else "") + "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
+ADVERSARIAL = [
+    '{"order": 2, "entries": [[0, 1], [02, 3]]}',  # leading zero
+    '{"order": 2, "entries": [[0, 1], [00, 3]]}',
+    '{"entries": [[-0, 1], [2, 3]]}',
+    '{"entries": [[0, 1], [2, 1e3]]}',
+    '{"entries": [[0, 1], [2, 1.0]]}',
+    '{"entries": [[0, 1], [true, 3]]}',
+    '{"entries": [[0,  1], [2, 3]]}',  # a second space inside a row
+    '{"entries": [[0, 1], [2,\n 3]]}',
+    '{"entries": [[0 , 1], [2 , 3]]}',
+    '{"entries": [[0, 9223372036854775807], [2, 3]]}',
+    '{"entries": [[0, -9223372036854775807], [2, 3]]}',
+    '{"entries": [[0, -9223372036854775808], [2, 3]]}',
+    '{"entries": [[0, 9223372036854775808], [2, 3]]}',
+    '{"entries": [[0, 1111111111111111111], [2, 3]]}',  # 19 digits, fits int64
+    '{"entries": [[0, 18446744073709551617], [2, 3]]}',
+    '{"entries": [[0, 1], [2, 3]], "entries": [[0]]}',
+    '{"entries": [[0]], "entries": [[0, 1], [2, 3]]}',
+    '{"metadata": {"entries": [[0, 1], [2, 3]]}, "entries": [[0]]}',
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"entries": [[0]]}}',
+    '{"\\u0065ntries": [[0, 1], [2, 3]]}',
+    '{"\\u0065ntries": [[0]], "metadata": {"entries": [[0, 1], [2, 3]]}}',
+    '\ufeff{"entries": [[0, 1], [2, 3]]}',
+    '{"entries": [[0, 1], [2]]}',  # ragged
+    '{"entries": [[0, 1, 2], [3, 4, 5]]}',  # a row short
+    '{"entries": [[0, 1], [2, 3], [4, 5]]}',
+    '{"entries": [[0, 1], [2, 3]], "order": 3}',
+    '{"entries": [[0, 1], [2, 3]], "order": 1}',
+    '{"entries": [[0, 1], [2, 3]], "order": true}',
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"x": NaN}}',
+    '{"entries": [[0, 1], [2, 3]], "k": NaN}',
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"x": Infinity}}',
+    '{"entries": [[0, 1], [2, 3]], "p": 2}',
+    '{"entries": [[0, 1], [2, 3]]} x',
+    '{"entries": [[0, 1], [2, 3]]x}',
+    '{"entries": [[3, 1], [1, 0]]}',  # a symbol twice
+    '{"entries": [[0, 1], [2, 5]]}',  # out of range, no repeat
+    '{"entries": [[0]]}',
+    '{"entries":[[0,1],[2,3]]}',
+    '{"entries": [[]]}',
+    '{"entries": [[], []]}',
+    '{"entries": [[1]], "metadata": {"m": ' + "[" * 5000 + "]" * 5000 + "}}",
+    '{"entries": [[0, 1], [-2, 3]]}',  # with 6-byte bands, row 1 opens a band
+    '{"entries": [[0, 1], [ 2, 3]]}',
+    '{"entries": [[0, 1], [2,,3]]}',  # a gap as long as the separator
+    '{"entries": [[0, 1], [2 ,3]]}',
+    '{"entries": [[0, 1], [2, 3], [4, 5]], "order": 2}',
+]
+
+
+@pytest.mark.parametrize("band_bytes", [ff.cli._BAND_BYTES, 6])
+@pytest.mark.parametrize("text", ADVERSARIAL)
+def test_plain_path_matches_reference(text, band_bytes):
+    with mock.patch.object(ff.cli, "_BAND_BYTES", band_bytes):
+        assert_parses_as_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=near_plain_documents() | json_documents())
+def test_plain_path_matches_reference_fuzz(text):
+    assert_parses_as_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=near_plain_documents(), band_bytes=st.integers(1, 40))
+def test_plain_path_matches_reference_across_bands(text, band_bytes):
+    """Bands of a few bytes cut a small document into bands of one or more rows each."""
+    with mock.patch.object(ff.cli, "_BAND_BYTES", band_bytes):
+        assert_parses_as_reference(text)
+
+
+def test_both_layouts_take_the_plain_path(monkeypatch):
+    """The canonical layout and json.dumps' default layout are read without decoding the entries
+    as JSON; a negative entry falls back to the full decode."""
+    decodes = []
+    full_decode = ff.cli._json_object
+    monkeypatch.setattr(ff.cli, "_json_object", lambda text: decodes.append(text) or full_decode(text))
+    square = ff.generate_most_perfect(ff.GeneratorConfig(p=3, r=3))
+    canonical = emit_square(SquareDocument(square, p=3, metadata={"name": "x"}))
+    dumped = json.dumps({"schema": "franklin-forge/1", "order": 27, "p": 3, "entries": square.to_lists(),
+                         "metadata": {}})
+    for text in (canonical, dumped):
+        assert isinstance(parse_square(text).grid, ff.NaturalSquare)
+    assert decodes == []
+    assert parse_square('{"entries": [[-1]]}').grid.entries.tolist() == [[-1]]
+    assert len(decodes) == 1
+
+
+def reference_emit(doc, fmt="json"):
+    """emit_square written with json.dumps and str per row, as the reference for the array kernel."""
+    rows = doc.grid.to_lists()
+    if fmt == "csv":
+        return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+    lines = ["{", '  "schema": "franklin-forge/1",', f'  "order": {doc.order},']
+    for key in ("p", "k", "r"):
+        value = getattr(doc, key)
+        if value is not None:
+            lines.append(f'  "{key}": {int(value)},')
+    lines.append('  "entries": [')
+    for idx, row in enumerate(rows):
+        comma = "," if idx < len(rows) - 1 else ""
+        lines.append("    " + json.dumps(row, separators=(", ", ": ")) + comma)
+    lines.append("  ],")
+    lines.append(f'  "metadata": {json.dumps(doc.metadata, sort_keys=True)}')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_emits_as_reference(doc):
+    for fmt in ("json", "csv"):
+        assert emit_square(doc, fmt) == reference_emit(doc, fmt)
+
+
+int64_entries = st.integers(-(2**63), 2**63 - 1) | st.integers(-12, 12) | st.sampled_from(
+    [-(2**63), 2**63 - 1, 2**32 - 1, 2**32, 1 - 2**32, -(2**32), 10**18, 10**18 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.lists(int64_entries, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])))
+def test_emit_matches_reference_fuzz(rows):
+    assert_emits_as_reference(SquareDocument(ff.Grid(rows), p=3, k=1, metadata={"m": [1, "é"]}))
+
+
+@pytest.mark.parametrize("p, r", [(2, 3), (3, 3), (5, 2), (3, 6)])
+def test_emit_matches_reference_on_squares(p, r):
+    """Both formats are byte-identical to the per-row emitter, over several row bands at (3, 6)."""
+    square = ff.generate_most_perfect(ff.GeneratorConfig(p=p, r=r))
+    assert_emits_as_reference(SquareDocument(square, p=p, r=r, metadata={"generator": "digit_linear"}))
+
+
+def test_emit_matches_reference_on_rows_wider_than_a_band():
+    rows = np.arange(-70_000, 70_000, dtype=np.int64).reshape(2, 70_000) * 3
+    assert_emits_as_reference(SquareDocument(ff.Grid(rows)))
