@@ -12,18 +12,18 @@ document holds a NaturalSquare, any other a plain Grid. p, k and r, if given, mu
 be integers, and a loaded document's p must match --p. Exit codes: 0
 success/pass, 1 verification fail, 2 input error, 3 generator exhaustion.
 
-Square text is written and read without a Python int or str per cell. emit_square
-renders bands of rows in numpy: fixed-width digit tokens padded with NUL bytes, which
-are dropped. parse_square first tries a plain JSON block: an ASCII document whose
-entries are n rows of n unsigned decimals of at most 18 digits, with no leading zero
-(RFC 8259 section 6), one separator ws ',' ws inside the rows and JSON whitespace
-elsewhere. That array is cut out and read as bytes, and the rest of the document is
-decoded with NaN in its place; the NaN must come back as the value of "entries", since
-the last duplicate key wins and "entries" may also sit inside metadata. The plain path
-only accepts. On anything else (a sign, a fraction or exponent, true, a leading zero,
-a 19-digit token, ragged rows, an order mismatch, a byte-order mark, any other NaN, a
-decode error) the whole text is decoded with json.loads and checked row by row, so
-every document is accepted, or rejected with the same message, on either path.
+Square text is written and read without a Python int or str per cell. emit_square renders
+bands of rows in numpy: fixed-width digit tokens padded with NUL bytes, which are dropped.
+parse_square first tries the plain reader. A document is plain when its entries are n rows of n
+unsigned decimals of at most 18 digits, with no leading zero (RFC 8259 section 6), laid out byte
+for byte as emit_square writes them or, in JSON, as json.dumps does by default (_LAYOUTS). That
+block is read as bytes; in JSON the rest is decoded with NaN in its place, and the NaN must come
+back as the value of "entries", since the last duplicate key wins and "entries" may also sit
+inside metadata. The plain reader only accepts. On anything else (another layout, a sign, a
+fraction or exponent, true, a leading zero, a 19-digit token, ragged rows, an order mismatch, a
+byte-order mark, any other NaN, a decode error) the whole text is decoded with json.loads, or
+split into CSV lines, and checked row by row, so every document is accepted, or rejected with
+the same message, on either path.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ EXIT_EXHAUSTED = 3
 _CSV_TOKEN = r"[ \t]*[+-]?[0-9]+[ \t]*"  # int() alone would also take "1_0" and non-ASCII digits
 _CSV_ROW = re.compile(rf"(?:{_CSV_TOKEN},)*{_CSV_TOKEN}")
 
-_WS = r"[ \t\n\r]*"  # JSON whitespace only; Python's \s takes more
-_ENTRIES_KEY = re.compile(rf'"entries"{_WS}:{_WS}\[')
-_CLOSE = re.compile(rf"{_WS}\]")
-_HEAD_GAP = re.compile(rf"\[{_WS}\[")
-_SEP_GAP = re.compile(rf"{_WS},{_WS}")
-_ROW_GAP = re.compile(rf"\]{_WS},{_WS}\[")
-_TAIL_GAP = re.compile(rf"\]{_WS}\]")
+# Each format's square text layouts, (head, separator, row gap, tail) around the digit runs of an
+# n x n block: emit_square writes the first, the plain reader takes any; json.dumps' is second.
+_LAYOUTS = {
+    "json": (("[\n    [", ", ", "],\n    [", "]\n  ]"), ("[[", ", ", "], [", "]]")),
+    "csv": (("", ",", "\n", "\n"),),
+}
+_ENTRIES_FIELD = '"entries": '
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a plain token always fits int64
 # _KEEP_HIGH[step][length]: the bytes of the 8-byte word ending 8 * step digits before the end
 # of a run of that length that hold the run's digits; they are the word's high bytes
@@ -175,88 +175,82 @@ def _provenance(raw: dict) -> tuple:
 def _plain_json(text: str):
     """(decoded document, n x n int64 values) when the entries are a plain block; None declines.
 
-    The entries array is cut out, the rest decoded with NaN in its place, and the block read
-    as bytes. Only a document that the full decode would accept with these entries gets
-    through, so declining is always safe: the caller then decodes the whole text."""
-    key = _ENTRIES_KEY.search(text) if text.isascii() else None
-    if key is None:
+    The rest of the document is decoded, unchecked, with NaN in the block's place, and the block
+    read as bytes. It is cut at its layout's last tail: a plain block holds its tail only at its
+    end, and a backward search stops at once where a forward one scans the block. Only a document
+    whose entries the full decode would read as these values gets through, so declining is safe."""
+    key = text.find(_ENTRIES_FIELD)
+    start = key + len(_ENTRIES_FIELD)
+    layout = next((lay for lay in _LAYOUTS["json"] if key >= 0 and text.startswith(lay[0], start)), None)
+    if layout is None:
         return None
-    start = end = key.end() - 1
-    close = None
-    while close is None:  # a plain block ends at its first ']' ws ']'
-        end = text.find("]", end) + 1
-        if not end:
-            return None
-        close = _CLOSE.match(text, end)
-    end = close.end()
-    if text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
-        return None  # so the one NaN token is the placeholder
+    head, _, _, tail = layout
+    end = text.rfind(tail, start + len(head)) + len(tail)
+    if end < len(tail) or text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
+        return None  # no tail, or a NaN that is not the placeholder
     placeholder = []
     try:
         raw = json.loads(text[:start] + "NaN" + text[end:],
                          parse_constant=lambda name: placeholder if name == "NaN" else float(name))
-        _fields(raw)
-        _provenance(raw)
-    except (ValueError, RecursionError):  # SquareFormatError and JSONDecodeError are ValueErrors
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
         return None
-    if raw["entries"] is not placeholder:  # a later duplicate key, or the block sat in metadata
-        return None
-    values = _read_block(text, start, end)
+    if not isinstance(raw, dict) or raw.get("entries") is not placeholder:
+        return None  # a later duplicate key, or the block sat in metadata
+    values = _read_block(text, start, end, layout)
     if values is None or raw.get("order", len(values)) != len(values):
         return None
     return raw, values
 
 
-def _read_block(text: str, start: int, end: int):
-    """The n x n values of the entries block text[start:end], or None unless it is plain.
+def _read_block(text: str, start: int, end: int, layout: tuple):
+    """The n x n values of the block text[start:end], or None unless it is plain in layout.
 
-    Plain means '[' ws ROW (ws ',' ws ROW)* ws ']' with n ROWs, each '[' then n unsigned
-    decimals of at most 18 digits without a leading zero, joined by one separator ws ',' ws,
-    then ']'; ws is JSON whitespace. Every byte lies in a digit run or in a gap between runs,
-    and every gap is matched. Row 0 fixes n and the separator. The block is read as bytes in
-    bands of whole rows, each starting at the first digit of a row, so no run or gap is cut."""
-    values = None
-    lo = start
+    Plain means the head, n rows of n unsigned decimals of at most 18 digits without a leading
+    zero, joined by the separator in a row and the row gap between rows, then the tail, byte for
+    byte. Row 0 fixes n. The block is read as bytes in bands of whole rows, so no run is cut."""
+    head, sep, gap, tail = layout
+    if not (text.isascii() and text.startswith(head, start)):
+        return None
+    lo = start + len(head)
+    row0 = text.find(gap, lo, end)
+    n = text.count(sep, lo, end if row0 < 0 else row0) + 1
+    if n * n > end - start:  # fewer bytes than cells
+        return None
+    values, done = np.empty(n * n, np.int64), 0
     while lo < end:
-        hi = text.find("[", lo + _BAND_BYTES, end) + 1 or end
-        # 8 bytes before lo (inside '{"entries":' for the first band) let every run's last
-        # 8-byte word be read; position i of the band is text position lo + i.
-        data = text[lo - 8:hi].encode("ascii")
+        hi = text.find(gap, lo + _BAND_BYTES, end)
+        hi = end if hi < 0 else hi + len(gap)
+        # 8 bytes before lo (spaces before the text's start) let every run's last 8-byte word be
+        # read; position i of the band is text position lo + i, and byte lo - 1 is never a digit.
+        data = text[max(lo - 8, 0):hi].encode("ascii").rjust(8 + hi - lo)
         byte = np.frombuffer(data, np.uint8)
         is_digit = byte - np.uint8(48) < 10
-        edges = np.flatnonzero(is_digit[8:] != is_digit[7:-1])  # byte lo - 1 is never a digit
+        edges = np.flatnonzero(is_digit[8:] != is_digit[7:-1])
         band = byte[8:]
-        if values is None:
-            n = int(np.searchsorted(edges[1::2], text.find("]", start) - lo, "right"))  # runs in row 0
-            if n == 0 or n * n > end - start or not _HEAD_GAP.fullmatch(text, start, lo + edges[0]):
-                return None
-            sep = text[lo + edges[1]:lo + edges[2]] if n > 1 else ""
-            if n > 1 and not _SEP_GAP.fullmatch(sep):
-                return None
-            values, done = np.empty(n * n, np.int64), 0
-        elif edges.size == 0 or edges[0] != 0:
-            return None
-        if edges.size % (2 * n) or done + edges.size // 2 > n * n:
+        if edges.size == 0 or edges[0] != 0 or edges.size % (2 * n) or done + edges.size // 2 > n * n:
             return None
         starts, ends = (np.ascontiguousarray(side).reshape(-1, n) for side in (edges[0::2], edges[1::2]))
         lengths = ends - starts
         if lengths.max() > _MAX_DIGITS or ((band[starts] == 48) & (lengths > 1)).any():
             return None  # too long to be sure of int64, or a leading zero, which JSON forbids
-        if ((starts[:, 1:] - ends[:, :-1]) != len(sep)).any():
+        if not _gaps_are(band, ends[:, :-1], starts[:, 1:], sep):
             return None
-        for i, char in enumerate(sep.encode()):
-            if (band[ends[:, :-1] + i] != char).any():
-                return None
-        *inner, last = zip((ends[:, -1] + lo).tolist(), (starts[1:, 0] + lo).tolist() + [hi])
-        if not all(_ROW_GAP.fullmatch(text, a, b) for a, b in inner):
+        if not _gaps_are(band, ends[:-1, -1], starts[1:, 0], gap):
             return None
         values[done:done + lengths.size] = _decimal_values(data, ends.ravel(), lengths.ravel())
         done += lengths.size
         final = hi == end
-        if (done == n * n) != final or not (_TAIL_GAP if final else _ROW_GAP).fullmatch(text, *last):
+        if (done == n * n) != final or text[lo + int(ends[-1, -1]):hi] != (tail if final else gap):
             return None
         lo = hi
     return values.reshape(n, n)
+
+
+def _gaps_are(band: np.ndarray, after: np.ndarray, before: np.ndarray, gap: str) -> bool:
+    """Is every band[after[i]:before[i]] the bytes of gap? One index gather per byte of gap."""
+    if (before - after != len(gap)).any():
+        return False
+    return not any((band[after + i] != char).any() for i, char in enumerate(gap.encode()))
 
 
 def _decimal_values(data: bytes, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -276,30 +270,31 @@ def _decimal_values(data: bytes, at: np.ndarray, lengths: np.ndarray) -> np.ndar
     return value.view(np.int64)
 
 
-def _format_rows(grid: Grid, prefix: bytes, sep: bytes, row_end: bytes, last_end: bytes) -> list[str]:
-    """The grid as decimal text, one str per band of rows, built without a Python object per cell.
+def _format_rows(grid: Grid, layout: tuple) -> list[str]:
+    """The grid as text in layout: its head, then one str per band of rows, no Python object per cell.
 
-    Each row is prefix, then its entries joined by sep, then row_end (last_end on the last row).
+    Each row is its entries joined by the separator, then the row gap (the tail on the last row).
     Each entry fills a fixed-width token: a sign byte when any entry is negative, then digits
     right-aligned. Unused bytes are NUL and are dropped once per band."""
+    sep, gap, tail = (part.encode() for part in layout[1:])
     a = grid.entries
     rows, cols = a.shape
     lo, hi = grid.span
     signed = int(lo < 0)
     width = signed + len(str(max(-lo, hi)))
-    ends = [end.ljust(max(len(row_end), len(last_end)), b"\0") for end in (row_end, last_end)]
+    ends = [end.ljust(max(len(gap), len(tail)), b"\0") for end in (gap, tail)]
     token = width + len(sep)
-    line = np.frombuffer(prefix + (b"\0" * width + sep) * (cols - 1) + b"\0" * width + ends[0], np.uint8)
+    line = np.frombuffer((b"\0" * width + sep) * (cols - 1) + b"\0" * width + ends[0], np.uint8)
     narrow = max(-lo, hi) < 2**32
     band_rows = max(1, _BAND_CELLS // cols)
-    out = []
+    out = [layout[0]]
     for top in range(0, rows, band_rows):
         block = a[top:top + band_rows]
         buf = np.empty((block.shape[0], line.size), np.uint8)
         buf[:] = line
         if top + block.shape[0] == rows:
             buf[-1, line.size - len(ends[1]):] = np.frombuffer(ends[1], np.uint8)
-        digits = buf[:, len(prefix):len(prefix) + cols * token].reshape(block.shape[0], cols, token)
+        digits = buf[:, :cols * token].reshape(block.shape[0], cols, token)
         mag = block.view(np.uint64)
         if signed:
             negative = block < 0
@@ -329,6 +324,9 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
         p, k, r = _provenance(raw)
         return SquareDocument(grid, p=p, k=k, r=r, metadata=metadata)
     if fmt == "csv":
+        values = _read_block(text, 0, len(text), _LAYOUTS["csv"][0])
+        if values is not None:
+            return SquareDocument(_natural_or_warn(Grid(values)))
         rows = []
         for line in text.strip().splitlines():
             line = line.strip()
@@ -345,18 +343,18 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
 
 def emit_square(doc: SquareDocument, fmt: str = "json") -> str:
     """Canonical serialization: stable key order, one entries row per line."""
-    if fmt not in ("csv", "json"):
+    if fmt not in _LAYOUTS:
         raise SquareFormatError(f"unknown format {fmt!r}")
+    rows = _format_rows(doc.grid, _LAYOUTS[fmt][0])
     if fmt == "csv":
-        return "".join(_format_rows(doc.grid, b"", b",", b"\n", b"\n"))
+        return "".join(rows)
     lines = ["{", f'  "schema": {json.dumps(SCHEMA_ID)},', f'  "order": {doc.order},']
     for key in ("p", "k", "r"):
         value = getattr(doc, key)
         if value is not None:
             lines.append(f'  "{key}": {int(value)},')
-    lines.append('  "entries": [\n')
-    rows = _format_rows(doc.grid, b"    [", b", ", b"],\n", b"]\n")
-    tail = f'  ],\n  "metadata": {json.dumps(doc.metadata, sort_keys=True)}\n}}\n'
+    lines.append(f"  {_ENTRIES_FIELD}")
+    tail = f',\n  "metadata": {json.dumps(doc.metadata, sort_keys=True)}\n}}\n'
     return "".join(["\n".join(lines), *rows, tail])
 
 

@@ -28,7 +28,8 @@ PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
 BATTERY = ["tests/test_certificate_bytes.py"]
 CLI = "src/franklin_forge/cli.py"
-PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference"]
+PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
+               "tests/test_cli.py::test_plain_path_compares_gap_bytes"]
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
@@ -58,11 +59,16 @@ MUTANTS = [
     ("19-digit tokens read as plain", CLI, "_MAX_DIGITS = 18", "_MAX_DIGITS = 19", PLAIN_TESTS),
     ("a block one row short read as plain", CLI, "if (done == n * n) != final", "if (done >= n * n - n) != final",
      PLAIN_TESTS),
-    ("a band's first run not checked to open a row", CLI, "elif edges.size == 0 or edges[0] != 0:",
-     "elif edges.size == 0:", PLAIN_TESTS),
-    ("separator bytes not compared", CLI, "if (band[ends[:, :-1] + i] != char).any():", "if False:", PLAIN_TESTS),
-    ("last row emitted with a trailing comma", CLI, 'b"],\\n", b"]\\n")', 'b"],\\n", b"],\\n")',
+    ("a band's first run not checked to open a row", CLI, " or edges[0] != 0", "",
+     PLAIN_TESTS + ["tests/test_cli.py::test_csv_plain_path_matches_reference"]),
+    ("separator bytes not compared", CLI, "if not _gaps_are(band, ends[:, :-1], starts[:, 1:], sep):",
+     "if (starts[:, 1:] - ends[:, :-1] != len(sep)).any():", PLAIN_TESTS),
+    ("row-gap bytes not compared", CLI, "if not _gaps_are(band, ends[:-1, -1], starts[1:, 0], gap):",
+     "if (starts[1:, 0] - ends[:-1, -1] != len(gap)).any():", PLAIN_TESTS),
+    ("last row emitted with a trailing comma", CLI, '"]\\n  ]")', '"],\\n  ]")',
      ["tests/test_cli.py::TestFormats::test_golden_serialization"]),
+    ("CSV layout with a CRLF row gap", CLI, '"csv": (("", ",", "\\n", "\\n"),)', '"csv": (("", ",", "\\r\\n", "\\n"),)',
+     ["tests/test_cli.py::test_emit_matches_reference_on_squares"]),
 ]
 
 TIMEOUT_S = 120

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -101,6 +102,13 @@ class TestFormats:
             parse_square(text)
         assert str(excinfo.value) == message
 
+    def test_unknown_format_rejected(self, mp8):
+        doc = SquareDocument.from_square(mp8[0])
+        with pytest.raises(SquareFormatError, match="^unknown format 'xml'$"):
+            parse_square(emit_square(doc), "xml")
+        with pytest.raises(SquareFormatError, match="^unknown format 'xml'$"):
+            emit_square(doc, "xml")
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(SquareFormatError):
             parse_square('{"schema":"other/9","order":2,"entries":[[0,1],[2,3]]}')
@@ -185,6 +193,15 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "252"
+
+    def test_pattern_sum_order_mismatch(self, tmp_path, capsys):
+        """pattern --sum needs a square of order k * p^3; an order-1 square exits 2 with one error line."""
+        path = tmp_path / "order1.json"
+        path.write_text('{"entries": [[0]]}')
+        code = main(["pattern", "--p", "2", "--k", "1", "--direction", "up", "--alpha", "1",
+                     "--offset", "0", "--sum", "--in", str(path)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: square order 1 does not match n=8\n"
 
     def test_pattern_cells_output(self, capsys):
         code = main(
@@ -727,3 +744,148 @@ def test_emit_matches_reference_on_squares(p, r):
 def test_emit_matches_reference_on_rows_wider_than_a_band():
     rows = np.arange(-70_000, 70_000, dtype=np.int64).reshape(2, 70_000) * 3
     assert_emits_as_reference(SquareDocument(ff.Grid(rows)))
+
+
+# Edits of one gap of a plain 3 x 3 block in the plain JSON layouts: other bytes of the same
+# length, which the reader must compare, or a sign or space after a row gap, which opens a band
+# in 6-byte bands.
+GAP_EDITS = [
+    ("], [", "]; ["), ("], [", "]] ["), ("], [", "x, ["), ("], [", "], [-"), ("], [", "], [ "),
+    ("],\n    [", "];\n    ["), ("],\n    [", "],\n    x"), ("],\n    [", "]]\n    ["),
+    ("],\n    [", "],\n    [-"), (", ", ",,"), (", ", ";,"), (", ", ",\x00"), (", ", ", -"),
+]
+
+
+@pytest.mark.parametrize("band_bytes", [ff.cli._BAND_BYTES, 6])
+@pytest.mark.parametrize("old, new", GAP_EDITS)
+def test_plain_path_compares_gap_bytes(old, new, band_bytes):
+    """Each edit lands on the second gap of its kind, so row 0 still fixes n."""
+    square = [[1, 22, 3], [40, 5, 6], [7, 8, 90]]
+    texts = [t for t in (json.dumps({"entries": square}), emit_square(SquareDocument(ff.Grid(square))))
+             if t.count(old) > 1]
+    assert texts
+    for text in texts:
+        at = text.find(old, text.find(old) + 1)
+        with mock.patch.object(ff.cli, "_BAND_BYTES", band_bytes):
+            assert_parses_as_reference(text[:at] + new + text[at + len(old):])
+
+
+CSV_TOKEN = r"[ \t]*[+-]?[0-9]+[ \t]*"
+
+
+def reference_parse_csv(text):
+    """The CSV branch of parse_square without the plain reader: each line matched and read with
+    int(). Its rows are then checked as the JSON reference checks them. The plain reader must
+    agree with it on every text."""
+    rows = []
+    for line in text.strip().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split(",")
+        if not re.fullmatch(rf"(?:{CSV_TOKEN},)*{CSV_TOKEN}", line):
+            bad = next(t for t in tokens if not re.fullmatch(CSV_TOKEN, t))
+            raise SquareFormatError(f"non-integer token in CSV: {bad!r}")
+        rows.append(list(map(int, tokens)))
+    return reference_parse_json(json.dumps({"entries": rows}))
+
+
+def assert_csv_parses_as_reference(text):
+    assert parse_outcome(lambda t: parse_square(t, "csv"), text) == parse_outcome(reference_parse_csv, text)
+
+
+ADVERSARIAL_CSV = [
+    "0,1\n2,3\n",
+    "3,1\n2,0\n",
+    "0\n",
+    "00,1\n2,3\n",  # leading zeros
+    "0,01\n2,3\n",
+    "+0,1\n2,3\n",  # signs
+    "-0,1\n2,3\n",
+    "0,-1\n2,3\n",
+    "100,11\n-2,3\n",  # with 6-byte bands, row 1 opens a band
+    "100,11\n+2,3\n",
+    "100,11\n 2,3\n",
+    " 0,1\n2,3\n",  # spaces and tabs
+    "0, 1\n2,3\n",
+    "0,1 \n2,3\n",
+    "0,1\n 2,3\n",
+    "0\t,1\n2,3\n",
+    "0,1\r\n2,3\r\n",  # CRLF
+    "0,1\n\n2,3\n",  # blank lines
+    "\n0,1\n2,3\n",
+    "0,1\n2,3\n\n",
+    "0,1\n2,3",  # no final newline
+    "0,1111111111111111111\n2,3\n",  # 19 digits, fits int64
+    "0,999999999999999999\n2,3\n",  # 18 digits
+    "0,9223372036854775807\n2,3\n",
+    "0,9223372036854775808\n2,3\n",
+    "0,-9223372036854775808\n2,3\n",
+    "0,-9223372036854775809\n2,3\n",
+    "0,1\n2\n",  # ragged
+    "0,1,2\n3,4,5\n",
+    "0,1\n2,3\n4,5\n",
+    "0\n1\n",
+    "0,1_0\n2,3\n",
+    "0,1\n\u0661\u0662,3\n",
+    "0,0\n1,2\n",  # a symbol twice
+    "0,1\n2,5\n",  # out of range, no repeat
+    "0,,1\n2,3,4\n5,6,7\n",
+    "0,1,\n2,3\n",
+    ",\n",
+    "",
+    "\n",
+    "0,1\n2,3\nx",
+    "0,1\n2;3\n",
+]
+
+
+@pytest.mark.parametrize("band_bytes", [ff.cli._BAND_BYTES, 6])
+@pytest.mark.parametrize("text", ADVERSARIAL_CSV)
+def test_csv_plain_path_matches_reference(text, band_bytes):
+    with mock.patch.object(ff.cli, "_BAND_BYTES", band_bytes):
+        assert_csv_parses_as_reference(text)
+
+
+CSV_TOKEN_EDITS = ["0{}", "-{}", "+{}", " {}", "{} ", "\t{}", "", "1_0", "x", str(10**18 - 1), str(10**18),
+                   "1" * 19, str(2**63 - 1), str(2**63), str(-(2**63)), "{},{}", "{}\n{}"]
+CSV_LINE_ENDS = ["\n", "\r\n", "\n\n"]
+
+
+@st.composite
+def near_plain_csv(draw):
+    """A CSV square as emit_square writes it, then at most one token edit, another line end,
+    a dropped row or a dropped final newline."""
+    n = draw(st.integers(1, 4))
+    value = st.integers(0, 40) | st.integers(0, 10**18 - 1)
+    tokens = [[str(draw(value)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        tokens[r][c] = draw(st.sampled_from(CSV_TOKEN_EDITS)).replace("{}", tokens[r][c])
+    if n > 1 and draw(st.integers(0, 5)) == 0:
+        tokens.pop()
+    end = draw(st.sampled_from(CSV_LINE_ENDS)) if draw(st.integers(0, 3)) == 0 else "\n"
+    text = "".join(",".join(row) + end for row in tokens)
+    return text[:-1] if draw(st.integers(0, 5)) == 0 else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=near_plain_csv(), band_bytes=st.integers(1, 40) | st.just(ff.cli._BAND_BYTES))
+def test_csv_plain_path_matches_reference_fuzz(text, band_bytes):
+    with mock.patch.object(ff.cli, "_BAND_BYTES", band_bytes):
+        assert_csv_parses_as_reference(text)
+
+
+def test_csv_output_takes_the_plain_path(tmp_path, monkeypatch):
+    """theta --csv output is read without the row-by-row path; a signed entry takes it once."""
+    src, out = tmp_path / "mp.json", tmp_path / "f.csv"
+    assert main(["construct", "--p", "3", "--r", "3", "--out", str(src)]) == EXIT_OK
+    assert main(["theta", "--p", "3", "--csv", "--in", str(src), "--out", str(out)]) == EXIT_OK
+    row_reads = []
+    parse_grid = ff.cli._parse_grid
+    monkeypatch.setattr(ff.cli, "_parse_grid", lambda rows, order: row_reads.append(order) or parse_grid(rows, order))
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--p", "3", "--in", str(out), "--expect", "pandiagonal_franklin_type_p"]) == EXIT_OK
+    assert row_reads == []
+    assert parse_square("-1\n", "csv").grid.entries.tolist() == [[-1]]
+    assert row_reads == [1]
