@@ -177,23 +177,25 @@ def _plain_json(text: str):
 
     The rest of the document is decoded, unchecked, with NaN in the block's place, and the block
     read as bytes. It is cut at its layout's last tail: a plain block holds its tail only at its
-    end, and a backward search stops at once where a forward one scans the block. Only a document
-    whose entries the full decode would read as these values gets through, so declining is safe."""
+    end, and a backward search stops at once where a forward one scans the block; where that cut fails
+    to decode (the tail recurs after it), the first tail is tried once. Only a document whose entries
+    the full decode would read as these values gets through, so declining is safe."""
     key = text.find(_ENTRIES_FIELD)
     start = key + len(_ENTRIES_FIELD)
     layout = next((lay for lay in _LAYOUTS["json"] if key >= 0 and text.startswith(lay[0], start)), None)
     if layout is None:
         return None
     head, _, _, tail = layout
-    end = text.rfind(tail, start + len(head)) + len(tail)
-    if end < len(tail) or text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
-        return None  # no tail, or a NaN that is not the placeholder
-    placeholder = []
-    try:
-        raw = json.loads(text[:start] + "NaN" + text[end:],
-                         parse_constant=lambda name: placeholder if name == "NaN" else float(name))
-    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
-        return None
+    placeholder, raw = [], None
+    for end in map(lambda find: find(tail, start + len(head)) + len(tail), (text.rfind, text.find)):
+        if end < len(tail) or text.find("NaN", 0, start) >= 0 or text.find("NaN", end) >= 0:
+            return None  # no tail, or a NaN that is not the placeholder
+        try:
+            raw = json.loads(text[:start] + "NaN" + text[end:],
+                             parse_constant=lambda name: placeholder if name == "NaN" else float(name))
+            break
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+            continue
     if not isinstance(raw, dict) or raw.get("entries") is not placeholder:
         return None  # a later duplicate key, or the block sat in metadata
     values = _read_block(text, start, end, layout)

@@ -6,12 +6,13 @@ reports through _verdict, whose docstring states the one scan order, so reports
 are byte-stable across runs.
 
 Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
-differences) and _shift_add (cyclic line shifts: diagonals, p-sets, patterns).
-Both window prefixes read contiguous memory: the vertical one adds whole rows of
-the C-ordered grid, and the horizontal one runs along the rows of that result.
-An up pattern takes each aligned group of p columns from two rows split at
-alpha, the same two for every alpha (patterns.split_rows), so the Franklin
-check shift-adds each group twice per direction and is O(n^2) whatever p.
+differences; both prefixes read contiguous memory) and _shift_add (cyclic shifts
+of a line or a slab of lines). Diagonal and p-set sums fold slabs of rows, and a
+fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
+2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each
+aligned group of p columns from two rows split at alpha, the same two for every
+alpha (patterns.split_rows), so the Franklin check places each group twice per
+direction in a 2n-wide sum, folds its halves once, and is O(n^2) whatever p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
@@ -174,11 +175,13 @@ def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
-    """acc[..., c] += vec[..., (c + k) % n] for every c along the last axis, as two slice adds."""
-    n = vec.shape[-1]
-    k %= n
-    acc[..., : n - k] += vec[..., k:]
-    acc[..., n - k :] += vec[..., :k]
+    """acc[..., c] += vec[..., (c + k) % n] on an n-wide acc, as two slice adds; on a 2n-wide acc one
+    slice add places vec at column -k mod n, and acc[..., :n] + acc[..., n:] holds those sums."""
+    n, s = vec.shape[-1], -k % vec.shape[-1]
+    wrap = max(s + n - acc.shape[-1], 0)  # the cells past acc's end, placed at its start
+    acc[..., s : s + n - wrap] += vec[..., : n - wrap]
+    if wrap:
+        acc[..., :wrap] += vec[..., n - wrap :]
 
 
 def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple:
@@ -186,11 +189,16 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple
 
     Every such set meets rows 0..m-1, so D's first failure is the torus's first. With count n
     the sets are the broken diagonals and j is the offset. location is formatted with i and j.
+    D folds f slabs of h = rows/f rows, slab t shifted by sign*t*h, and a fold by f1 then count/f1 folds
+    by count: f1, the least divisor with f1^2 >= count, takes f1 + count/f1 slab adds, p for p-sets.
     """
     n, m = len(a), len(a) // count
-    d = np.zeros((m, n), dtype=a.dtype)
-    for r in range(n):
-        _shift_add(d[r % m], a[r], sign * (r - r % m))
+    d, f1 = a, next(f for f in range(1, count + 1) if count % f == 0 and f * f >= count)
+    for f in (g for g in (f1, count // f1) if g > 1):  # a factor 1 folds nothing
+        h, slabs = len(d) // f, d
+        d = np.zeros((h, n), dtype=a.dtype)
+        for t in range(f):
+            _shift_add(d, slabs[t * h : (t + 1) * h], sign * t * h)
 
     def witness(i, j):
         return location.format(i=i, j=j), [((i + t * m) % n, (j + sign * t * m) % n) for t in range(count)]
@@ -336,10 +344,13 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     def tables():
         for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
             groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-            lo, hi = np.zeros((top, n), dtype=a.dtype), np.zeros((p - low, n), dtype=a.dtype)
+            acc = np.zeros((top + p - low, 2 * n), dtype=a.dtype)  # lo's rows then hi's, 2n wide
+            lo, hi = acc[:top], acc[top:]
             for g, (ra, rb) in enumerate(zip(first, rest)):  # at offset o the pattern holds (r + o, c)
                 _shift_add(lo, groups[g, :top], ra)
                 _shift_add(hi, groups[g, low:], rb)
+            acc[:, :n] += acc[:, n:]  # fold the halves: column c + n wraps to c
+            lo, hi = lo[:, :n], hi[:, :n]
             np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
             np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
 

@@ -36,10 +36,11 @@ MUTANTS = [
     ("window wrap term", PROPERTIES, "+ c[: width - 1]", "+ c[1:width]", PXP_TESTS),
     ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
      "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
-    ("shift offset", PROPERTIES, "    k %= n\n", "    k = (k + 1) % n\n", ["tests/test_reference.py"]),
-    ("plain sign*r diagonal shift", PROPERTIES, "sign * (r - r % m)", "sign * r", ["tests/test_reference.py"]),
+    ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
+    ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
     ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
      "_shift_add(lo, groups[g, :top], -ra)", ["tests/test_reference.py"]),
+    ("Franklin halves not folded", PROPERTIES, "acc[:, :n] += acc[:, n:]", "acc[:, :n] += 0", ["tests/test_reference.py"]),
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", "src/franklin_forge/patterns.py", "(rest if col % p else first)",
@@ -65,6 +66,8 @@ MUTANTS = [
      "if (starts[:, 1:] - ends[:, :-1] != len(sep)).any():", PLAIN_TESTS),
     ("row-gap bytes not compared", CLI, "if not _gaps_are(band, ends[:-1, -1], starts[1:, 0], gap):",
      "if (starts[1:, 0] - ends[:-1, -1] != len(gap)).any():", PLAIN_TESTS),
+    ("no retry at the first tail", CLI, "(text.rfind, text.find)", "(text.rfind,)",
+     ["tests/test_cli.py::test_tail_after_the_block_takes_the_plain_path"]),
     ("last row emitted with a trailing comma", CLI, '"]\\n  ]")', '"],\\n  ]")',
      ["tests/test_cli.py::TestFormats::test_golden_serialization"]),
     ("CSV layout with a CRLF row gap", CLI, '"csv": (("", ",", "\\n", "\\n"),)', '"csv": (("", ",", "\\r\\n", "\\n"),)',

@@ -656,6 +656,11 @@ ADVERSARIAL = [
     '{"entries": [[0, 1], [2,,3]]}',  # a gap as long as the separator
     '{"entries": [[0, 1], [2 ,3]]}',
     '{"entries": [[0, 1], [2, 3], [4, 5]], "order": 2}',
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"h": [[1]]}}',  # a tail after the block: a retry
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"x": NaN, "h": [[1]]}}',  # the retry still declines these
+    '{"entries": [[0, 1], [2, -3]], "metadata": {"h": [[1]]}}',
+    '{"entries": [[0, 1], [2, 3]], "metadata": {"h": [[1]]}, "entries": [[0]]}',
+    '{"entries": [[0, 1], [2, 3]]], "metadata": {"h": [[1]]}}',
 ]
 
 
@@ -695,6 +700,20 @@ def test_both_layouts_take_the_plain_path(monkeypatch):
     assert decodes == []
     assert parse_square('{"entries": [[-1]]}').grid.entries.tolist() == [[-1]]
     assert len(decodes) == 1
+
+
+@pytest.mark.parametrize("after", ['"metadata": {"h": [[1]]}', '"metadata": {"h": [[1]], "g": [[2, 3]]}, "p": 3'],
+                         ids=["metadata", "metadata-then-p"])
+def test_tail_after_the_block_takes_the_plain_path(after, monkeypatch):
+    """json.dumps' tail ]] repeated after the entries: the cut at the last tail fails to decode,
+    and the retry at the first tail reads the block as plain, with the reference's result."""
+    decodes = []
+    full_decode = ff.cli._json_object
+    monkeypatch.setattr(ff.cli, "_json_object", lambda text: decodes.append(text) or full_decode(text))
+    square = ff.generate_most_perfect(ff.GeneratorConfig(p=3, r=3))
+    text = json.dumps({"order": 27, "entries": square.to_lists()})[:-1] + ", " + after + "}"
+    assert parse_outcome(parse_square, text) == parse_outcome(reference_parse_json, text)
+    assert decodes == []
 
 
 def reference_emit(doc, fmt="json"):

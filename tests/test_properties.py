@@ -29,6 +29,20 @@ def reading_order_square(n):
     return ff.NaturalSquare.from_rows([[n * i + j for j in range(n)] for i in range(n)])
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Record the calls to function `name`, bound under that name in each of modules."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSemiMagic:
     def test_figure1_passes(self, fig1):
         assert ff.check_semi_magic(*fig1).passed
@@ -69,6 +83,51 @@ class TestPandiagonal:
         # no order-2 square is pandiagonal magic: rows always break
         report = ff.verify_all(reading_order_square(2), ff.TypeParams(2, 2))
         assert report.classification == "none"
+
+
+class TestDiagonalFold:
+    """_diagonal_sums folds slabs of rows; its table is compared with the defining sum itself."""
+
+    @staticmethod
+    def reference_table(a, count, sign):
+        """D[i][j] = sum over t < count of a[i + t*m][j + sign*t*m], m = n/count, in Python ints."""
+        rows, n = a.tolist(), len(a)
+        m = n // count
+        return [[sum(rows[(i + t * m) % n][(j + sign * t * m) % n] for t in range(count)) for j in range(n)]
+                for i in range(m)]
+
+    @pytest.mark.parametrize("n", [1, 7, 12, 30, 74])
+    def test_table_matches_brute_force_for_every_count(self, n):
+        """Every count dividing n, both signs: one level where count is prime (7, 37), two where
+        it has a cofactor (74 = 2*37), three distinct primes at 30."""
+        rng = random.Random(n)
+        natural = random_natural_square(n, rng).entries
+        generic = np.array([[rng.randrange(-10**9, 10**9) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        for a in (natural, generic):
+            for count in (c for c in range(1, n + 1) if n % c == 0):
+                for sign in (1, -1):
+                    table, witness = properties._diagonal_sums(a, count, sign, "({i}, {j})")
+                    assert table.dtype == np.int64 and table.shape == (n // count, n)
+                    assert table.tolist() == self.reference_table(a, count, sign)
+                    i, j = rng.randrange(n // count), rng.randrange(n)
+                    location, cells = witness(i, j)
+                    assert location == f"({i}, {j})" and len(cells) == count
+                    assert sum(int(a[r, c]) for r, c in cells) == table[i, j]
+
+    @pytest.mark.parametrize("p, r, per_sign", [(3, 6, 27 + 27), (7, 3, 49 + 7), (2, 5, 8 + 4), (5, 2, 5 + 5)])
+    def test_slab_adds_per_check(self, p, r, per_sign, monkeypatch):
+        """The 2n broken diagonals take f1 + n/f1 slab adds per sign, f1 the least divisor of n
+        with f1^2 >= n, and the p-sets p: not one shift-add per row."""
+        params = ff.TypeParams.for_power(p, r)
+        square = ff.generate_most_perfect(ff.GeneratorConfig(p, r))
+        calls = count_calls(monkeypatch, "_shift_add", ff.properties)
+        assert ff.check_pandiagonal(square, params).passed
+        assert len(calls) == 2 * per_sign
+        assert max(len(acc) for acc, _, _ in calls) <= params.n // params.p  # no larger than a p-set table
+        calls.clear()
+        assert ff.check_complementary(square, params).passed
+        assert len(calls) == p
+        assert {acc.shape for acc, _, _ in calls} == {(params.n // p, params.n)}
 
 
 class TestComplementary:
@@ -218,24 +277,10 @@ class TestFranklinPatterns:
         params = ff.TypeParams.for_franklin(7, 1)
         return ff.generate_most_perfect(ff.GeneratorConfig(7, 3)), params
 
-    @staticmethod
-    def count_calls(monkeypatch, name, *modules):
-        """Record the calls to function `name`, bound under that name in each of modules."""
-        calls = []
-        original = getattr(modules[0], name)
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in modules:
-            monkeypatch.setattr(module, name, counted)
-        return calls
-
     def test_one_pattern_resolution_per_check(self, mp343, monkeypatch):
         """The blocks are walked once for every direction and alpha; a failure adds its witness."""
         square, params = mp343
-        calls = self.count_calls(monkeypatch, "select_blocks", ff.patterns)
+        calls = count_calls(monkeypatch, "select_blocks", ff.patterns)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
         assert len(calls) == 1
         calls.clear()
@@ -251,13 +296,14 @@ class TestFranklinPatterns:
         assert sum(np.shares_memory(lines, a) for lines in views) == 2
 
     def test_two_shift_adds_per_column_group_and_direction(self, mp343, monkeypatch):
-        """Each group of p columns is shift-added once into lo and once into hi: 2n/p calls
-        per direction, each moving the p - 1 columns that every alpha shares."""
+        """Each group of p columns is placed once into lo and once into hi: 2n/p calls per
+        direction, each moving the p - 1 columns that every alpha shares into a 2n-wide accumulator
+        whose halves are then folded once."""
         square, params = mp343
-        calls = self.count_calls(monkeypatch, "_shift_add", ff.properties)
+        calls = count_calls(monkeypatch, "_shift_add", ff.properties)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
         assert len(calls) == 4 * 2 * params.n // params.p
-        assert {acc.shape for acc, _, _ in calls} == {(params.p - 1, params.n)}
+        assert {acc.shape for acc, _, _ in calls} == {(params.p - 1, 2 * params.n)}
         # A failing square stops at its first failure: the untransformed order-27 square fails
         # an up pattern, so only the up direction's 2n/p shift-adds run.
         params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))

@@ -182,15 +182,19 @@ def swap_two_cells(square, rng):
 @functools.lru_cache(maxsize=None)
 def cases(p, n):
     """Closed-form most-perfect square (random natural where n is no prime power), its θ,
-    each with and without a two-cell swap, and two random integer grids."""
+    each with and without a two-cell swap, and two random integer grids. Where p^2 does not
+    divide n there is no θ: two random natural squares take the place of the pair."""
     rng = random.Random(1000 * p + n)
     params = ff.TypeParams(p, n)
     r = round(np.log(n) / np.log(p))
-    if p**r == n:
-        base = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+    if n % (p * p):
+        squares = [random_natural_square(n, rng) for _ in range(2)]
     else:
-        base = random_natural_square(n, rng)
-    squares = [base, ff.theta(base, params)]
+        if p**r == n:
+            base = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+        else:
+            base = random_natural_square(n, rng)
+        squares = [base, ff.theta(base, params)]
     squares += [swap_two_cells(s, rng) for s in squares]
     grids = [ff.Grid([[rng.randrange(-50, 50) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
     return params, squares + grids
@@ -198,6 +202,9 @@ def cases(p, n):
 
 ALL_ORDERS = [(p, k * p**3) for p, k in FRANKLIN_ORDERS] + [(p, p**r) for p, r in POWER_ORDERS]
 ORDER_IDS = [f"p{p}-n{n}" for p, n in ALL_ORDERS]
+# Orders whose diagonal fold has one level (a prime count), two or three distinct prime factors,
+# or a large prime cofactor (74 = 2 * 37); n = 1 folds nothing.
+FOLD_ORDERS = [(2, 1), (7, 7), (2, 12), (3, 12), (2, 30), (3, 30), (5, 30), (2, 74), (37, 74)]
 
 
 @pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
@@ -211,7 +218,7 @@ def test_line_checks_match_reference(p, n):
                 assert ff.check_one_over_p(square, params, axis) == ref_one_over_p(square, params, axis)
 
 
-@pytest.mark.parametrize("p,n", ALL_ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("p,n", ALL_ORDERS + FOLD_ORDERS, ids=ORDER_IDS + [f"p{p}-n{n}" for p, n in FOLD_ORDERS])
 def test_diagonal_checks_match_reference(p, n):
     params, squares = cases(p, n)
     for square in squares:
