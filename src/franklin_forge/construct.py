@@ -15,8 +15,9 @@ in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
 i = 1..r-1 (the digit constructions of Ollerenshaw & Bree, "Most-perfect
 Pandiagonal Magic Squares", 1998). The seed's base-p digits, least significant
 first, give the offset, so seeds congruent mod p^(2r) give the same square and
-seed 0 gives the zero offset. The one candidate is screened by the full
-most-perfect verifier; no code path hands back an unverified square.
+seed 0 gives the zero offset. The one candidate is screened by the five checks
+of most_perfect_type_p (natural, semi-magic, pandiagonal, complementary, p x p),
+and no others; no code path hands back an unverified square.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def most_perfect_requirements_met(report) -> bool:
 
 
 def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
-    """The closed-form square for config.seed, screened by the full verifier.
+    """The closed-form square for config.seed, screened by the five most-perfect checks:
+    natural, semi-magic, pandiagonal, complementary and p x p.
 
     Raises GeneratorExhaustedError when the screen rejects it (or the
     fixtures-only family has nothing for these parameters).
@@ -154,7 +156,7 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
 
     candidate = closed_form_candidate(config.p, config.r, config.seed)
     square = candidate_to_square(candidate, config.p, config.r)
-    if most_perfect_requirements_met(verify_all(square, params)):
+    if most_perfect_requirements_met(verify_all(square, params, required_for="most_perfect_type_p")):
         return square
     raise GeneratorExhaustedError(
         f"the closed-form square for p={config.p}, r={config.r}, seed={config.seed} "

@@ -5,10 +5,12 @@ cells re-sum to the reported actual value. Every sum check but check_natural
 reports through _verdict, whose docstring states the one scan order, so reports
 are byte-stable across runs.
 
-Toric sums come from two kernels: _window_sums (p x p windows as prefix-sum
-differences; both prefixes read contiguous memory) and _shift_add (cyclic shifts
-of a line or a slab of lines). Diagonal and p-set sums fold slabs of rows, and a
-fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
+Toric sums come from two kernels: _down_sums (sums of width cells down the rows as
+prefix-sum differences, run down the rows and the transpose for p x p windows) and
+_shift_add (cyclic shifts of a line or a slab of lines). With V(i, j) the p cells
+down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p windows W,
+so check_pxp passes a grid from V alone. Diagonal and p-set sums fold slabs of rows,
+and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
 2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each
 aligned group of p columns from two rows split at alpha, the same two for every
 alpha (patterns.split_rows), so the Franklin check places each group twice per
@@ -153,25 +155,34 @@ def _prefix_down(a: np.ndarray) -> np.ndarray:
     return c
 
 
+def _fit_window(shape: tuple, width: int) -> None:
+    """Raise unless width x width windows fit a grid of this shape."""
+    if not 1 <= width <= min(shape):
+        raise ValueError(f"grid {shape} smaller than window size {width}" if width > 0
+                         else f"window size {width} is not positive")
+
+
+def _down_sums(c: np.ndarray, width: int, toric: bool) -> np.ndarray:
+    """From c = _prefix_down(a): the sum of the width cells of a down from each cell (wrapping
+    when toric), indexed by its top cell, with c's layout."""
+    m = len(c)
+    out = np.empty_like(c, shape=(m if toric else m - width + 1, c.shape[1]))
+    out[0] = c[width - 1]
+    np.subtract(c[width:], c[: m - width], out=out[1 : m - width + 1])
+    if toric:  # the sum from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
+        out[m - width + 1 :] = c[-1] - c[m - width : -1] + c[: width - 1]
+    return out
+
+
 def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
     """Sum of every width x width window (wrapping when toric), indexed by its top-left cell.
 
     Down the rows, then down the rows of the transpose: on a C-ordered input the first
     prefix adds whole rows and the second runs along them, so both read contiguous memory.
     Wrapped windows read the same prefix array: no padded copy, two full arrays at most."""
-    if not 1 <= width <= min(a.shape):
-        raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
-                         else f"window size {width} is not positive")
-    for _ in range(2):
-        c = _prefix_down(a)
-        m, a = len(c), None  # release the input before allocating the output
-        a = np.empty_like(c, shape=(m if toric else m - width + 1, c.shape[1]))  # c's layout
-        a[0] = c[width - 1]
-        np.subtract(c[width:], c[: m - width], out=a[1 : m - width + 1])
-        if toric:  # window from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
-            a[m - width + 1 :] = c[-1] - c[m - width : -1] + c[: width - 1]
-        a, c = a.T, None
-    return a
+    _fit_window(a.shape, width)
+    c = _prefix_down(_down_sums(_prefix_down(a), width, toric).T)  # the first pass's output is freed here
+    return _down_sums(c, width, toric).T
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
@@ -297,18 +308,28 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     need all windows equal (the lemma-oracle mode). A bare p selects that mode with
     no order check, so the grid may be rectangular. So the certificate depends on
     the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
+
+    With V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) on the
+    torus, so every window W sums to T iff V(i, j+p) = V(i, j) everywhere and W(i, 0) = T in each
+    row. Only a failing grid finishes the window table from V, for the scan's witness.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
     a = _array(square_or_grid, params if typed else None)
-    total = _window_sums(a, p, toric=True)
+    _fit_window(a.shape, p)
     rows, cols = a.shape
+    v = _down_sums(_prefix_down(a), p, toric=True)
+    first = v[:, :p].sum(axis=1)  # W(i, 0)
+    target = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else int(first[0])
+    if (first == target).all() and (v[:, p:] == v[:, : cols - p]).all() and (v[:, cols - p :] == v[:, :p]).all():
+        return PropertyVerdict(PXP, True)
+    c, v = _prefix_down(v.T), None  # the table's second pass, from V; V is released before its output
+    total, c = _down_sums(c, p, toric=True).T, None
 
     def witness(i, j):
         return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
 
-    pinned = typed and isinstance(square_or_grid, NaturalSquare)
-    return _verdict(PXP, params.pxp_sum if pinned else int(total[0, 0]), [(total, witness)])
+    return _verdict(PXP, target, [(total, witness)])
 
 
 def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> PropertyVerdict:
@@ -364,28 +385,29 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     return _verdict(FRANKLIN_PATTERNS, params.magic_sum, tables())
 
 
-def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None) -> PropertyReport:
-    """Run every applicable check and classify the result.
+def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None, *, required_for=None) -> PropertyReport:
+    """Run every applicable check, or only those of them that the classification required_for
+    (a key of REQUIRED_VERDICTS) requires, and classify the result.
 
     A check is applicable when its divisibility precondition holds and its sum
     target is an integer; inapplicable checks are omitted from the report (the
     corresponding properties are unsatisfiable at this order, so they can never
     contribute to a classification).
     """
-    verdicts = [
-        check_natural(square_or_grid, params),
-        check_semi_magic(square_or_grid, params),
-        check_pandiagonal(square_or_grid, params),
-    ]
-    if params.has_complement_sum:
-        verdicts.append(check_complementary(square_or_grid, params))
-    if params.has_pxp_sum:
-        verdicts.append(check_pxp(square_or_grid, params))
-    if params.has_segment_sum:
-        verdicts.append(check_one_over_p(square_or_grid, params, "rows"))
-        verdicts.append(check_one_over_p(square_or_grid, params, "cols"))
-    if params.franklin_k is not None:
-        verdicts.append(check_franklin_patterns(square_or_grid, params, franklin_alphas))
+    if required_for is not None and required_for not in REQUIRED_VERDICTS:
+        raise ValueError(f"unknown classification {required_for!r}")
+    g, alphas, wanted = square_or_grid, franklin_alphas, REQUIRED_VERDICTS.get(required_for)
+    checks = (  # (verdict, applicable, check), in report order
+        (NATURAL, True, lambda: check_natural(g, params)),
+        (SEMI_MAGIC, True, lambda: check_semi_magic(g, params)),
+        (PANDIAGONAL, True, lambda: check_pandiagonal(g, params)),
+        (COMPLEMENTARY, params.has_complement_sum, lambda: check_complementary(g, params)),
+        (PXP, params.has_pxp_sum, lambda: check_pxp(g, params)),
+        (ONE_OVER_P_ROWS, params.has_segment_sum, lambda: check_one_over_p(g, params, "rows")),
+        (ONE_OVER_P_COLS, params.has_segment_sum, lambda: check_one_over_p(g, params, "cols")),
+        (FRANKLIN_PATTERNS, params.franklin_k is not None, lambda: check_franklin_patterns(g, params, alphas)),
+    )
+    verdicts = (check() for name, applicable, check in checks if applicable and (wanted is None or name in wanted))
     return PropertyReport.build(params, verdicts)
 
 

@@ -36,6 +36,10 @@ MUTANTS = [
     ("window wrap term", PROPERTIES, "+ c[: width - 1]", "+ c[1:width]", PXP_TESTS),
     ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
      "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
+    ("decision without the wrap compare", PROPERTIES, " and (v[:, cols - p :] == v[:, :p]).all()", "", PXP_TESTS),
+    ("decision without the W(i, 0) test", PROPERTIES, "(first == target).all() and ", "", PXP_TESTS),
+    ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, p:] == v[:, : cols - p])",
+     "(v[:, 1:] == v[:, : cols - 1])", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
     ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",

@@ -117,6 +117,33 @@ class TestGenerator:
             ff.generate_most_perfect(ff.GeneratorConfig(p=2, r=3))
         assert len(screened) == 1  # one closed-form candidate, no search
 
+    @pytest.mark.parametrize("p,r", [(2, 4), (3, 3), (11, 3)])
+    def test_screen_skips_the_franklin_and_one_over_p_checks(self, monkeypatch, p, r):
+        """most_perfect_requirements_met reads neither, so the screen runs neither."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the screen ran a check that most-perfect does not require")
+
+        for name in ("check_franklin_patterns", "check_one_over_p"):
+            monkeypatch.setattr(ff.properties, name, refuse)
+        square = ff.generate_most_perfect(ff.GeneratorConfig(p, r))
+        monkeypatch.undo()
+        params = ff.TypeParams.for_power(p, r)
+        assert ff.verify_all(square, params).classification == "most_perfect_type_p"
+
+    @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 2)])
+    def test_screen_rejects_a_natural_square_that_is_not_most_perfect(self, monkeypatch, p, r):
+        """A two-cell swap of the closed form is natural and fails a required check."""
+        closed = construct.candidate_to_square
+
+        def swapped(candidate, p, r):
+            a = closed(candidate, p, r).entries.copy()
+            a[0, 0], a[0, 1] = a[0, 1], a[0, 0]
+            return ff.NaturalSquare(a)
+
+        monkeypatch.setattr(construct, "candidate_to_square", swapped)
+        with pytest.raises(ff.GeneratorExhaustedError):
+            ff.generate_most_perfect(ff.GeneratorConfig(p, r))
+
     @pytest.mark.parametrize("p,r", sorted(SEED0_DIGESTS))
     def test_seed0_bytes_are_pinned(self, p, r):
         square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, 0))
@@ -157,6 +184,38 @@ class TestGenerator:
             ff.GeneratorConfig(p=2, r=1)
         with pytest.raises(ValueError):
             ff.GeneratorConfig(p=2, r=3, family="magic")
+
+
+class TestRequiredChecks:
+    @pytest.mark.parametrize("p,r", [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+    def test_required_for_keeps_the_full_reports_verdicts(self, p, r):
+        """The closed form, its θ and a swap of each: verify_all(required_for=label) holds the
+        full report's verdicts of that label, in order, and the classification they give."""
+        params = ff.TypeParams.for_power(p, r)
+        square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=7))
+        rng = random.Random(p * r)
+        squares = [square, ff.theta(square, params)]
+        for s in list(squares):
+            a = s.entries.copy()
+            (r1, c1), (r2, c2) = [(rng.randrange(params.n), rng.randrange(params.n)) for _ in range(2)]
+            a[r1, c1], a[r2, c2] = a[r2, c2], a[r1, c1]
+            squares.append(ff.NaturalSquare(a))
+        for s in squares:
+            full = ff.verify_all(s, params)
+            for label, required in ff.properties.REQUIRED_VERDICTS.items():
+                report = ff.verify_all(s, params, required_for=label)
+                kept = tuple(v for v in full.verdicts if v.property_name in required)
+                assert report.verdicts == kept
+                assert report == ff.PropertyReport.build(params, kept)
+            screened = ff.verify_all(s, params, required_for="most_perfect_type_p")
+            assert [v.property_name for v in screened.verdicts] == ["natural", "semi_magic", "pandiagonal",
+                                                                    "complementary", "pxp"]
+            assert most_perfect_requirements_met(screened) == most_perfect_requirements_met(full)
+
+    @pytest.mark.parametrize("label", ["none", "most_perfect", "", 0])
+    def test_required_for_an_unknown_classification_raises(self, mp9, label):
+        with pytest.raises(ValueError, match="unknown classification"):
+            ff.verify_all(*mp9, required_for=label)
 
 
 class TestPipeline:

@@ -21,6 +21,7 @@ from conftest import (
     READING_ORDER_8,
     random_cross_identity_grid,
     random_natural_square,
+    random_toric_window_grid,
     random_window_grid,
 )
 
@@ -34,9 +35,9 @@ def count_calls(monkeypatch, name, *modules):
     calls = []
     original = getattr(modules[0], name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
@@ -191,12 +192,33 @@ class TestPxp:
         with pytest.raises(ValueError, match="smaller than window size 2"):
             ff.check_pxp(ff.Grid([[1, 2]]), 2)
         grid = ff.Grid([[1, 2], [3, 4]])
-        for width in (0, -1):  # one size check, in _window_sums, for every caller
+        for width in (0, -1):  # one size check, _fit_window, for every caller
             with pytest.raises(ValueError, match=f"window size {width} is not positive"):
                 ff.check_pxp(grid, width)
             for toric in (False, True):
                 with pytest.raises(ValueError, match="not positive"):
                     ff.window_sums_all_equal(grid, width, toric)
+
+    def test_passing_grids_take_one_vertical_pass(self, monkeypatch):
+        """A grid whose windows all share one sum is decided from the vertical sums V alone: one
+        _down_sums pass, where a failing grid takes a second one to finish the window table."""
+        rng = random.Random(9)
+        cases = []
+        for p, r in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+            params = ff.TypeParams.for_power(p, r)
+            square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+            cases += [(square, params), (ff.Grid(square), p)]
+            if r >= 3:  # θ of a most-perfect square is Franklin, windows included
+                cases.append((ff.theta(square, params), params))
+        cases += [(random_toric_window_grid(n, p, rng), p) for n, p in ((6, 2), (9, 3), (10, 5))]
+        calls = count_calls(monkeypatch, "_down_sums", properties)
+        for grid, params in cases:
+            calls.clear()
+            assert ff.check_pxp(grid, params).passed
+            assert len(calls) == 1
+        calls.clear()
+        assert not ff.check_pxp(reading_order_square(4), ff.TypeParams(2, 4)).passed
+        assert len(calls) == 2
 
     def test_natural_square_pinned_to_formula(self):
         # natural square whose windows are equal but is not symbol-complete

@@ -472,3 +472,61 @@ def test_window_sums_at_the_smallest_shapes():
             expected = len(ref_window_sum_set(grid.to_lists(), p, toric)) == 1
             assert ff.window_sums_all_equal(grid, p, toric) == expected
         assert ff.check_pxp(grid, p) == ref_pxp(grid, p)
+
+
+def decision_halves(rows, p):
+    """The two halves of check_pxp's decision, by brute force on the lists rows, with V(i, j) the p
+    cells down from (i, j): (every W(i, 0) the same, V(i, j + p) == V(i, j) for j < cols - p, and
+    the same for the wrapped j >= cols - p)."""
+    height, width = len(rows), len(rows[0])
+    v = [[sum(rows[(i + t) % height][j] for t in range(p)) for j in range(width)] for i in range(height)]
+    same_first = len({sum(line[:p]) for line in v}) == 1
+    inner = all(line[j + p] == line[j] for line in v for j in range(width - p))
+    wrapped = all(line[(j + p) % width] == line[j] for line in v for j in range(width - p, width))
+    return same_first, inner, wrapped
+
+
+def half_defect_grids(rng):
+    """(grid, p, halves): toric window grids c + F(i mod p, j) + H(i, j mod p) (F zero-sum down each
+    column, H along each row) plus g(i), whose windows are constant along each row but differ
+    between rows; the same form with p dividing the rows but not the columns, whose defect only
+    the wrapped-column compare sees; and generic grids with p rows or p columns."""
+    def toric_form(height, width, p):
+        f = np.array([[rng.randrange(-20, 21) for _ in range(width)] for _ in range(p)])
+        f[-1] = -f[:-1].sum(axis=0)
+        h = np.array([[rng.randrange(-20, 21) for _ in range(p)] for _ in range(height)])
+        h[:, -1] = -h[:, :-1].sum(axis=1)
+        i, j = np.ogrid[:height, :width]
+        return 40 * p + f[i % p, j] + h[i, j % p]
+
+    out = []
+    for n, p in ((4, 2), (6, 2), (6, 3), (9, 3), (10, 5), (5, 2), (7, 3)):
+        g = np.array([rng.randrange(-30, 31) for _ in range(n)])[:, None]
+        out.append((ff.Grid(toric_form(n, n, p) * (n % p == 0) + g), p, (False, True, True)))
+    for height, width, p in ((4, 5, 2), (6, 7, 2), (6, 7, 3), (6, 11, 3), (10, 7, 5), (2, 3, 2)):
+        out.append((ff.Grid(toric_form(height, width, p)), p, (True, True, False)))
+    for height, width, p in ((2, 5, 2), (3, 7, 3), (5, 2, 2), (7, 3, 3), (3, 3, 3), (2, 2, 2)):
+        out.append((ff.Grid([[rng.randrange(-9, 10) for _ in range(width)] for _ in range(height)]), p, None))
+        out.append((random_window_grid(height, width, p, rng), p, None))
+    return out
+
+
+def test_pxp_decision_halves_match_reference():
+    """Each input fails the half of the decision it is built to fail, and only that one; the
+    verdict and witness are the brute-force reference's, in the bare-p mode and, where the
+    order allows, with TypeParams, and window_sums_all_equal agrees."""
+    seen = set()
+    for grid, p, halves in half_defect_grids(random.Random(16)):
+        rows = grid.to_lists()
+        found = decision_halves(rows, p)
+        if halves is not None:
+            assert found == halves, (grid.entries.shape, p)
+        seen.add(found)
+        modes = [p]
+        if grid.rows == grid.cols and grid.rows % p == 0:
+            modes.append(ff.TypeParams(p, grid.rows))
+        for mode in modes:
+            assert ff.check_pxp(grid, mode) == ref_pxp(grid, mode)
+        for toric in (False, True):
+            assert ff.window_sums_all_equal(grid, p, toric) == ref_window_sums_all_equal(grid, p, toric)
+    assert {(False, True, True), (True, True, False), (True, True, True)} <= seen
