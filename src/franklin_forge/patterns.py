@@ -52,9 +52,7 @@ class PatternSpec:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        p = self.params.p
-        if not 1 <= self.alpha < p:
-            raise ValueError(f"alpha={self.alpha} outside 1..{p - 1}")
+        select_alphas(self.params, (self.alpha,))  # alpha in 1..p-1
         _franklin_k(self.params)
         if not 0 <= self.frame_offset < self.params.n:
             raise ValueError(f"frame offset {self.frame_offset} outside 0..{self.params.n - 1}")
@@ -243,14 +241,15 @@ def franklin_cells(spec: PatternSpec) -> CellSet:
 
 def select_alphas(params: TypeParams, alphas=None) -> list[int]:
     """The partitions a pattern scan covers, ascending and once each: 1..p-1 by default (the strong
-    definition), else the iterable given (the weakened mode passes one). An empty selection raises:
-    a scan of no pattern would pass and say nothing."""
-    _franklin_k(params)
-    pool = range(1, params.p) if alphas is None else alphas
-    chosen = sorted({PatternSpec("up", x, 0, params).alpha for x in pool})
-    if not chosen:
+    definition), else the iterable given (the weakened mode passes one). At any order, an alpha outside
+    1..p-1 raises, and so does an empty selection: a scan of no pattern would pass and say nothing."""
+    pool = list(range(1, params.p) if alphas is None else alphas)
+    bad = [alpha for alpha in pool if not 1 <= alpha < params.p]
+    if bad:
+        raise ValueError(f"alpha={bad[0]} outside 1..{params.p - 1}")
+    if not pool:
         raise ValueError("the alpha selection is empty")
-    return chosen
+    return sorted(set(pool))
 
 
 def enumerate_patterns(params: TypeParams, alphas=None) -> Iterator[PatternSpec]:

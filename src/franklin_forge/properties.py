@@ -5,11 +5,11 @@ cells re-sum to the reported actual value. Every sum check but check_natural
 reports through _verdict, whose docstring states the one scan order, so reports
 are byte-stable across runs.
 
-Toric sums come from two kernels: _down_sums (sums of width cells down the rows as
-prefix-sum differences, run down the rows and the transpose for p x p windows) and
-_shift_add (cyclic shifts of a line or a slab of lines). With V(i, j) the p cells
-down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p windows W,
-so check_pxp passes a grid from V alone. Diagonal and p-set sums fold slabs of rows,
+Toric sums come from two kernels: _vertical_sums (sums of width cells down the rows as
+prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
+V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p
+windows W, so V decides every window, and the first failing row's windows, rebuilt from V,
+witness the first failure: no window table is built. Diagonal and p-set sums fold slabs of rows,
 and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
 2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each
 aligned group of p columns from two rows split at alpha, the same two for every
@@ -141,32 +141,19 @@ def _array(obj, params: TypeParams | None = None) -> np.ndarray:
     return a
 
 
-def _prefix_down(a: np.ndarray) -> np.ndarray:
-    """np.cumsum(a, axis=0), dtype included, reading a's memory in order.
-
-    numpy's axis-0 cumsum is fast only where columns are contiguous; on C-ordered rows it
-    steps down strided columns, so there the prefix is built one whole row at a time."""
-    if a.flags.f_contiguous:
-        return np.cumsum(a, axis=0)
+def _vertical_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
+    """V(i, j), the sum of the width cells of a down from (i, j) (wrapping when toric, else only in
+    the rows where they fit), as differences of a prefix held in np.cumsum's accumulator dtype. The
+    prefix adds one whole row at a time: numpy's axis-0 cumsum steps down strided columns."""
+    if not 1 <= width <= min(a.shape):
+        raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
+                         else f"window size {width} is not positive")
+    m = len(a)
     c = np.empty(a.shape, dtype=np.cumsum(a[:0], axis=0).dtype)
     c[0] = a[0]
-    for i in range(1, len(a)):
+    for i in range(1, m):
         np.add(c[i - 1], a[i], out=c[i])
-    return c
-
-
-def _fit_window(shape: tuple, width: int) -> None:
-    """Raise unless width x width windows fit a grid of this shape."""
-    if not 1 <= width <= min(shape):
-        raise ValueError(f"grid {shape} smaller than window size {width}" if width > 0
-                         else f"window size {width} is not positive")
-
-
-def _down_sums(c: np.ndarray, width: int, toric: bool) -> np.ndarray:
-    """From c = _prefix_down(a): the sum of the width cells of a down from each cell (wrapping
-    when toric), indexed by its top cell, with c's layout."""
-    m = len(c)
-    out = np.empty_like(c, shape=(m if toric else m - width + 1, c.shape[1]))
+    out = np.empty_like(c, shape=(m if toric else m - width + 1, a.shape[1]))
     out[0] = c[width - 1]
     np.subtract(c[width:], c[: m - width], out=out[1 : m - width + 1])
     if toric:  # the sum from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
@@ -174,15 +161,16 @@ def _down_sums(c: np.ndarray, width: int, toric: bool) -> np.ndarray:
     return out
 
 
-def _window_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
-    """Sum of every width x width window (wrapping when toric), indexed by its top-left cell.
-
-    Down the rows, then down the rows of the transpose: on a C-ordered input the first
-    prefix adds whole rows and the second runs along them, so both read contiguous memory.
-    Wrapped windows read the same prefix array: no padded copy, two full arrays at most."""
-    _fit_window(a.shape, width)
-    c = _prefix_down(_down_sums(_prefix_down(a), width, toric).T)  # the first pass's output is freed here
-    return _down_sums(c, width, toric).T
+def _failing_window_rows(v: np.ndarray, width: int, toric: bool, target=None) -> tuple:
+    """(W(i, 0), does a window W(i, j) miss target) per top row i, from V = _vertical_sums(a, width,
+    toric); target defaults to W(0, 0). W(i, j+1) - W(i, j) = V(i, j+width) - V(i, j), wrapping past
+    the last column when toric, so a row's windows all hit target iff W(i, 0) does and every step is 0."""
+    first = v[:, :width].sum(axis=1)
+    bad = first != (first[0] if target is None else target)
+    bad |= (v[:, width:] != v[:, :-width]).any(axis=1)
+    if toric:
+        bad |= (v[:, -width:] != v[:, :width]).any(axis=1)
+    return first, bad
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
@@ -309,27 +297,27 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     no order check, so the grid may be rectangular. So the certificate depends on
     the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
 
-    With V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) on the
-    torus, so every window W sums to T iff V(i, j+p) = V(i, j) everywhere and W(i, 0) = T in each
-    row. Only a failing grid finishes the window table from V, for the scan's witness.
+    The vertical sums V decide every window (_failing_window_rows). A failing grid rebuilds the
+    windows of its first failing row alone, W(i, 0) plus the running sum of V's steps, to witness.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
     a = _array(square_or_grid, params if typed else None)
-    _fit_window(a.shape, p)
     rows, cols = a.shape
-    v = _down_sums(_prefix_down(a), p, toric=True)
-    first = v[:, :p].sum(axis=1)  # W(i, 0)
-    target = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else int(first[0])
-    if (first == target).all() and (v[:, p:] == v[:, : cols - p]).all() and (v[:, cols - p :] == v[:, :p]).all():
+    v = _vertical_sums(a, p, toric=True)
+    pinned = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else None
+    first, bad = _failing_window_rows(v, p, True, pinned)
+    if not bad.any():
         return PropertyVerdict(PXP, True)
-    c, v = _prefix_down(v.T), None  # the table's second pass, from V; V is released before its output
-    total, c = _down_sums(c, p, toric=True).T, None
+    target = int(first[0]) if pinned is None else pinned
+    i = int(bad.argmax())
+    steps = np.roll(v[i], -p) - v[i]  # W(i, j+1) - W(i, j); the last one wraps back to W(i, 0)
+    windows = np.cumsum(np.concatenate((first[i : i + 1], steps[:-1])))  # W(i, j) for every j
 
-    def witness(i, j):
+    def witness(j):
         return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
 
-    return _verdict(PXP, target, [(total, witness)])
+    return _verdict(PXP, target, [(windows, witness)])
 
 
 def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> PropertyVerdict:
@@ -357,9 +345,9 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     sums are lo's first alpha columns plus hi's last p - alpha.
     """
     a = _array(square_or_grid, params)
-    chosen = np.array(select_alphas(params, alphas))
     n, p = params.n, params.p
-    first, rest = split_rows(params)
+    first, rest = split_rows(params)  # refuses an order that is not k*p^3
+    chosen = np.array(select_alphas(params, alphas))
     top, low = int(chosen[-1]), int(chosen[0])  # lo needs columns 0..top-1 of a group, hi columns low..p-1
 
     def tables():
@@ -392,11 +380,13 @@ def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None, *, requ
     A check is applicable when its divisibility precondition holds and its sum
     target is an integer; inapplicable checks are omitted from the report (the
     corresponding properties are unsatisfiable at this order, so they can never
-    contribute to a classification).
+    contribute to a classification). franklin_alphas (patterns.select_alphas) is
+    read only by the Franklin check, but an invalid selection raises at every order.
     """
     if required_for is not None and required_for not in REQUIRED_VERDICTS:
         raise ValueError(f"unknown classification {required_for!r}")
-    g, alphas, wanted = square_or_grid, franklin_alphas, REQUIRED_VERDICTS.get(required_for)
+    g, wanted = square_or_grid, REQUIRED_VERDICTS.get(required_for)
+    alphas = None if franklin_alphas is None else select_alphas(params, franklin_alphas)
     checks = (  # (verdict, applicable, check), in report order
         (NATURAL, True, lambda: check_natural(g, params)),
         (SEMI_MAGIC, True, lambda: check_semi_magic(g, params)),
@@ -433,12 +423,11 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
 
 
 def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
-    """Do all p x p windows of consecutive rows/columns share one sum?
+    """Do all p x p windows of consecutive rows/columns share one sum? Decided from V, as in check_pxp.
 
     A raw int64 array is summed in int64, so its sums are compared modulo 2^64."""
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
-    sums = _window_sums(a, p, toric)
-    return bool(sums.min() == sums.max())
+    return not _failing_window_rows(_vertical_sums(a, p, toric), p, toric)[1].any()
 
 
 def lemma_diagsum_oracle(grid_or_array, p: int) -> bool:

@@ -36,10 +36,15 @@ MUTANTS = [
     ("window wrap term", PROPERTIES, "+ c[: width - 1]", "+ c[1:width]", PXP_TESTS),
     ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
      "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
-    ("decision without the wrap compare", PROPERTIES, " and (v[:, cols - p :] == v[:, :p]).all()", "", PXP_TESTS),
-    ("decision without the W(i, 0) test", PROPERTIES, "(first == target).all() and ", "", PXP_TESTS),
-    ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, p:] == v[:, : cols - p])",
-     "(v[:, 1:] == v[:, : cols - 1])", PXP_TESTS),
+    ("decision without the wrap compare", PROPERTIES, "bad |= (v[:, -width:] != v[:, :width]).any(axis=1)",
+     "pass", PXP_TESTS),
+    ("decision without the W(i, 0) test", PROPERTIES, "bad = first != (first[0] if target is None else target)",
+     "bad = np.zeros(len(v), dtype=bool)", PXP_TESTS),
+    ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, width:] != v[:, :-width])",
+     "(v[:, 1:] != v[:, :-1])", PXP_TESTS),
+    ("witness steps summed one late", PROPERTIES, "steps[:-1]", "steps[1:]", PXP_TESTS),
+    ("failing row found from W(i, 0) alone", PROPERTIES, "i = int(bad.argmax())",
+     "i = int((first != target).argmax())", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
     ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",

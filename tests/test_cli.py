@@ -167,6 +167,25 @@ class TestCommands:
         assert outputs[0] == outputs[1] != outputs[2]
         assert "up pattern, alpha=2, offset=0" in outputs[0]
 
+    def test_verify_refuses_a_bad_alpha_at_every_order(self, tmp_path, capsys):
+        """An alpha outside 1..p-1 exits 2 with one message whether or not the order has Franklin
+        patterns (27 has, 9 has not); a valid alpha is still ignored where there are none."""
+        for r in (2, 3):
+            path = tmp_path / f"mp{3 ** r}.json"
+            assert main(["construct", "--p", "3", "--r", str(r), "--out", str(path)]) == EXIT_OK
+            for alpha in ("7", "0", "-3"):
+                for extra in ([], ["--weakened"]):
+                    capsys.readouterr()
+                    argv = ["verify", "--p", "3", "--in", str(path), "--alpha", alpha] + extra
+                    assert main(argv) == EXIT_INPUT_ERROR
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and captured.err == f"error: alpha={alpha} outside 1..2\n"
+        outputs = []
+        for extra in (["--alpha", "2"], ["--weakened"], []):
+            assert main(["verify", "--p", "3", "--in", str(tmp_path / "mp9.json"), "--json"] + extra) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_theta_then_verify_pipeline(self, tmp_path):
         src = write_fixture(tmp_path, "figure2_mp8")
         out = tmp_path / "franklin8.json"

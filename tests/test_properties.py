@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,7 +195,7 @@ class TestPxp:
         with pytest.raises(ValueError, match="smaller than window size 2"):
             ff.check_pxp(ff.Grid([[1, 2]]), 2)
         grid = ff.Grid([[1, 2], [3, 4]])
-        for width in (0, -1):  # one size check, _fit_window, for every caller
+        for width in (0, -1):  # one size check, in _vertical_sums, for every caller
             with pytest.raises(ValueError, match=f"window size {width} is not positive"):
                 ff.check_pxp(grid, width)
             for toric in (False, True):
@@ -200,25 +203,95 @@ class TestPxp:
                     ff.window_sums_all_equal(grid, width, toric)
 
     def test_passing_grids_take_one_vertical_pass(self, monkeypatch):
-        """A grid whose windows all share one sum is decided from the vertical sums V alone: one
-        _down_sums pass, where a failing grid takes a second one to finish the window table."""
+        """A grid is decided from the vertical sums V alone, and a failing one is witnessed from them
+        too: one _vertical_sums pass whether the windows all share one sum or not."""
         rng = random.Random(9)
         cases = []
         for p, r in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
             params = ff.TypeParams.for_power(p, r)
             square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
-            cases += [(square, params), (ff.Grid(square), p)]
+            cases += [(square, params, True), (ff.Grid(square), p, True)]
             if r >= 3:  # θ of a most-perfect square is Franklin, windows included
-                cases.append((ff.theta(square, params), params))
-        cases += [(random_toric_window_grid(n, p, rng), p) for n, p in ((6, 2), (9, 3), (10, 5))]
-        calls = count_calls(monkeypatch, "_down_sums", properties)
-        for grid, params in cases:
+                cases.append((ff.theta(square, params), params, True))
+            swapped = square.entries.copy()
+            swapped[[0, 1], [0, 1]] = swapped[[1, 0], [1, 0]]
+            cases += [(ff.NaturalSquare(swapped), params, False), (ff.Grid(swapped), p, False)]
+        cases += [(random_toric_window_grid(n, p, rng), p, True) for n, p in ((6, 2), (9, 3), (10, 5))]
+        cases.append((reading_order_square(4), ff.TypeParams(2, 4), False))
+        calls = count_calls(monkeypatch, "_vertical_sums", properties)
+        for grid, params, passes in cases:
             calls.clear()
-            assert ff.check_pxp(grid, params).passed
+            assert ff.check_pxp(grid, params).passed == passes
             assert len(calls) == 1
-        calls.clear()
-        assert not ff.check_pxp(reading_order_square(4), ff.TypeParams(2, 4)).passed
-        assert len(calls) == 2
+
+    def test_failing_grid_peaks_no_higher_than_a_passing_one(self):
+        """The witness needs one row of windows, not a window table: a failing check_pxp allocates
+        no more at its peak than a passing one of the same order."""
+        params = ff.TypeParams.for_power(5, 3)
+        square = ff.generate_most_perfect(ff.GeneratorConfig(5, 3))
+        swapped = square.entries.copy()
+        swapped[[0, 0], [0, 1]] = swapped[[0, 0], [1, 0]]
+        failing = ff.NaturalSquare(swapped)
+        peaks = {True: [], False: []}
+        gc.disable()  # a collection inside a call would free memory held before it and lower its peak
+        tracemalloc.start()
+        try:
+            for grid, passes in ((square, True), (failing, False)) * 4:
+                gc.collect()
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                assert ff.check_pxp(grid, params).passed == passes
+                peaks[passes].append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        passing, failing = min(peaks[True][1:]), min(peaks[False][1:])  # the warm rounds
+        assert passing >= 2 * params.n**2 * 8  # the prefix and V are traced
+        assert failing <= passing
+
+    @staticmethod
+    def row_periodic_grid(rows, cols, p, rng):
+        """c + F(i mod p, j), F zero-sum down each column: every toric p x p window sums to p^2 c,
+        whatever cols is, once p divides rows."""
+        f = np.array([[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(p)])
+        f[-1] = -f[:-1].sum(axis=0)
+        return 30 + f[np.arange(rows) % p]
+
+    def test_first_failing_window_matches_reference(self):
+        """The witness is the first failing window of the first failing row, as ref_pxp finds it by
+        brute force, in the typed and the bare-p mode: at j = 0, in a row after a passing row, only
+        at the wrap (j = cols - 1), and on rectangular grids."""
+        from test_reference import ref_pxp
+
+        rng = random.Random(17)
+        cases = []  # (grid, mode, location of the first failing window)
+        for p, r in ((2, 3), (3, 2), (5, 2)):
+            params = ff.TypeParams.for_power(p, r)
+            mp = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+            for (r0, c0), found in (((0, 0), (0, 0)), ((p, 0), (1, 0))):  # (1, 0) follows a passing row 0
+                swapped = mp.entries.copy()
+                swapped[[r0, 2 * p], [c0, p]] = swapped[[2 * p, r0], [p, c0]]
+                cases += [(ff.NaturalSquare(swapped), params, found), (ff.Grid(swapped), params, None),
+                          (ff.Grid(swapped), p, found if found != (0, 0) else (0, 1))]
+        for rows, cols, p in ((4, 6, 2), (6, 9, 3), (9, 6, 3), (10, 5, 5)):
+            bumped = self.row_periodic_grid(rows, cols, p, rng)
+            bumped[p, 0] += 1
+            cases.append((ff.Grid(bumped), p, (1, 0)))
+        # With p dividing cols a row's vertical sums repeat with period p once its unwrapped steps
+        # vanish, so only a grid whose width p does not divide can fail at the wrap alone. With
+        # cols = 1 mod p, adding d(j) = 1, or 1 - p where j = p - 1 mod p, to one row changes the
+        # window at cols - 1 of the rows that meet it, and no other window.
+        for rows, cols, p in ((4, 5, 2), (6, 3, 2), (6, 7, 3), (3, 4, 3), (10, 11, 5), (2, 9, 2)):
+            d = np.array([1 - p if j % p == p - 1 else 1 for j in range(cols)])
+            for r0, found in ((0, (0, cols - 1)), (rows - 1, (rows - p, cols - 1))):
+                grid = self.row_periodic_grid(rows, cols, p, rng)
+                grid[r0] += d
+                cases.append((ff.Grid(grid), p, found))
+        for grid, mode, found in cases:
+            verdict = ff.check_pxp(grid, mode)
+            assert verdict == ref_pxp(grid, mode)
+            if found is not None:
+                assert verdict.witness.location == "window at ({}, {})".format(*found)
 
     def test_natural_square_pinned_to_formula(self):
         # natural square whose windows are equal but is not symbol-complete
@@ -288,6 +361,20 @@ class TestFranklinPatterns:
             ff.check_franklin_patterns(mp, params, alphas=())
         with pytest.raises(ValueError, match="empty"):
             ff.verify_all(mp, params, franklin_alphas=())
+
+    def test_alpha_selection_checked_at_every_order(self, mp9):
+        """verify_all refuses a bad alpha or an empty selection with the same message at an order
+        without Franklin patterns as at one with them, and ignores a valid one there."""
+        mp27 = ff.generate_most_perfect(ff.GeneratorConfig(3, 3)), ff.TypeParams.for_power(3, 3)
+        for square, params in (mp9, mp27):
+            for alphas, message in (((7,), "alpha=7 outside 1..2"), ((0,), "alpha=0 outside 1..2"),
+                                    ((1, -3), "alpha=-3 outside 1..2"), ((), "the alpha selection is empty")):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    ff.verify_all(square, params, franklin_alphas=alphas)
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    ff.verify_all(square, params, franklin_alphas=iter(alphas), required_for="semi_magic")
+        assert ff.verify_all(*mp9, franklin_alphas=(2,)) == ff.verify_all(*mp9)
+        assert ff.verify_all(*mp27, franklin_alphas=iter((2, 2))) == ff.verify_all(*mp27, franklin_alphas=(2,))
 
     def test_wrong_order_raises(self, mp9):
         square, params = mp9
