@@ -16,12 +16,14 @@ Right, down, and left patterns are the images of up patterns under 1, 2, and 3
 clockwise quarter turns of the ambient square.
 
 select_blocks and block_intersection state this definition; split_rows walks
-them once, at frame offset 0, into the table every pattern is read from.
+them once per order per process, at frame offset 0, into the table every pattern is read from.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .core import BlockAddress, TypeParams, block_at
@@ -52,8 +54,14 @@ class PatternSpec:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
+        for name in ("alpha", "frame_offset"):  # a float or bool is refused, as the JSON and CSV readers do
+            value = getattr(self, name)
+            if type(value) is not int:  # the common case skips the slower ABC test
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # a NumPy integer too, so the cells are Python ints
         select_alphas(self.params, (self.alpha,))  # alpha in 1..p-1
-        _franklin_k(self.params)
+        split_rows(self.params)  # refuses an order that is not k*p^3; builds its table here, once per order
         if not 0 <= self.frame_offset < self.params.n:
             raise ValueError(f"frame offset {self.frame_offset} outside 0..{self.params.n - 1}")
 
@@ -197,7 +205,8 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
     return cells
 
 
-def split_rows(params: TypeParams) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~19 MiB, the 16 largest 1.3 MiB
+def split_rows(params: TypeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rows (first, rest) of the offset-0 up pattern in each aligned group of p columns.
 
     For every alpha the pattern takes columns g*p .. g*p+alpha-1 from row
@@ -209,6 +218,7 @@ def split_rows(params: TypeParams) -> tuple[list[int], list[int]]:
 
     This table is the single block-to-cell derivation: one walk of the offset-0
     blocks at alpha = 1, where column g*p is in row first[g] and the rest in rest[g].
+    It is memoized per order, as tuples, so every caller shares one immutable table.
     """
     p = params.p
     first, rest = [0] * (params.n // p), [0] * (params.n // p)
@@ -217,7 +227,7 @@ def split_rows(params: TypeParams) -> tuple[list[int], list[int]]:
         for r, c in block_intersection(block, 1):
             col = addr.col_origin + c
             (rest if col % p else first)[col // p] = addr.row_origin + r
-    return first, rest
+    return tuple(first), tuple(rest)
 
 
 def up_rows(spec: PatternSpec) -> list[int]:
@@ -234,7 +244,7 @@ def franklin_cells(spec: PatternSpec) -> CellSet:
     cells pair each of (rows, columns, n-1-rows, n-1-columns, rows) with the next."""
     n = spec.params.n
     rows = up_rows(spec)
-    lines = (rows, range(n), [n - 1 - r for r in rows], range(n - 1, -1, -1), rows)
+    lines = (rows, range(n), (n - 1 - r for r in rows), range(n - 1, -1, -1), rows)  # only right and down flip
     q = DIRECTIONS.index(spec.direction)
     return CellSet(frozenset(zip(lines[q], lines[q + 1])), n)
 

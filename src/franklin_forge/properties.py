@@ -11,10 +11,10 @@ V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) 
 windows W, so V decides every window, and the first failing row's windows, rebuilt from V,
 witness the first failure: no window table is built. Diagonal and p-set sums fold slabs of rows,
 and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
-2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each
-aligned group of p columns from two rows split at alpha, the same two for every
-alpha (patterns.split_rows), so the Franklin check places each group twice per
-direction in a 2n-wide sum, folds its halves once, and is O(n^2) whatever p.
+2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each aligned group
+of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows,
+whose blocks are walked once per order per process), so the Franklin check places each group
+twice per direction in a 2n-wide sum, folds its halves once, and is O(n^2) whatever p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
@@ -346,7 +346,7 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    first, rest = split_rows(params)  # refuses an order that is not k*p^3
+    first, rest = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
     chosen = np.array(select_alphas(params, alphas))
     top, low = int(chosen[-1]), int(chosen[0])  # lo needs columns 0..top-1 of a group, hi columns low..p-1
 

@@ -54,6 +54,14 @@ MUTANTS = [
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", "src/franklin_forge/patterns.py", "(rest if col % p else first)",
      "(rest if col % p else rest)", ["tests/test_patterns.py"]),
+    ("split-row memo keyed on p alone", "src/franklin_forge/patterns.py", "@lru_cache(maxsize=16)",
+     "def _keyed_on_p(f):\n"
+     "    memo = {}\n"
+     "    lookup = lambda params: memo.setdefault(params.p, f(params))\n"
+     "    lookup.cache_clear = memo.clear\n"
+     "    return lookup\n\n\n"
+     "@_keyed_on_p",
+     ["tests/test_patterns.py::TestSplitRowsMemo::test_table_is_the_reference_walk_cold_and_after_eviction"]),
     ("> for >= in the carry", "src/franklin_forge/construct.py", "np.greater_equal.outer",
      "np.greater.outer", ["tests/test_construct.py"]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",

@@ -1,12 +1,14 @@
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import franklin_forge as ff
 from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE, split_rows
 
 from conftest import BOXED_W_CELLS
-from test_reference import ref_franklin_cells
+from test_reference import FRANKLIN_ORDERS, ref_franklin_cells, turned_block_cells
 
 FIG1_UP_DIAGONAL = {(1, 0), (2, 1), (3, 2), (4, 3), (4, 4), (3, 5), (2, 6), (1, 7)}
 
@@ -144,6 +146,55 @@ class TestFranklinCells:
         with pytest.raises(ValueError):
             ff.PatternSpec("up", 1, 27, params)
         with pytest.raises(ValueError):
+            ff.PatternSpec("up", 1, 0, ff.TypeParams(3, 9))
+
+    @pytest.mark.parametrize("alpha,offset", [(1, 2.5), (1.0, 2), (True, 2), (1, False)])
+    def test_spec_refuses_a_non_integer_alpha_or_offset(self, alpha, offset):
+        """A float would resolve to cells in row 2.5 or fail later in up_rows; a bool is refused
+        as the JSON and CSV readers refuse it."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            ff.PatternSpec("up", alpha, offset, ff.TypeParams.for_franklin(3, 1))
+
+    def test_numpy_integers_resolve_to_python_int_cells(self):
+        spec = ff.PatternSpec("up", np.int64(1), np.int64(5), ff.TypeParams.for_franklin(3, 1))
+        assert {type(v) for cell in ff.franklin_cells(spec) for v in cell} == {int}
+
+
+def reference_split_rows(params):
+    """(first, rest) by definition: the rows of the reference up walk at alpha 1, offset 0, in
+    columns g*p (the first alpha = 1 cells of group g) and g*p + 1 (the rest)."""
+    row = {c: r for _, (r, c) in turned_block_cells(params, 0, 1, "up")}
+    groups = range(0, params.n, params.p)
+    return tuple(row[c] for c in groups), tuple(row[c + 1] for c in groups)
+
+
+class TestSplitRowsMemo:
+    """split_rows is memoized per order, with a fixed bound, and hands every caller one immutable table."""
+
+    ORDERS = [ff.TypeParams.for_franklin(p, k) for p, k in FRANKLIN_ORDERS]
+
+    def test_table_is_the_reference_walk_cold_and_after_eviction(self):
+        """Every reference order, (3, 2) included, where first is not a permutation."""
+        split_rows.cache_clear()
+        for params in self.ORDERS:
+            assert split_rows(params) == reference_split_rows(params)
+        bound = split_rows.cache_info().maxsize
+        for k in range(4, 5 + bound):  # more orders than the bound, none of them a reference order
+            split_rows(ff.TypeParams.for_franklin(2, k))
+        misses = split_rows.cache_info().misses
+        for params in self.ORDERS:
+            assert split_rows(params) == reference_split_rows(params)
+        assert split_rows.cache_info().misses == misses + len(self.ORDERS)  # evicted, so walked again
+
+    def test_equal_params_share_one_tuple_table(self):
+        a, b = ff.TypeParams(3, 54), ff.TypeParams(3, 54)
+        assert a is not b
+        table = split_rows(a)
+        assert split_rows(b) is table
+        assert [type(rows) for rows in table] == [tuple, tuple]
+
+    def test_spec_refuses_a_non_franklin_order_through_the_table(self):
+        with pytest.raises(ValueError, match=re.escape("order 9 is not of the form k*p^3 for p=3")):
             ff.PatternSpec("up", 1, 0, ff.TypeParams(3, 9))
 
 

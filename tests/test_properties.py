@@ -19,6 +19,7 @@ from franklin_forge.properties import (
     SEMI_MAGIC,
     _rotated_columns,
 )
+from franklin_forge.patterns import split_rows
 
 from conftest import (
     READING_ORDER_8,
@@ -387,13 +388,18 @@ class TestFranklinPatterns:
         return ff.generate_most_perfect(ff.GeneratorConfig(7, 3)), params
 
     def test_one_pattern_resolution_per_check(self, mp343, monkeypatch):
-        """The blocks are walked once for every direction and alpha; a failure adds its witness."""
+        """The blocks are walked once per order per process: once for every direction and alpha of a
+        passing check, not again for a failing check at that order and its witness, and once for a
+        spec at a fresh order."""
         square, params = mp343
         calls = count_calls(monkeypatch, "select_blocks", ff.patterns)
+        split_rows.cache_clear()
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
         assert len(calls) == 1
-        calls.clear()
-        assert not ff.check_franklin_patterns(square, params).passed
+        verdict = ff.check_franklin_patterns(square, params)
+        assert not verdict.passed and verdict.witness.cells
+        assert len(calls) == 1
+        ff.PatternSpec("up", 1, 0, ff.TypeParams.for_franklin(2, 1))
         assert len(calls) == 2
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
@@ -514,6 +520,12 @@ class TestBandSums:
                 ff.band_sums(square, params, alpha, 0)
         with pytest.raises(ValueError, match="direction"):
             ff.band_sums(square, params, 1, 0, direction="diagonal")
+
+    def test_band_sums_reject_a_non_integer_offset(self, f27):
+        """A float offset wraps to a float, which no row index takes."""
+        square, params = f27
+        with pytest.raises(ValueError, match="frame_offset must be an integer"):
+            ff.band_sums(square, params, 1, 2.0)
 
 
 class TestInt64Guard:
