@@ -7,10 +7,11 @@ JSON schema (canonical form, one entries row per line):
 
 CSV is bare comma-separated rows of plain decimal integers (an optional sign and
 ASCII digits, spaces around). Either format is parsed straight to one int64 Grid,
-the document's only copy of the entries, and proved natural once: a natural
-document holds a NaturalSquare, any other a plain Grid. p, k and r, if given, must
-be integers, and a loaded document's p must match --p. Exit codes: 0
-success/pass, 1 verification fail, 2 input error, 3 generator exhaustion.
+the document's only copy of the entries (the plain reader's array, uncopied), and
+proved natural once: a natural document holds a NaturalSquare, any other a plain
+Grid. p, k and r, if given, must be integers, and a loaded document's p must match
+--p. Exit codes: 0 success/pass, 1 verification fail, 2 input error, 3 generator
+exhaustion.
 
 Square text is written and read without a Python int or str per cell. emit_square renders
 bands of rows in numpy: fixed-width digit tokens padded with NUL bytes, which are dropped.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
-from .core import MAX_ORDER, Grid, NaturalSquare, TypeParams
+from .core import BAND_CELLS, MAX_ORDER, Grid, NaturalSquare, TypeParams, _Owned
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
 from .properties import CLASSIFICATIONS, REQUIRED_VERDICTS, band_sums, check_complementary, verify_all
@@ -65,10 +66,8 @@ _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a plain token always fits int64
 # of a run of that length that hold the run's digits; they are the word's high bytes
 _KEEP_HIGH = np.array([[2**64 - 2 ** (64 - 8 * min(max(length - 8 * step, 0), 8))
                         for length in range(_MAX_DIGITS + 1)] for step in range((_MAX_DIGITS + 7) // 8)], np.uint64)
-# parse reads and emit writes whole rows in bands of about this many bytes or cells,
-# which bounds their temporaries
+# parse reads whole rows in bands of about this many bytes, which bounds its temporaries
 _BAND_BYTES = 1 << 18
-_BAND_CELLS = 1 << 16
 
 
 class SquareFormatError(ValueError):
@@ -288,7 +287,7 @@ def _format_rows(grid: Grid, layout: tuple) -> list[str]:
     token = width + len(sep)
     line = np.frombuffer((b"\0" * width + sep) * (cols - 1) + b"\0" * width + ends[0], np.uint8)
     narrow = max(-lo, hi) < 2**32
-    band_rows = max(1, _BAND_CELLS // cols)
+    band_rows = max(1, BAND_CELLS // cols)
     out = [layout[0]]
     for top in range(0, rows, band_rows):
         block = a[top:top + band_rows]
@@ -321,14 +320,14 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
         plain = _plain_json(text)
         raw, values = plain or (_json_object(text), None)
         entries, order, metadata = _fields(raw)
-        grid = _parse_grid(entries, order) if values is None else Grid(values)
+        grid = _parse_grid(entries, order) if values is None else Grid(_Owned(values))
         grid = _natural_or_warn(grid)
         p, k, r = _provenance(raw)
         return SquareDocument(grid, p=p, k=k, r=r, metadata=metadata)
     if fmt == "csv":
         values = _read_block(text, 0, len(text), _LAYOUTS["csv"][0])
         if values is not None:
-            return SquareDocument(_natural_or_warn(Grid(values)))
+            return SquareDocument(_natural_or_warn(Grid(_Owned(values))))
         rows = []
         for line in text.strip().splitlines():
             line = line.strip()

@@ -3,12 +3,13 @@
 A digit-linear candidate gives cell (i, j), with base-p digit vector v (row
 digits first, most significant first), the symbol whose digit vector is
 matrix @ v + offset (mod p). An invertible matrix makes the square natural.
-Each symbol digit is R_d[i] + C_d[j] mod p, with R_d (row digits and offset)
-and C_d (column digits) reduced once per digit on length-n vectors. Two
-residues sum below 2p, so the digit is R_d + C_d - p*[R_d + C_d >= p], and the
-square is outer(w.R, w.C) - p*carry with w_d = p^(2r-1-d): the carry is one
-boolean compare per digit, and no modulo runs over the n^2 cells. Every partial
-value is below 2n^2 <= 1.8e7 in size, so the map runs in int32.
+Symbol digit d is (R_d[i] + C_d[j]) mod p, R_d (row digits and offset) and C_d
+(column digits) reduced on length-n vectors, with weight w_d = p^(2r-1-d). The
+digits go in groups g of k, the most with p^k <= _TABLE_ROWS; with c_g[i] the
+group's R digits read in base p and U_g[v, j] = sum_{d in g} w_d*((v_d + C_d[j])
+mod p), row i is the sum of U_g[c_g[i]], so every partial sum lies in 0..n^2-1.
+Rows are gathered in bands of about BAND_CELLS cells (loop blocking: Lam,
+Rothberg & Wolf, ASPLOS 1991) into the square's own int64 array, adopted uncopied.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures as _fixtures
-from .core import NaturalSquare, TypeParams
+from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
 from .properties import REQUIRED_VERDICTS, verify_all
 
-_DIGIT_DTYPE = np.int32  # the digit map's accumulator: see candidate_to_square
+_TABLE_ROWS = 32  # the most rows of one digit table; of 16, 32, 64 and 256, 32 measured fastest
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -92,11 +93,7 @@ def is_invertible_mod(matrix, p: int) -> bool:
 
 
 def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> NaturalSquare:
-    """Materialize the digit map; raises on a non-invertible matrix.
-
-    Carry form: out = outer(w.R, w.C) - p*carry, where carry = sum_d w_d*[R_d[i] >= p - C_d[j]]
-    is built by Horner, one compare per digit. |partial values| < 2n^2, so _DIGIT_DTYPE is int32.
-    """
+    """Materialize the digit map in table form (see the module docstring); raises on a singular matrix."""
     m = np.asarray(candidate.matrix, dtype=np.int64) % p
     b = np.asarray(candidate.offset, dtype=np.int64) % p
     if m.shape != (2 * r, 2 * r) or b.shape != (2 * r,):
@@ -104,19 +101,32 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     if not is_invertible_mod(m, p):
         raise ValueError("candidate matrix is singular mod p")
     n = p**r
-    idx = np.arange(n)
+    tables, codes = _digit_tables(m, b, p, r)
+    out, band = np.empty((n, n), dtype=np.int64), max(1, BAND_CELLS // n)
+    for top in range(0, n, band):
+        rows = out[top : top + band]  # mode="clip": codes are in range, and "raise" would buffer the output
+        np.take(tables[0], codes[0][top : top + band], axis=0, out=rows, mode="clip")
+        for table, code in zip(tables[1:], codes[1:]):
+            rows += np.take(table, code[top : top + band], axis=0, mode="clip")
+    del tables  # freed before the naturalness proof allocates its marks
+    return NaturalSquare(_Owned(out))
+
+
+def _digit_tables(m: np.ndarray, b: np.ndarray, p: int, r: int) -> tuple:
+    """The tables U_g and row codes c_g of the digit groups of the reduced matrix m and offset b."""
+    idx = np.arange(p**r)
     digits = np.stack([(idx // p ** (r - 1 - d)) % p for d in range(r)])  # msb first
-    row_res = ((m[:, :r] @ digits + b[:, None]) % p).astype(_DIGIT_DTYPE)  # R_d, symbol digits msb first
-    col_res = ((m[:, r:] @ digits) % p).astype(_DIGIT_DTYPE)  # C_d
-    weights = p ** np.arange(2 * r - 1, -1, -1, dtype=_DIGIT_DTYPE)
-    out = np.zeros((n, n), dtype=_DIGIT_DTYPE)  # the carry, then the square
-    for d in range(2 * r):
-        out *= p
-        out += np.greater_equal.outer(row_res[d], p - col_res[d])
-    out *= -p
-    out += (weights @ row_res)[:, None]
-    out += weights @ col_res
-    return NaturalSquare(out)
+    row_res = (m[:, :r] @ digits + b[:, None]) % p  # R_d, symbol digits msb first
+    col_res = (m[:, r:] @ digits) % p  # C_d
+    k = next(j for j in range(1, _TABLE_ROWS) if p ** (j + 1) > _TABLE_ROWS)  # the most with p^k <= 32, or 1
+    tables, codes = [], []
+    for lo in range(0, 2 * r, k):
+        group = np.arange(lo, min(lo + k, 2 * r))
+        places = p ** (group[-1] - group)  # each digit's place in the group's code
+        v = np.arange(p ** len(group))[:, None] // places % p  # the digits of every code
+        tables.append(((v[:, :, None] + col_res[group]) % p * p ** (2 * r - 1 - group)[:, None]).sum(axis=1))
+        codes.append(places @ row_res[group])
+    return tables, codes
 
 
 def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate:

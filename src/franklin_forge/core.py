@@ -14,6 +14,7 @@ import numpy as np
 
 # n*(n^2-1)/2 for MAX_ORDER is ~1.3e10, far inside int64; larger orders are rejected.
 MAX_ORDER = 3000
+BAND_CELLS = 1 << 16  # cells per band of whole rows in construct, the p x p check and emit
 
 
 def is_prime(m: int) -> bool:
@@ -36,6 +37,13 @@ def _is_permutation(a: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """A fresh array that nothing else holds or writes; package code only. Grid adopts it uncopied."""
+
+    array: np.ndarray
+
+
 class Grid:
     """Immutable rectangular integer grid with toroidal index semantics.
 
@@ -49,7 +57,10 @@ class Grid:
         if isinstance(entries, Grid):  # read-only, so shared rather than copied, range included
             self._a, self._span = entries._a, entries._span
             return
-        a = np.array(entries, dtype=np.int64, order="C")
+        if isinstance(entries, _Owned):  # copied only if it is not C-ordered int64 already
+            a = np.asarray(entries.array, dtype=np.int64, order="C")
+        else:
+            a = np.array(entries, dtype=np.int64, order="C")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("grid entries must form a non-empty 2-D array")
         a.setflags(write=False)

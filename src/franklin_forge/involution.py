@@ -8,14 +8,14 @@ square admits distinct involutions for distinct primes dividing its order.
 Row i = (l*p + m)*bs + t, with bs = n/p^2, is index (l, m, t) of a (p, p, bs)
 view, so swapping the digits of every block row is swapping the first two axes.
 The involution is therefore one axis transpose of the (p, p, bs, p, p, bs) view
-of the entries, which the reshape back to n x n copies into C order; the
-one-sided variants transpose only the row axes or only the column axes. The
-output has the input's type, so a NaturalSquare's image is proved natural too.
+of the entries; the reshape back to n x n copies into C order once, and the
+output adopts that copy. The one-sided variants transpose only the row axes or
+only the column axes. The output has the input's type (proved natural too).
 """
 
 from __future__ import annotations
 
-from .core import TypeParams
+from .core import TypeParams, _Owned
 
 
 def digit_swap(index: int, p: int) -> int:
@@ -36,7 +36,7 @@ def _apply(grid, params: TypeParams, swap_rows: bool, swap_cols: bool):
         raise ValueError(f"p^2={p * p} does not divide order {n}")
     bs = n // (p * p)
     axes = ((1, 0, 2) if swap_rows else (0, 1, 2)) + ((4, 3, 5) if swap_cols else (3, 4, 5))
-    return type(grid)(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n))
+    return type(grid)(_Owned(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n)))
 
 
 def theta(square, params: TypeParams):

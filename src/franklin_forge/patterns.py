@@ -251,9 +251,13 @@ def franklin_cells(spec: PatternSpec) -> CellSet:
 
 def select_alphas(params: TypeParams, alphas=None) -> list[int]:
     """The partitions a pattern scan covers, ascending and once each: 1..p-1 by default (the strong
-    definition), else the iterable given (the weakened mode passes one). At any order, an alpha outside
-    1..p-1 raises, and so does an empty selection: a scan of no pattern would pass and say nothing."""
+    definition), else the iterable given (the weakened mode passes one). At any order, a float or bool
+    alpha (as in PatternSpec), one outside 1..p-1 and an empty selection raise: a scan of no pattern
+    would pass and say nothing."""
     pool = list(range(1, params.p) if alphas is None else alphas)
+    odd = [a for a in pool if type(a) is not int and (isinstance(a, bool) or not isinstance(a, numbers.Integral))]
+    if odd:  # type() first: an int skips the slower ABC test
+        raise ValueError(f"alpha must be an integer, got {odd[0]!r}")
     bad = [alpha for alpha in pool if not 1 <= alpha < params.p]
     if bad:
         raise ValueError(f"alpha={bad[0]} outside 1..{params.p - 1}")

@@ -9,8 +9,9 @@ Toric sums come from two kernels: _vertical_sums (sums of width cells down the r
 prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
 V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p
 windows W, so V decides every window, and the first failing row's windows, rebuilt from V,
-witness the first failure: no window table is built. Diagonal and p-set sums fold slabs of rows,
-and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
+witness the first failure: no window table is built. V is built in bands of about BAND_CELLS
+cells (_first_failing_row), so the p x p check holds no n^2 temporary. Diagonal and p-set sums
+fold slabs of rows, and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
 2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each aligned group
 of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows,
 whose blocks are walked once per order per process), so the Franklin check places each group
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, NaturalSquare, TypeParams
+from .core import BAND_CELLS, Grid, NaturalSquare, TypeParams
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows, up_rows
 
 NATURAL = "natural"
@@ -141,36 +142,42 @@ def _array(obj, params: TypeParams | None = None) -> np.ndarray:
     return a
 
 
-def _vertical_sums(a: np.ndarray, width: int, toric: bool) -> np.ndarray:
-    """V(i, j), the sum of the width cells of a down from (i, j) (wrapping when toric, else only in
-    the rows where they fit), as differences of a prefix held in np.cumsum's accumulator dtype. The
-    prefix adds one whole row at a time: numpy's axis-0 cumsum steps down strided columns."""
-    if not 1 <= width <= min(a.shape):
-        raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
-                         else f"window size {width} is not positive")
+def _vertical_sums(a: np.ndarray, width: int) -> np.ndarray:
+    """V(i, j), the sum of the width cells of a down from (i, j) for the rows i where they fit, as prefix
+    differences in np.cumsum's accumulator dtype; the prefix adds whole rows (axis 0 steps down columns)."""
     m = len(a)
     c = np.empty(a.shape, dtype=np.cumsum(a[:0], axis=0).dtype)
     c[0] = a[0]
     for i in range(1, m):
         np.add(c[i - 1], a[i], out=c[i])
-    out = np.empty_like(c, shape=(m if toric else m - width + 1, a.shape[1]))
+    out = np.empty_like(c, shape=(m - width + 1, a.shape[1]))
     out[0] = c[width - 1]
-    np.subtract(c[width:], c[: m - width], out=out[1 : m - width + 1])
-    if toric:  # the sum from row i wraps: c[m-1] - c[i-1] + c[i+width-m-1]
-        out[m - width + 1 :] = c[-1] - c[m - width : -1] + c[: width - 1]
+    np.subtract(c[width:], c[: m - width], out=out[1:])
     return out
 
 
-def _failing_window_rows(v: np.ndarray, width: int, toric: bool, target=None) -> tuple:
-    """(W(i, 0), does a window W(i, j) miss target) per top row i, from V = _vertical_sums(a, width,
-    toric); target defaults to W(0, 0). W(i, j+1) - W(i, j) = V(i, j+width) - V(i, j), wrapping past
-    the last column when toric, so a row's windows all hit target iff W(i, 0) does and every step is 0."""
-    first = v[:, :width].sum(axis=1)
-    bad = first != (first[0] if target is None else target)
-    bad |= (v[:, width:] != v[:, :-width]).any(axis=1)
-    if toric:
-        bad |= (v[:, -width:] != v[:, :width]).any(axis=1)
-    return first, bad
+def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple | None:
+    """(i, V(i, :), W(i, 0)) for the first top row i with a window W(i, j) that misses target, else None.
+    Top rows are all rows when toric (windows wrap past the last row and column), else those whose
+    windows fit, in bands of about BAND_CELLS cells, each read with the width - 1 rows after it. As
+    W(i, j+1) - W(i, j) = V(i, j+width) - V(i, j), row i passes iff W(i, 0) does and every step is 0."""
+    rows, cols = a.shape
+    if not 1 <= width <= min(rows, cols):
+        raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
+                         else f"window size {width} is not positive")
+    tops, band = rows if toric else rows - width + 1, -(-BAND_CELLS // cols)
+    for top in range(0, tops, band):
+        end = min(top + band, tops) + width - 1  # one past the last row the band reads
+        v = _vertical_sums(a[top:end] if end <= rows else np.concatenate((a[top:], a[: end - rows])), width)
+        first = v[:, :width].sum(axis=1)
+        bad = first != target
+        bad |= (v[:, width:] != v[:, :-width]).any(axis=1)
+        if toric:
+            bad |= (v[:, -width:] != v[:, :width]).any(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            return top + k, v[k], first[k]
+    return None
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
@@ -297,22 +304,21 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     no order check, so the grid may be rectangular. So the certificate depends on
     the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
 
-    The vertical sums V decide every window (_failing_window_rows). A failing grid rebuilds the
-    windows of its first failing row alone, W(i, 0) plus the running sum of V's steps, to witness.
+    The vertical sums V decide every window (_first_failing_row), one band of top rows at a time,
+    and the scan stops at the first failing band. A failing grid rebuilds the windows of its first
+    failing row alone, W(i, 0) plus the running sum of V's steps, to witness.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
     a = _array(square_or_grid, params if typed else None)
     rows, cols = a.shape
-    v = _vertical_sums(a, p, toric=True)
-    pinned = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else None
-    first, bad = _failing_window_rows(v, p, True, pinned)
-    if not bad.any():
+    target = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else int(a[:p, :p].sum())
+    failing = _first_failing_row(a, p, True, target)
+    if failing is None:
         return PropertyVerdict(PXP, True)
-    target = int(first[0]) if pinned is None else pinned
-    i = int(bad.argmax())
-    steps = np.roll(v[i], -p) - v[i]  # W(i, j+1) - W(i, j); the last one wraps back to W(i, 0)
-    windows = np.cumsum(np.concatenate((first[i : i + 1], steps[:-1])))  # W(i, j) for every j
+    i, v, first = failing
+    steps = np.roll(v, -p) - v  # W(i, j+1) - W(i, j); the last one wraps back to W(i, 0)
+    windows = np.cumsum(np.concatenate(([first], steps[:-1])))  # W(i, j) for every j
 
     def witness(j):
         return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
@@ -427,7 +433,7 @@ def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
 
     A raw int64 array is summed in int64, so its sums are compared modulo 2^64."""
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
-    return not _failing_window_rows(_vertical_sums(a, p, toric), p, toric)[1].any()
+    return _first_failing_row(a, p, toric, a[:p, :p].sum()) is None
 
 
 def lemma_diagsum_oracle(grid_or_array, p: int) -> bool:

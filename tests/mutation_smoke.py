@@ -33,18 +33,20 @@ PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
-    ("window wrap term", PROPERTIES, "+ c[: width - 1]", "+ c[1:width]", PXP_TESTS),
+    ("band wrap rows start one late", PROPERTIES, "a[: end - rows]))", "a[1 : end - rows + 1]))", PXP_TESTS),
+    ("band reads p - 2 following rows", PROPERTIES, "tops) + width - 1", "tops) + width - 2",
+     ["tests/test_properties.py::TestPxp::test_band_edges_match_reference"]),
     ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
      "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
     ("decision without the wrap compare", PROPERTIES, "bad |= (v[:, -width:] != v[:, :width]).any(axis=1)",
      "pass", PXP_TESTS),
-    ("decision without the W(i, 0) test", PROPERTIES, "bad = first != (first[0] if target is None else target)",
+    ("decision without the W(i, 0) test", PROPERTIES, "bad = first != target",
      "bad = np.zeros(len(v), dtype=bool)", PXP_TESTS),
     ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, width:] != v[:, :-width])",
      "(v[:, 1:] != v[:, :-1])", PXP_TESTS),
     ("witness steps summed one late", PROPERTIES, "steps[:-1]", "steps[1:]", PXP_TESTS),
-    ("failing row found from W(i, 0) alone", PROPERTIES, "i = int(bad.argmax())",
-     "i = int((first != target).argmax())", PXP_TESTS),
+    ("failing row found from W(i, 0) alone", PROPERTIES, "k = int(bad.argmax())",
+     "k = int((first != target).argmax())", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
     ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
@@ -62,8 +64,9 @@ MUTANTS = [
      "    return lookup\n\n\n"
      "@_keyed_on_p",
      ["tests/test_patterns.py::TestSplitRowsMemo::test_table_is_the_reference_walk_cold_and_after_eviction"]),
-    ("> for >= in the carry", "src/franklin_forge/construct.py", "np.greater_equal.outer",
-     "np.greater.outer", ["tests/test_construct.py"]),
+    ("group code read with the wrong place value", "src/franklin_forge/construct.py",
+     "codes.append(places @ row_res[group])", "codes.append(places[::-1] @ row_res[group])",
+     ["tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
      "((0, 1, 2) if swap_rows", ["tests/test_involution.py"]),
     ("range from the first row only", CORE, "(int(a.min()), int(a.max()))",

@@ -1,9 +1,11 @@
+import gc
 import io
 import json
 import re
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -927,3 +929,21 @@ def test_csv_output_takes_the_plain_path(tmp_path, monkeypatch):
     assert row_reads == []
     assert parse_square("-1\n", "csv").grid.entries.tolist() == [[-1]]
     assert row_reads == [1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plain_load_adopts_the_array_it_reads(fmt):
+    """The plain reader's int64 array becomes the Grid's entries with no second copy: a load peaks at
+    about one square plus the proof's marks and the reader's bands, not at two squares."""
+    square = ff.generate_most_perfect(ff.GeneratorConfig(2, 10))
+    text = emit_square(SquareDocument(square, p=2), fmt)
+    parse_square(text, fmt)  # warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = parse_square(text, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.grid == square and isinstance(doc.grid, ff.NaturalSquare)
+    assert peak <= 1.5 * square.order**2 * 8, peak / (square.order**2 * 8)

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,18 +49,20 @@ class TestCandidateToSquare:
         with pytest.raises(ValueError):
             ff.candidate_to_square(identity_candidate(2, 2), 2, 3)
 
-    def test_carry_fits_the_digit_map_accumulator(self):
-        """At every accepted p^r with r >= 2: the largest p*carry, p(p^(2r)-1)/(p-1), and the largest
-        partial value, w.R + w.C <= 2(p^(2r)-1), fit the accumulator. Raising MAX_ORDER past what it
-        holds fails here instead of wrapping."""
-        info = np.iinfo(construct._DIGIT_DTYPE)
+    def test_digit_tables_and_partial_sums_stay_below_n_squared(self):
+        """At every accepted p^r with r >= 2, every entry of every digit table, and so every partial
+        sum of gathered table rows, lies in 0..n^2-1: the tables' maxima sum to exactly n^2 - 1."""
         orders = [(p, r) for p in range(2, MAX_ORDER + 1) if is_prime(p)
                   for r in range(2, MAX_ORDER.bit_length()) if p**r <= MAX_ORDER]
         assert (2, 11) in orders and (53, 2) in orders
         for p, r in orders:
-            cells = p ** (2 * r)
-            assert -p * (cells - 1) // (p - 1) >= info.min, (p, r)
-            assert 2 * (cells - 1) <= info.max, (p, r)
+            candidate = closed_form_candidate(p, r, seed=p ** (2 * r) - 1)  # every offset digit p - 1
+            m, b = np.array(candidate.matrix), np.array(candidate.offset)
+            tables, codes = construct._digit_tables(m, b, p, r)
+            assert all(t.dtype == np.int64 and t.shape[0] <= max(p, construct._TABLE_ROWS) for t in tables)
+            assert min(int(t.min()) for t in tables) == 0, (p, r)
+            assert sum(int(t.max()) for t in tables) == p ** (2 * r) - 1, (p, r)
+            assert all(0 <= int(c.min()) and int(c.max()) < len(t) for t, c in zip(tables, codes)), (p, r)
 
     def test_random_invertible_candidates_are_natural(self):
         rng = random.Random(17)
@@ -71,6 +75,61 @@ class TestCandidateToSquare:
             square = ff.candidate_to_square(ff.DigitLinearCandidate.of(matrix, offset), 3, 2)
             assert sorted(square.entries.flatten().tolist()) == list(range(81))
             produced += 1
+
+    def test_digit_map_matches_reference_at_every_order(self):
+        """At every order p^r <= MAX_ORDER, a random unreduced invertible candidate. Below n = 100 the
+        whole square is the Python-int reference's, and so is digit_map_cells'. At every order, every
+        row on a sample of columns, and the rows at each band edge and a sample, are digit_map_cells'.
+        Digit groups of k = 5 (p = 2) and 3 (p = 3) do not divide 2r at most of these orders."""
+        from test_reference import random_unreduced_candidate, ref_candidate_to_square
+
+        rng = random.Random(3000)
+        orders = [(p, r) for p in range(2, 60) if is_prime(p) for r in range(2, 12) if p**r <= MAX_ORDER]
+        assert len(orders) == 36
+        for p, r in orders:
+            n = p**r
+            candidate = random_unreduced_candidate(p, r, rng)
+            square = ff.candidate_to_square(candidate, p, r).entries
+            every = np.arange(n)
+            if n < 100:
+                expected = ref_candidate_to_square(candidate, p, r)
+                assert square.tolist() == expected == digit_map_cells(candidate, p, r, every, every).tolist()
+            band = max(1, ff.core.BAND_CELLS // n)
+            edges = {i for top in range(0, n, band) for i in (top, min(top + band, n) - 1)}
+            sample = sorted(edges | set(rng.sample(range(n), min(n, 32))) | {n - 1})
+            assert np.array_equal(square[:, sample], digit_map_cells(candidate, p, r, every, sample)), (p, r)
+            assert np.array_equal(square[sample], digit_map_cells(candidate, p, r, sample, every)), (p, r)
+
+    @pytest.mark.parametrize("p,r", [(3, 6), (2, 10)])
+    def test_generator_peaks_below_two_squares(self, p, r):
+        """The digit map writes into the square's own array and the p x p screen works in bands, so
+        generate_most_perfect holds no second n^2 int64 array beside the square."""
+        config = ff.GeneratorConfig(p, r)
+        ff.generate_most_perfect(config)  # warm: the first call's one-off allocations are not the op's
+        square_bytes = (p**r) ** 2 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ff.generate_most_perfect(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * square_bytes, peak / square_bytes
+
+
+def digit_map_cells(candidate, p, r, rows, cols):
+    """Cells (rows x cols) of the digit map by its definition, in int64: symbol digit d of cell (i, j)
+    is row d of matrix @ (digits of i, then of j) + offset, mod p, most significant digit first."""
+    m, b = np.array(candidate.matrix, dtype=np.int64), np.array(candidate.offset, dtype=np.int64)
+
+    def digits(x):
+        return np.stack([(np.asarray(x) // p ** (r - 1 - d)) % p for d in range(r)])
+
+    row_part, col_part = m[:, :r] @ digits(rows) + b[:, None], m[:, r:] @ digits(cols)
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for d in range(2 * r):
+        out = out * p + np.add.outer(row_part[d], col_part[d]) % p
+    return out
 
 
 class TestGenerator:

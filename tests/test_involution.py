@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,24 @@ def test_theta_returns_the_input_type(transform, mp8):
     assert type(transform(grid, params)) is ff.Grid
     assert type(transform(square, params)) is ff.NaturalSquare
     assert transform(grid, params) == transform(square, params)
+
+
+@pytest.mark.parametrize("transform", [ff.theta, ff.theta_row, ff.theta_col])
+def test_transform_peaks_at_about_one_square(transform):
+    """The reshape's C-ordered copy becomes the output's entries, with no second copy: the peak is
+    one square plus, for a NaturalSquare, the proof's one mark byte per cell."""
+    params = ff.TypeParams.for_power(3, 6)
+    square = ff.generate_most_perfect(ff.GeneratorConfig(3, 6))
+    for held in (square, ff.Grid(square)):
+        transform(held, params)  # warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            transform(held, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * params.n**2 * 8, (type(held).__name__, peak / (params.n**2 * 8))
 
 
 class TestInvolutionAlgebra:

@@ -196,7 +196,7 @@ class TestPxp:
         with pytest.raises(ValueError, match="smaller than window size 2"):
             ff.check_pxp(ff.Grid([[1, 2]]), 2)
         grid = ff.Grid([[1, 2], [3, 4]])
-        for width in (0, -1):  # one size check, in _vertical_sums, for every caller
+        for width in (0, -1):  # one size check, in _first_failing_row, for every caller
             with pytest.raises(ValueError, match=f"window size {width} is not positive"):
                 ff.check_pxp(grid, width)
             for toric in (False, True):
@@ -227,9 +227,10 @@ class TestPxp:
 
     def test_failing_grid_peaks_no_higher_than_a_passing_one(self):
         """The witness needs one row of windows, not a window table: a failing check_pxp allocates
-        no more at its peak than a passing one of the same order."""
-        params = ff.TypeParams.for_power(5, 3)
-        square = ff.generate_most_perfect(ff.GeneratorConfig(5, 3))
+        no more at its peak than a passing one of the same order. At n = 729 the scan takes 9 bands,
+        and a passing one holds a few band-sized arrays at once, never an n^2 one."""
+        params = ff.TypeParams.for_power(3, 6)
+        square = ff.generate_most_perfect(ff.GeneratorConfig(3, 6))
         swapped = square.entries.copy()
         swapped[[0, 0], [0, 1]] = swapped[[0, 0], [1, 0]]
         failing = ff.NaturalSquare(swapped)
@@ -247,7 +248,9 @@ class TestPxp:
             tracemalloc.stop()
             gc.enable()
         passing, failing = min(peaks[True][1:]), min(peaks[False][1:])  # the warm rounds
-        assert passing >= 2 * params.n**2 * 8  # the prefix and V are traced
+        n, p = params.n, params.p
+        band_bytes = (-(-properties.BAND_CELLS // n) + p - 1) * n * 8  # a band's rows and the p - 1 after
+        assert band_bytes <= passing <= 4 * band_bytes < n * n * 8  # a band's prefix is traced
         assert failing <= passing
 
     @staticmethod
@@ -293,6 +296,47 @@ class TestPxp:
             assert verdict == ref_pxp(grid, mode)
             if found is not None:
                 assert verdict.witness.location == "window at ({}, {})".format(*found)
+
+    def test_band_edges_match_reference(self):
+        """check_pxp and window_sums_all_equal scan bands of about BAND_CELLS cells of top rows, each
+        band reading its rows and the p - 1 after them. At n = 729 (p = 3, bands of 90 top rows) a
+        swap in row t + 2 first fails the windows at top row t: the last row of band 0 (a NaturalSquare,
+        pinned target) and the first of band 1 (a plain Grid, bare p, target W(0, 0)). On 128-column
+        grids (p = 2, bands of 512 top rows), c + F(i mod 2, j) with a bump in row t + 1 fails first at
+        top row t = 511 or 512; with 515 rows it fails first at the wrapped top row 514, which the last
+        band reads from rows 514 and 0, and passes without the wrap."""
+        from test_reference import ref_pxp, ref_window_sums_all_equal
+
+        params = ff.TypeParams.for_power(3, 6)
+        assert -(-properties.BAND_CELLS // params.n) == 90
+        mp = ff.generate_most_perfect(ff.GeneratorConfig(3, 6, seed=11))
+        for top, wrap in ((89, ff.NaturalSquare), (90, ff.Grid)):
+            swapped = mp.entries.copy()
+            swapped[[top + 2, top + 2], [0, 3]] = swapped[[top + 2, top + 2], [3, 0]]
+            grid, mode = wrap(swapped), params if wrap is ff.NaturalSquare else 3
+            verdict = ff.check_pxp(grid, mode)
+            assert verdict == ref_pxp(grid, mode)
+            assert verdict.witness.location.startswith(f"window at ({top}, ")
+        rng = random.Random(128)
+        assert -(-properties.BAND_CELLS // 128) == 512
+        cases = []  # (grid, first failing top row of the toric windows, the non-toric verdict)
+        for top in (511, 512):
+            bumped = self.row_periodic_grid(514, 128, 2, rng)
+            bumped[top + 1, 7] += 1
+            cases.append((ff.Grid(bumped), top, False))
+        cases += [(ff.Grid(self.row_periodic_grid(514, 128, 2, rng)), None, True),
+                  (ff.Grid(self.row_periodic_grid(515, 128, 2, rng)), 514, True)]
+        for grid, top, contiguous in cases:
+            verdict = ff.check_pxp(grid, 2)
+            assert verdict == ref_pxp(grid, 2)
+            assert verdict.passed == (top is None)
+            if top is not None:
+                assert verdict.witness.location.startswith(f"window at ({top}, ")
+            assert ff.window_sums_all_equal(grid, 2, toric=True) == verdict.passed
+            assert ff.window_sums_all_equal(grid, 2) == contiguous
+        for grid, _, _ in cases[1:]:
+            for toric in (False, True):
+                assert ff.window_sums_all_equal(grid, 2, toric) == ref_window_sums_all_equal(grid, 2, toric)
 
     def test_natural_square_pinned_to_formula(self):
         # natural square whose windows are equal but is not symbol-complete
@@ -376,6 +420,20 @@ class TestFranklinPatterns:
                     ff.verify_all(square, params, franklin_alphas=iter(alphas), required_for="semi_magic")
         assert ff.verify_all(*mp9, franklin_alphas=(2,)) == ff.verify_all(*mp9)
         assert ff.verify_all(*mp27, franklin_alphas=iter((2, 2))) == ff.verify_all(*mp27, franklin_alphas=(2,))
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 2.0, True], ids=["1.5", "1.0", "2.0", "True"])
+    def test_float_or_bool_alpha_refused(self, f27, alpha):
+        """As PatternSpec does, the selection refuses a float, whole or not, and a bool."""
+        message = f"^alpha must be an integer, got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=message):
+            ff.verify_all(*f27, franklin_alphas=[alpha])
+        with pytest.raises(ValueError, match=message):
+            ff.check_franklin_patterns(*f27, alphas=[1, alpha])
+
+    def test_numpy_integer_alpha_taken(self, f27):
+        for alphas in ([np.int64(2)], (np.int32(1), 2)):
+            expected = ff.verify_all(*f27, franklin_alphas=[int(a) for a in alphas])
+            assert ff.verify_all(*f27, franklin_alphas=alphas) == expected
 
     def test_wrong_order_raises(self, mp9):
         square, params = mp9
