@@ -425,8 +425,7 @@ def _cmd_pattern(args) -> int:
         doc = _load(args.infile, args.p)
         if doc.order != params.n:
             raise SquareFormatError(f"square order {doc.order} does not match n={params.n}")
-        total = int(sum(int(doc.grid.entries[r, c]) for r, c in cells))
-        print(total)
+        print(sum(doc.grid.entries[cells.rows, cells.cols].tolist()))  # Python ints: a plain Grid's int64 sum may wrap
     else:
         print(json.dumps([[r, c] for r, c in cells.sorted_cells()], separators=(",", ":")))
     return EXIT_OK

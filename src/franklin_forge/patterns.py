@@ -16,15 +16,19 @@ Right, down, and left patterns are the images of up patterns under 1, 2, and 3
 clockwise quarter turns of the ambient square.
 
 select_blocks and block_intersection state this definition; split_rows walks
-them once per order per process, at frame offset 0, into the table every pattern is read from.
+them once per order per process, at frame offset 0, into the table every pattern is read from: each
+column's row for every alpha. A spec's CellSet is that row line moved down its offset (flipped for right
+and down) and a column range; its frozenset of cells is built only when read.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .core import BlockAddress, TypeParams, block_at
 
@@ -70,25 +74,36 @@ class PatternSpec:
         return self.params.p - self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellSet:
-    """Resolved pattern cells; always exactly n of them, inside 0..n-1 squared."""
+    """Resolved pattern cells (rows[i], cols[i]), n of them, distinct as one line is a permutation of 0..n-1.
+    Iteration and sorted_cells read the lines; cells, the frozenset that == and hash use, is built when read."""
 
-    cells: frozenset
-    order: int
+    rows: Sequence[int]
+    cols: Sequence[int]
 
     def __post_init__(self):
-        if len(self.cells) != self.order:
-            raise ValueError(f"pattern resolved to {len(self.cells)} cells, expected {self.order}")
+        if len(self.rows) != len(self.cols):
+            raise ValueError(f"pattern lines of {len(self.rows)} and {len(self.cols)} cells")
+
+    @cached_property
+    def cells(self) -> frozenset:
+        return frozenset(zip(self.rows, self.cols))
 
     def sorted_cells(self) -> list[tuple[int, int]]:
-        return sorted(self.cells)
+        return sorted(zip(self.rows, self.cols))
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.cells)
+        return zip(self.rows, self.cols)
+
+    def __eq__(self, other):
+        return self.cells == other.cells if isinstance(other, CellSet) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.cells)
 
 
 @dataclass(frozen=True)
@@ -205,48 +220,56 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
     return cells
 
 
-@lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~19 MiB, the 16 largest 1.3 MiB
-def split_rows(params: TypeParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+class SplitRows(tuple):
+    """split_rows' (first, rest), with the tables read from them: rows[alpha - 1, c], the offset-0 up row
+    of column c (read-only int64, (p - 1) x n), and step[g], rest[g] - first[g] where it is +-1, else 0."""
+
+
+@lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~31 MiB, the 16 largest 2.3 MiB
+def split_rows(params: TypeParams) -> SplitRows:
     """Rows (first, rest) of the offset-0 up pattern in each aligned group of p columns.
 
     For every alpha the pattern takes columns g*p .. g*p+alpha-1 from row
     first[g] and the rest of group g from row rest[g]. Each group is the column
     span of one p x p sub-block: outside the central band the first alpha cells
-    of one sub-block row and the last beta of the other; in the central band
-    the bottom rows of the two subsquares the pattern meets in that span (one
-    row, first[g] == rest[g], where it takes a whole bottom row).
+    of one sub-block row and the last beta of the other, so rest[g] = first[g] +- 1;
+    in the central band the bottom rows of the two subsquares the pattern meets in
+    that span (one row, first[g] == rest[g], where it takes a whole bottom row).
 
     This table is the single block-to-cell derivation: one walk of the offset-0
     blocks at alpha = 1, where column g*p is in row first[g] and the rest in rest[g].
-    It is memoized per order, as tuples, so every caller shares one immutable table.
+    It is memoized per order, so every caller shares one immutable table.
     """
-    p = params.p
-    first, rest = [0] * (params.n // p), [0] * (params.n // p)
+    p, n = params.p, params.n
+    first, rest = [0] * (n // p), [0] * (n // p)
     for block in select_blocks(params, 0):
         addr = block.address
         for r, c in block_intersection(block, 1):
             col = addr.col_origin + c
             (rest if col % p else first)[col // p] = addr.row_origin + r
-    return tuple(first), tuple(rest)
+    table = SplitRows((tuple(first), tuple(rest)))
+    table.rows = np.where(np.arange(n) % p < np.arange(1, p)[:, None], np.repeat(first, p), np.repeat(rest, p))
+    table.rows.flags.writeable = False
+    table.step = tuple(r - f if abs(r - f) == 1 else 0 for f, r in zip(first, rest))
+    return table
 
 
 def up_rows(spec: PatternSpec) -> list[int]:
-    """Row of the up pattern in each column c: first[c // p] below alpha, else rest[c // p], plus the offset."""
-    first, rest = split_rows(spec.params)
-    a, b, o, n = spec.alpha, spec.beta, spec.frame_offset, spec.params.n
-    return [(row + o) % n for f, r in zip(first, rest) for row in (f,) * a + (r,) * b]
+    """Row of the up pattern in each column: its offset-0 row for alpha (split_rows), plus the offset."""
+    return ((split_rows(spec.params).rows[spec.alpha - 1] + spec.frame_offset) % spec.params.n).tolist()
 
 
 def franklin_cells(spec: PatternSpec) -> CellSet:
     """Resolve a pattern spec to its absolute toroidal cell set.
 
     A clockwise quarter turn maps (r, c) to (c, n-1-r), so the up, right, down and left
-    cells pair each of (rows, columns, n-1-rows, n-1-columns, rows) with the next."""
-    n = spec.params.n
-    rows = up_rows(spec)
-    lines = (rows, range(n), (n - 1 - r for r in rows), range(n - 1, -1, -1), rows)  # only right and down flip
-    q = DIRECTIONS.index(spec.direction)
-    return CellSet(frozenset(zip(lines[q], lines[q + 1])), n)
+    cells pair each of (rows, columns, n-1-rows, n-1-columns, rows) with the next. Only
+    the row line is computed, flipped for right and down; the column line is a range."""
+    n, q = spec.params.n, DIRECTIONS.index(spec.direction)
+    up = split_rows(spec.params).rows[spec.alpha - 1]
+    line = ((n - 1 - spec.frame_offset - up if q in (1, 2) else up + spec.frame_offset) % n).tolist()
+    cols = range(n) if q < 2 else range(n - 1, -1, -1)
+    return CellSet(line, cols) if q % 2 == 0 else CellSet(cols, line)
 
 
 def select_alphas(params: TypeParams, alphas=None) -> list[int]:

@@ -13,9 +13,10 @@ witness the first failure: no window table is built. V is built in bands of abou
 cells (_first_failing_row), so the p x p check holds no n^2 temporary. Diagonal and p-set sums
 fold slabs of rows, and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
 2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each aligned group
-of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows,
-whose blocks are walked once per order per process), so the Franklin check places each group
-twice per direction in a 2n-wide sum, folds its halves once, and is O(n^2) whatever p.
+of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks
+walked once per order per process). The Franklin check places a group whose second row is its first
++-1 (all outside the odd-p central band) once per direction, the others twice, in 2n-wide sums whose
+halves fold once, so it is O(n^2) whatever p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
@@ -348,24 +349,31 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     alpha columns of each aligned group g of p from row first[g] and the rest from
     row rest[g], for every alpha (split_rows). So one shift-add per group by
     first[g] into lo and one by rest[g] into hi serve every alpha: its n offset
-    sums are lo's first alpha columns plus hi's last p - alpha.
+    sums are lo's first alpha columns plus hi's last p - alpha. A group with rest[g] =
+    first[g] + step, step = +-1 (every group outside the central band), is placed
+    once, whole, by first[g] into plus or minus, where hi reads it step columns on.
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    first, rest = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
+    table = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
     chosen = np.array(select_alphas(params, alphas))
     top, low = int(chosen[-1]), int(chosen[0])  # lo needs columns 0..top-1 of a group, hi columns low..p-1
 
     def tables():
         for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
             groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-            acc = np.zeros((top + p - low, 2 * n), dtype=a.dtype)  # lo's rows then hi's, 2n wide
-            lo, hi = acc[:top], acc[top:]
-            for g, (ra, rb) in enumerate(zip(first, rest)):  # at offset o the pattern holds (r + o, c)
-                _shift_add(lo, groups[g, :top], ra)
-                _shift_add(hi, groups[g, low:], rb)
+            acc = np.zeros((top + p - low + 2 * p, 2 * n), dtype=a.dtype)  # lo, hi, plus, minus; 2n wide
+            lo, hi, plus, minus = np.split(acc, (top, top + p - low, top + 2 * p - low))
+            for g, (ra, rb, step) in enumerate(zip(*table, table.step)):  # at offset o the pattern holds (r + o, c)
+                if step:  # rest = first + step: the whole group at first, hi read step columns on
+                    _shift_add(plus if step > 0 else minus, groups[g], ra)
+                else:
+                    _shift_add(lo, groups[g, :top], ra)
+                    _shift_add(hi, groups[g, low:], rb)
             acc[:, :n] += acc[:, n:]  # fold the halves: column c + n wraps to c
-            lo, hi = lo[:, :n], hi[:, :n]
+            lo, hi, plus, minus = lo[:, :n], hi[:, :n], plus[:, :n], minus[:, :n]
+            lo += plus[:top] + minus[:top]
+            hi += np.roll(plus[low:], -1, axis=1) + np.roll(minus[low:], 1, axis=1)
             np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
             np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
 

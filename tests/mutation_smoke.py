@@ -23,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTIES = "src/franklin_forge/properties.py"
 CORE = "src/franklin_forge/core.py"
+PATTERNS = "src/franklin_forge/patterns.py"
+ORBITS = "tests/test_orbits.py"
 
 PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
@@ -49,14 +51,21 @@ MUTANTS = [
      "k = int((first != target).argmax())", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
-    ("negated Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
+    ("negated Franklin shift", PROPERTIES, "_shift_add(plus if step > 0 else minus, groups[g], ra)",
+     "_shift_add(plus if step > 0 else minus, groups[g], -ra)", ["tests/test_reference.py"]),
+    ("negated central Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
      "_shift_add(lo, groups[g, :top], -ra)", ["tests/test_reference.py"]),
+    ("hi read from the wrong neighbour column", PROPERTIES,
+     "np.roll(plus[low:], -1, axis=1) + np.roll(minus[low:], 1, axis=1)",
+     "np.roll(plus[low:], 1, axis=1) + np.roll(minus[low:], -1, axis=1)", ["tests/test_reference.py", ORBITS]),
+    ("a central group treated as +-1", PATTERNS, "r - f if abs(r - f) == 1 else 0",
+     "r - f if abs(r - f) == 1 else 1", ["tests/test_reference.py", ORBITS]),
     ("Franklin halves not folded", PROPERTIES, "acc[:, :n] += acc[:, n:]", "acc[:, :n] += 0", ["tests/test_reference.py"]),
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
-    ("rest used for first", "src/franklin_forge/patterns.py", "(rest if col % p else first)",
+    ("rest used for first", PATTERNS, "(rest if col % p else first)",
      "(rest if col % p else rest)", ["tests/test_patterns.py"]),
-    ("split-row memo keyed on p alone", "src/franklin_forge/patterns.py", "@lru_cache(maxsize=16)",
+    ("split-row memo keyed on p alone", PATTERNS, "@lru_cache(maxsize=16)",
      "def _keyed_on_p(f):\n"
      "    memo = {}\n"
      "    lookup = lambda params: memo.setdefault(params.p, f(params))\n"
@@ -64,6 +73,12 @@ MUTANTS = [
      "    return lookup\n\n\n"
      "@_keyed_on_p",
      ["tests/test_patterns.py::TestSplitRowsMemo::test_table_is_the_reference_walk_cold_and_after_eviction"]),
+    ("alpha-row table read at alpha", PATTERNS, "up = split_rows(spec.params).rows[spec.alpha - 1]",
+     "up = split_rows(spec.params).rows[spec.alpha % (spec.params.p - 1)]",
+     ["tests/test_reference.py::test_franklin_cells_match_reference"]),
+    ("CellSet lines swapped", PATTERNS, "CellSet(line, cols) if q % 2 == 0 else CellSet(cols, line)",
+     "CellSet(cols, line) if q % 2 == 0 else CellSet(line, cols)",
+     ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
     ("group code read with the wrong place value", "src/franklin_forge/construct.py",
      "codes.append(places @ row_res[group])", "codes.append(places[::-1] @ row_res[group])",
      ["tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"]),

@@ -215,6 +215,19 @@ class TestCommands:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "252"
 
+    def test_pattern_sum_past_int64_on_a_plain_grid(self, tmp_path, capsys):
+        """The cells are gathered at once but summed as Python ints: 8 entries above 2^62 would wrap int64."""
+        entries = [[2**62 + 8 * i + j for j in range(8)] for i in range(8)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"entries": entries}))
+        capsys.readouterr()
+        code = main(["pattern", "--p", "2", "--k", "1", "--direction", "right", "--alpha", "1",
+                     "--offset", "3", "--sum", "--in", str(path)])
+        cells = ff.franklin_cells(ff.PatternSpec("right", 1, 3, ff.TypeParams(2, 8)))
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == f"{sum(entries[r][c] for r, c in cells)}\n"
+        assert sum(entries[r][c] for r, c in cells) > 2**63
+
     def test_pattern_sum_order_mismatch(self, tmp_path, capsys):
         """pattern --sum needs a square of order k * p^3; an order-1 square exits 2 with one error line."""
         path = tmp_path / "order1.json"

@@ -1,0 +1,85 @@
+"""Orbit squares: the closed-form matrix moved by random monomial matrices, and near misses.
+
+A monomial matrix mod p permutes the 2r symbol digits and scales each by a unit, so
+D @ M with a random offset is another digit-linear square. Every such square drawn here
+classifies most-perfect and its θ pandiagonal Franklin, so the checks run on many squares
+per order, not only the closed form. Permuting the row digits among themselves and the
+column digits among themselves as well (D @ M @ Q) gives near misses, most of which fail
+most-perfect; at n <= 81 their Franklin verdicts are compared with the brute-force reference.
+"""
+
+import random
+
+import numpy as np
+
+import franklin_forge as ff
+from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
+
+from test_reference import ref_franklin
+
+# (p, r, squares drawn): 523 squares over 11 orders, n from 8 to 1331
+ORBIT_ORDERS = [(2, 3, 80), (2, 4, 80), (2, 5, 70), (2, 6, 50), (2, 7, 20), (3, 3, 80), (3, 4, 60),
+                (3, 5, 20), (5, 3, 40), (7, 3, 20), (11, 3, 3)]
+NEAR_MISS_ORDERS = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]  # every Franklin order p^r <= 81
+
+
+def monomial(p, size, rng):
+    """A random permutation matrix with each 1 replaced by a random unit mod p."""
+    perm = list(range(size))
+    rng.shuffle(perm)
+    d = np.zeros((size, size), dtype=np.int64)
+    for i, j in enumerate(perm):
+        d[i, j] = rng.randrange(1, p)
+    return d
+
+
+def digit_permutation(r, rng):
+    """Q = diag(P_rows, P_cols): permutes the r row digits among themselves, and the r column digits."""
+    q = np.zeros((2 * r, 2 * r), dtype=np.int64)
+    for half in (0, r):
+        for i, j in enumerate(rng.sample(range(r), r)):
+            q[half + i, half + j] = 1
+    return q
+
+
+def orbit_square(p, r, rng, near_miss=False):
+    matrix = monomial(p, 2 * r, rng) @ np.array(closed_form_candidate(p, r).matrix)
+    if near_miss:
+        matrix = matrix @ digit_permutation(r, rng)
+    offset = [rng.randrange(p) for _ in range(2 * r)]
+    return candidate_to_square(DigitLinearCandidate.of(matrix % p, offset), p, r)
+
+
+def test_orbit_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
+    rng = random.Random(2024)
+    seen = set()
+    for p, r, count in ORBIT_ORDERS:
+        params = ff.TypeParams.for_power(p, r)
+        for _ in range(count):
+            square = orbit_square(p, r, rng)
+            seen.add(square.entries.tobytes())
+            assert ff.verify_all(square, params).classification == "most_perfect_type_p"
+            franklin = ff.verify_all(ff.theta(square, params), params)
+            assert franklin.classification == "pandiagonal_franklin_type_p"
+    assert len(seen) >= 500
+
+
+def test_near_miss_franklin_verdicts_match_reference():
+    """Each near miss and its θ: the Franklin verdict, witness included, equals the brute-force one,
+    and every failing verdict's witness re-sums to its actual value. Both verdicts occur."""
+    rng = random.Random(81)
+    outcomes = set()
+    for p, r in NEAR_MISS_ORDERS:
+        params = ff.TypeParams.for_power(p, r)
+        for _ in range(8):
+            square = orbit_square(p, r, rng, near_miss=True)
+            for candidate in (square, ff.theta(square, params)):
+                verdict = ff.check_franklin_patterns(candidate, params)
+                assert verdict == ref_franklin(candidate, params, None)
+                outcomes.add(verdict.passed)
+                entries = candidate.entries.tolist()
+                for failed in (v for v in ff.verify_all(candidate, params).verdicts if not v.passed):
+                    w = failed.witness
+                    if w.cells:
+                        assert sum(entries[i][j] for i, j in w.cells) == w.actual != w.expected
+    assert outcomes == {True, False}

@@ -8,7 +8,7 @@ import franklin_forge as ff
 from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE, split_rows
 
 from conftest import BOXED_W_CELLS
-from test_reference import FRANKLIN_ORDERS, ref_franklin_cells, turned_block_cells
+from test_reference import FRANKLIN_ORDERS, all_pattern_cells, ref_franklin_cells, turned_block_cells
 
 FIG1_UP_DIAGONAL = {(1, 0), (2, 1), (3, 2), (4, 3), (4, 4), (3, 5), (2, 6), (1, 7)}
 
@@ -119,10 +119,13 @@ class TestFranklinCells:
         for k in range(1, max(1400 // p**3, 1) + 1):
             params = ff.TypeParams.for_franklin(p, k)
             n = params.n
-            first, rest = split_rows(params)
+            table = split_rows(params)
+            first, rest = table
             assert len(first) == len(rest) == n // p
+            assert table.rows.shape == (p - 1, n) and not table.rows.flags.writeable
             for alpha in range(1, p):
                 rows = [first[c // p] if c % p < alpha else rest[c // p] for c in range(n)]
+                assert table.rows[alpha - 1].tolist() == rows
                 for offset in (0, 1, n // 2, n - 1):
                     expected = {((r + offset) % n, c) for c, r in enumerate(rows)}
                     assert ref_franklin_cells(up_spec(p, k, alpha, offset)) == expected
@@ -158,6 +161,57 @@ class TestFranklinCells:
     def test_numpy_integers_resolve_to_python_int_cells(self):
         spec = ff.PatternSpec("up", np.int64(1), np.int64(5), ff.TypeParams.for_franklin(3, 1))
         assert {type(v) for cell in ff.franklin_cells(spec) for v in cell} == {int}
+
+
+@pytest.mark.parametrize("p,k,near", [(2, 4, 16), (3, 1, 6), (3, 2, 12), (3, 27, 162), (5, 2, 40), (5, 5, 100),
+                                      (7, 1, 42), (13, 1, 156)])
+def test_step_marks_the_groups_outside_the_central_band(p, k, near):
+    """step[g] is rest[g] - first[g], +-1, exactly for the groups outside the odd-p central band
+    (at p = 2, every group), and 0 for the central ones, at odd and even k; a band is n/p^2 groups."""
+    params = ff.TypeParams.for_franklin(p, k)
+    table = split_rows(params)
+    first, rest = table
+    band_groups = params.n // p**2
+    for g, step in enumerate(table.step):
+        central = p % 2 == 1 and g // band_groups == (p - 1) // 2
+        assert step == (0 if central else rest[g] - first[g])
+        assert central or step in (1, -1)
+    assert len(table.step) - table.step.count(0) == near
+
+
+class TestCellSet:
+    """Two lines, cell i being (rows[i], cols[i]); the frozenset is built only when cells is read."""
+
+    @pytest.mark.parametrize("p,k", FRANKLIN_ORDERS)
+    def test_cells_eq_and_hash_match_the_reference_walk(self, p, k):
+        for spec, cells in all_pattern_cells(ff.TypeParams.for_franklin(p, k)):
+            resolved, expected = ff.franklin_cells(spec), frozenset(cells)
+            assert resolved.cells == expected
+            rows, cols = zip(*cells)
+            other = ff.CellSet(list(rows), list(cols))  # the same cells, in another line order
+            assert resolved == other and hash(resolved) == hash(other) == hash(expected)
+            assert resolved != ff.CellSet([(row + 1) % len(rows) for row in rows], list(cols))
+
+    def test_iteration_is_line_order_in_python_ints_and_builds_no_set(self):
+        params = ff.TypeParams.for_franklin(3, 1)
+        n = params.n
+        columns = {"up": (1, range(n)), "right": (0, range(n)), "down": (1, range(n - 1, -1, -1)),
+                   "left": (0, range(n - 1, -1, -1))}
+        for direction, (axis, line) in columns.items():
+            cells = ff.franklin_cells(ff.PatternSpec(direction, 1, 4, params))
+            listed = list(cells)
+            assert [cell[axis] for cell in listed] == list(line)  # the range line, in order
+            assert listed == list(zip(cells.rows, cells.cols))
+            assert {type(v) for cell in listed for v in cell} == {int}
+            assert cells.sorted_cells() == sorted(listed) and len(cells) == n
+            assert "cells" not in vars(cells)  # iterating and sorting built no frozenset
+            assert cells.cells == frozenset(listed) and "cells" in vars(cells)
+
+    def test_lines_of_different_lengths_raise(self):
+        with pytest.raises(ValueError, match="pattern lines of 2 and 3 cells"):
+            ff.CellSet([0, 1], range(3))
+        with pytest.raises(ValueError, match="pattern lines of 3 and 0 cells"):
+            ff.CellSet(range(3), [])
 
 
 def reference_split_rows(params):

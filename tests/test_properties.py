@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -457,6 +458,9 @@ class TestFranklinPatterns:
         verdict = ff.check_franklin_patterns(square, params)
         assert not verdict.passed and verdict.witness.cells
         assert len(calls) == 1
+        ff.franklin_cells(ff.PatternSpec("left", 2, 5, params))
+        ff.band_sums(square, params, 3, 7)
+        assert len(calls) == 1  # a spec, its cells and its band sums read the same table
         ff.PatternSpec("up", 1, 0, ff.TypeParams.for_franklin(2, 1))
         assert len(calls) == 2
 
@@ -468,22 +472,27 @@ class TestFranklinPatterns:
             assert np.array_equal(lines, np.rot90(a, q).T)
         assert sum(np.shares_memory(lines, a) for lines in views) == 2
 
-    def test_two_shift_adds_per_column_group_and_direction(self, mp343, monkeypatch):
-        """Each group of p columns is placed once into lo and once into hi: 2n/p calls per
-        direction, each moving the p - 1 columns that every alpha shares into a 2n-wide accumulator
-        whose halves are then folded once."""
+    def test_one_shift_add_per_near_group_two_per_central_group(self, mp343, monkeypatch):
+        """A group whose rest row is its first +-1 (42 of the 49 at (7, 1)) is placed once, whole, into a
+        p-row accumulator; each central group once into lo and once into hi, with the p - 1 columns that
+        every alpha shares. All accumulators are 2n wide, their halves folded once per direction."""
         square, params = mp343
+        n, p = params.n, params.p
+        step = split_rows(params).step
+        assert (len(step), step.count(0)) == (49, 7)
         calls = count_calls(monkeypatch, "_shift_add", ff.properties)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
-        assert len(calls) == 4 * 2 * params.n // params.p
-        assert {acc.shape for acc, _, _ in calls} == {(params.p - 1, 2 * params.n)}
+        assert len(calls) == 4 * (42 + 2 * 7) == 224
+        shapes = Counter(acc.shape for acc, _, _ in calls)
+        assert shapes == {(p, 2 * n): 4 * 42, (p - 1, 2 * n): 4 * 2 * 7}
         # A failing square stops at its first failure: the untransformed order-27 square fails
-        # an up pattern, so only the up direction's 2n/p shift-adds run.
+        # an up pattern, so only the up direction's placements run: 6 near groups, 3 central.
         params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
+        assert split_rows(params).step.count(0) == 3
         calls.clear()
         verdict = ff.check_franklin_patterns(mp27, params)
         assert verdict.witness.location == "up pattern, alpha=1, offset=0"
-        assert len(calls) == 2 * params.n // params.p == 18
+        assert len(calls) == 6 + 2 * 3 == 12
 
 
 class TestVerifyAll:
