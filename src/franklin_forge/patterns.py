@@ -46,6 +46,14 @@ def _franklin_k(params: TypeParams) -> int:
     return params.franklin_k
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: an int, or a non-bool numbers.Integral such as a NumPy integer. A float or bool
+    is refused, as the JSON and CSV readers refuse it; an int skips the slower ABC test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PatternSpec:
     """One Franklin pattern: direction, split alpha (beta = p - alpha), frame offset."""
@@ -58,12 +66,9 @@ class PatternSpec:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        for name in ("alpha", "frame_offset"):  # a float or bool is refused, as the JSON and CSV readers do
-            value = getattr(self, name)
-            if type(value) is not int:  # the common case skips the slower ABC test
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))  # a NumPy integer too, so the cells are Python ints
+        for name in ("alpha", "frame_offset"):  # a NumPy integer too becomes an int, so the cells are Python ints
+            if type(getattr(self, name)) is not int:  # the common case skips the helper and the setattr
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         select_alphas(self.params, (self.alpha,))  # alpha in 1..p-1
         split_rows(self.params)  # refuses an order that is not k*p^3; builds its table here, once per order
         if not 0 <= self.frame_offset < self.params.n:
@@ -221,8 +226,7 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
 
 
 class SplitRows(tuple):
-    """split_rows' (first, rest), with the tables read from them: rows[alpha - 1, c], the offset-0 up row
-    of column c (read-only int64, (p - 1) x n), and step[g], rest[g] - first[g] where it is +-1, else 0."""
+    """split_rows' (first, rest), with rows[alpha - 1, c], the offset-0 up row of column c (read-only, (p - 1) x n)."""
 
 
 @lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~31 MiB, the 16 largest 2.3 MiB
@@ -234,7 +238,7 @@ def split_rows(params: TypeParams) -> SplitRows:
     span of one p x p sub-block: outside the central band the first alpha cells
     of one sub-block row and the last beta of the other, so rest[g] = first[g] +- 1;
     in the central band the bottom rows of the two subsquares the pattern meets in
-    that span (one row, first[g] == rest[g], where it takes a whole bottom row).
+    that span, p rows apart (one row, first[g] == rest[g], where it takes a whole bottom row).
 
     This table is the single block-to-cell derivation: one walk of the offset-0
     blocks at alpha = 1, where column g*p is in row first[g] and the rest in rest[g].
@@ -250,13 +254,7 @@ def split_rows(params: TypeParams) -> SplitRows:
     table = SplitRows((tuple(first), tuple(rest)))
     table.rows = np.where(np.arange(n) % p < np.arange(1, p)[:, None], np.repeat(first, p), np.repeat(rest, p))
     table.rows.flags.writeable = False
-    table.step = tuple(r - f if abs(r - f) == 1 else 0 for f, r in zip(first, rest))
     return table
-
-
-def up_rows(spec: PatternSpec) -> list[int]:
-    """Row of the up pattern in each column: its offset-0 row for alpha (split_rows), plus the offset."""
-    return ((split_rows(spec.params).rows[spec.alpha - 1] + spec.frame_offset) % spec.params.n).tolist()
 
 
 def franklin_cells(spec: PatternSpec) -> CellSet:
@@ -277,10 +275,7 @@ def select_alphas(params: TypeParams, alphas=None) -> list[int]:
     definition), else the iterable given (the weakened mode passes one). At any order, a float or bool
     alpha (as in PatternSpec), one outside 1..p-1 and an empty selection raise: a scan of no pattern
     would pass and say nothing."""
-    pool = list(range(1, params.p) if alphas is None else alphas)
-    odd = [a for a in pool if type(a) is not int and (isinstance(a, bool) or not isinstance(a, numbers.Integral))]
-    if odd:  # type() first: an int skips the slower ABC test
-        raise ValueError(f"alpha must be an integer, got {odd[0]!r}")
+    pool = [_integer(alpha, "alpha") for alpha in (range(1, params.p) if alphas is None else alphas)]
     bad = [alpha for alpha in pool if not 1 <= alpha < params.p]
     if bad:
         raise ValueError(f"alpha={bad[0]} outside 1..{params.p - 1}")

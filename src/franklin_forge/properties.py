@@ -8,15 +8,14 @@ are byte-stable across runs.
 Toric sums come from two kernels: _vertical_sums (sums of width cells down the rows as
 prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
 V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p
-windows W, so V decides every window, and the first failing row's windows, rebuilt from V,
+windows W, so V decides every window, and the first failing row's windows, p shift-adds of its V,
 witness the first failure: no window table is built. V is built in bands of about BAND_CELLS
 cells (_first_failing_row), so the p x p check holds no n^2 temporary. Diagonal and p-set sums
 fold slabs of rows, and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
 2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each aligned group
 of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks
-walked once per order per process). The Franklin check places a group whose second row is its first
-+-1 (all outside the odd-p central band) once per direction, the others twice, in 2n-wide sums whose
-halves fold once, so it is O(n^2) whatever p.
+walked once per order per process), the second the first plus 0, +-1 or +-p. The Franklin check places
+each group once, whole, in the p-row sum of its step, a prefix of which serves every alpha: O(n^2) for any p.
 An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BAND_CELLS, Grid, NaturalSquare, TypeParams
-from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows, up_rows
+from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -158,7 +157,7 @@ def _vertical_sums(a: np.ndarray, width: int) -> np.ndarray:
 
 
 def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple | None:
-    """(i, V(i, :), W(i, 0)) for the first top row i with a window W(i, j) that misses target, else None.
+    """(i, V(i, :)) for the first top row i with a window W(i, j) that misses target, else None.
     Top rows are all rows when toric (windows wrap past the last row and column), else those whose
     windows fit, in bands of about BAND_CELLS cells, each read with the width - 1 rows after it. As
     W(i, j+1) - W(i, j) = V(i, j+width) - V(i, j), row i passes iff W(i, 0) does and every step is 0."""
@@ -177,7 +176,7 @@ def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple 
             bad |= (v[:, -width:] != v[:, :width]).any(axis=1)
         if bad.any():
             k = int(bad.argmax())
-            return top + k, v[k], first[k]
+            return top + k, v[k]
     return None
 
 
@@ -307,7 +306,7 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
 
     The vertical sums V decide every window (_first_failing_row), one band of top rows at a time,
     and the scan stops at the first failing band. A failing grid rebuilds the windows of its first
-    failing row alone, W(i, 0) plus the running sum of V's steps, to witness.
+    failing row alone, each the sum of the p vertical sums V(i, j..j+p-1), to witness.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
@@ -317,9 +316,10 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     failing = _first_failing_row(a, p, True, target)
     if failing is None:
         return PropertyVerdict(PXP, True)
-    i, v, first = failing
-    steps = np.roll(v, -p) - v  # W(i, j+1) - W(i, j); the last one wraps back to W(i, 0)
-    windows = np.cumsum(np.concatenate(([first], steps[:-1])))  # W(i, j) for every j
+    i, v = failing
+    windows = np.zeros_like(v)
+    for dc in range(p):  # W(i, j) = V(i, j) + ... + V(i, j+p-1), wrapping past the last column
+        _shift_add(windows, v, dc)
 
     def witness(j):
         return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
@@ -347,42 +347,35 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     square rotated q quarter turns, and the n offsets translate the offset-0 cells
     down the rows (patterns guarantees it). At offset 0 the pattern takes the first
     alpha columns of each aligned group g of p from row first[g] and the rest from
-    row rest[g], for every alpha (split_rows). So one shift-add per group by
-    first[g] into lo and one by rest[g] into hi serve every alpha: its n offset
-    sums are lo's first alpha columns plus hi's last p - alpha. A group with rest[g] =
-    first[g] + step, step = +-1 (every group outside the central band), is placed
-    once, whole, by first[g] into plus or minus, where hi reads it step columns on.
+    rest[g] = first[g] + step, for every alpha (split_rows): step is +-1 outside the
+    odd-p central band, 0 or +-p in it. So each group is placed once, whole, by first[g]
+    into the p-row sum of its step, and after a prefix down its rows a sum gives every
+    alpha's n offset sums: its first alpha columns, plus the last p - alpha read step columns on.
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    table = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
+    first, rest = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
+    steps, step_of = np.unique(np.subtract(rest, first), return_inverse=True)  # step_of[g]: group g's sum
     chosen = np.array(select_alphas(params, alphas))
-    top, low = int(chosen[-1]), int(chosen[0])  # lo needs columns 0..top-1 of a group, hi columns low..p-1
 
     def tables():
         for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
             groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-            acc = np.zeros((top + p - low + 2 * p, 2 * n), dtype=a.dtype)  # lo, hi, plus, minus; 2n wide
-            lo, hi, plus, minus = np.split(acc, (top, top + p - low, top + 2 * p - low))
-            for g, (ra, rb, step) in enumerate(zip(*table, table.step)):  # at offset o the pattern holds (r + o, c)
-                if step:  # rest = first + step: the whole group at first, hi read step columns on
-                    _shift_add(plus if step > 0 else minus, groups[g], ra)
-                else:
-                    _shift_add(lo, groups[g, :top], ra)
-                    _shift_add(hi, groups[g, low:], rb)
-            acc[:, :n] += acc[:, n:]  # fold the halves: column c + n wraps to c
-            lo, hi, plus, minus = lo[:, :n], hi[:, :n], plus[:, :n], minus[:, :n]
-            lo += plus[:top] + minus[:top]
-            hi += np.roll(plus[low:], -1, axis=1) + np.roll(minus[low:], 1, axis=1)
-            np.cumsum(lo, axis=0, out=lo)  # lo[c]: columns 0..c of every group
-            np.cumsum(hi[::-1], axis=0, out=hi[::-1])  # hi[c - low]: columns c..p-1 of every group
+            acc = np.zeros((len(steps), p, 2 * n), dtype=a.dtype)  # one p-row sum per step, 2n wide
+            for g, (row, s) in enumerate(zip(first, step_of)):  # at offset o the pattern holds (r + o, c)
+                _shift_add(acc[s], groups[g], row)
+            acc[..., :n] += acc[..., n:]  # fold the halves: column c + n wraps to c
+            sums = np.cumsum(acc[..., :n], axis=1)  # sums[s, c]: columns 0..c of every group of step s
+            heads = sums[:, chosen - 1]  # heads[s, i]: the first chosen[i] columns
+            totals = heads.sum(axis=0)
+            for step, tail in zip(steps.tolist(), sums[:, -1:] - heads):  # the other columns, at rest = first + step
+                _shift_add(totals, tail, step)
 
             def witness(i, offset, direction=direction):
                 spec = PatternSpec(direction, int(chosen[i]), offset, params)
-                cells = franklin_cells(spec).sorted_cells()
-                return f"{direction} pattern, alpha={spec.alpha}, offset={offset}", cells
+                return f"{direction} pattern, alpha={spec.alpha}, offset={offset}", franklin_cells(spec).sorted_cells()
 
-            yield lo[chosen - 1] + hi[chosen - low], witness  # row i holds alpha chosen[i]
+            yield totals, witness  # row i holds alpha chosen[i]
 
     return _verdict(FRANKLIN_PATTERNS, params.magic_sum, tables())
 
@@ -427,8 +420,8 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
     spec = PatternSpec(direction, alpha, frame_offset % n, params)  # rejects a bad direction, alpha or order
-    view = np.rot90(a, DIRECTIONS.index(direction))
-    bands = view[up_rows(spec), np.arange(n)].reshape(p, n // p).sum(axis=1)  # exact: _array's guard
+    cells = franklin_cells(spec)  # cell i lies in column i of the up pattern on the rotated square
+    bands = a[cells.rows, cells.cols].reshape(p, n // p).sum(axis=1)  # exact: _array's guard
     folded = (int(bands[j]) + int(bands[p - 1 - j]) if 2 * j < p - 1 else int(bands[j]) for j in range((p + 1) // 2))
     return tuple(folded)
 

@@ -46,21 +46,21 @@ MUTANTS = [
      "bad = np.zeros(len(v), dtype=bool)", PXP_TESTS),
     ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, width:] != v[:, :-width])",
      "(v[:, 1:] != v[:, :-1])", PXP_TESTS),
-    ("witness steps summed one late", PROPERTIES, "steps[:-1]", "steps[1:]", PXP_TESTS),
+    ("p x p witness one column short", PROPERTIES, "for dc in range(p):", "for dc in range(p - 1):", PXP_TESTS),
     ("failing row found from W(i, 0) alone", PROPERTIES, "k = int(bad.argmax())",
      "k = int((first != target).argmax())", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
-    ("negated Franklin shift", PROPERTIES, "_shift_add(plus if step > 0 else minus, groups[g], ra)",
-     "_shift_add(plus if step > 0 else minus, groups[g], -ra)", ["tests/test_reference.py"]),
-    ("negated central Franklin shift", PROPERTIES, "_shift_add(lo, groups[g, :top], ra)",
-     "_shift_add(lo, groups[g, :top], -ra)", ["tests/test_reference.py"]),
-    ("hi read from the wrong neighbour column", PROPERTIES,
-     "np.roll(plus[low:], -1, axis=1) + np.roll(minus[low:], 1, axis=1)",
-     "np.roll(plus[low:], 1, axis=1) + np.roll(minus[low:], -1, axis=1)", ["tests/test_reference.py", ORBITS]),
-    ("a central group treated as +-1", PATTERNS, "r - f if abs(r - f) == 1 else 0",
-     "r - f if abs(r - f) == 1 else 1", ["tests/test_reference.py", ORBITS]),
-    ("Franklin halves not folded", PROPERTIES, "acc[:, :n] += acc[:, n:]", "acc[:, :n] += 0", ["tests/test_reference.py"]),
+    ("negated Franklin placement shift", PROPERTIES, "_shift_add(acc[s], groups[g], row)",
+     "_shift_add(acc[s], groups[g], -row)", ["tests/test_reference.py"]),
+    ("Franklin rest read -step columns on", PROPERTIES, "_shift_add(totals, tail, step)",
+     "_shift_add(totals, tail, -step)", ["tests/test_reference.py", ORBITS]),
+    ("Franklin steps taken from rest - rest", PROPERTIES, "np.subtract(rest, first)", "np.subtract(rest, rest)",
+     ["tests/test_reference.py", ORBITS]),
+    ("Franklin rest read from the whole group", PROPERTIES, "sums[:, -1:] - heads", "sums[:, -1:]",
+     ["tests/test_reference.py", ORBITS]),
+    ("Franklin halves not folded", PROPERTIES, "acc[..., :n] += acc[..., n:]", "acc[..., :n] += 0",
+     ["tests/test_reference.py"]),
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", PATTERNS, "(rest if col % p else first)",

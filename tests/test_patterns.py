@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import franklin_forge as ff
+from franklin_forge.core import MAX_ORDER, is_prime
 from franklin_forge.patterns import SIDE_LEFT, SIDE_RIGHT, SIDE_SOLE, split_rows
 
 from conftest import BOXED_W_CELLS
@@ -153,7 +154,7 @@ class TestFranklinCells:
 
     @pytest.mark.parametrize("alpha,offset", [(1, 2.5), (1.0, 2), (True, 2), (1, False)])
     def test_spec_refuses_a_non_integer_alpha_or_offset(self, alpha, offset):
-        """A float would resolve to cells in row 2.5 or fail later in up_rows; a bool is refused
+        """A float would resolve to cells in row 2.5 or fail later in franklin_cells; a bool is refused
         as the JSON and CSV readers refuse it."""
         with pytest.raises(ValueError, match="must be an integer"):
             ff.PatternSpec("up", alpha, offset, ff.TypeParams.for_franklin(3, 1))
@@ -166,17 +167,29 @@ class TestFranklinCells:
 @pytest.mark.parametrize("p,k,near", [(2, 4, 16), (3, 1, 6), (3, 2, 12), (3, 27, 162), (5, 2, 40), (5, 5, 100),
                                       (7, 1, 42), (13, 1, 156)])
 def test_step_marks_the_groups_outside_the_central_band(p, k, near):
-    """step[g] is rest[g] - first[g], +-1, exactly for the groups outside the odd-p central band
-    (at p = 2, every group), and 0 for the central ones, at odd and even k; a band is n/p^2 groups."""
+    """rest[g] - first[g] is +-1 for the groups outside the odd-p central band (at p = 2, every group),
+    and 0 or +-p for the central ones, at odd and even k; a band is n/p^2 groups."""
     params = ff.TypeParams.for_franklin(p, k)
-    table = split_rows(params)
-    first, rest = table
+    first, rest = split_rows(params)
     band_groups = params.n // p**2
-    for g, step in enumerate(table.step):
+    steps = np.subtract(rest, first).tolist()
+    for g, step in enumerate(steps):
         central = p % 2 == 1 and g // band_groups == (p - 1) // 2
-        assert step == (0 if central else rest[g] - first[g])
-        assert central or step in (1, -1)
-    assert len(table.step) - table.step.count(0) == near
+        assert step in ((0, p, -p) if central else (1, -1))
+    assert sum(step in (1, -1) for step in steps) == near
+
+
+def test_every_franklin_order_steps_by_0_1_or_p():
+    """At every Franklin order up to MAX_ORDER (521 of them) each group's rest row is its first row
+    plus 0, +-1 or +-p, so the Franklin check keeps at most five p-row sums."""
+    orders = [(p, k) for p in range(2, MAX_ORDER + 1) if is_prime(p) for k in range(1, MAX_ORDER // p**3 + 1)]
+    assert len(orders) == 521
+    try:
+        for p, k in orders:
+            first, rest = split_rows(ff.TypeParams.for_franklin(p, k))
+            assert set(np.subtract(rest, first).tolist()) <= {0, 1, -1, p, -p}, (p, k)
+    finally:
+        split_rows.cache_clear()  # later tests see a cold memo, as before this sweep
 
 
 class TestCellSet:

@@ -472,27 +472,29 @@ class TestFranklinPatterns:
             assert np.array_equal(lines, np.rot90(a, q).T)
         assert sum(np.shares_memory(lines, a) for lines in views) == 2
 
-    def test_one_shift_add_per_near_group_two_per_central_group(self, mp343, monkeypatch):
-        """A group whose rest row is its first +-1 (42 of the 49 at (7, 1)) is placed once, whole, into a
-        p-row accumulator; each central group once into lo and once into hi, with the p - 1 columns that
-        every alpha shares. All accumulators are 2n wide, their halves folded once per direction."""
+    def test_one_placement_per_group_one_rest_add_per_step(self, mp343, monkeypatch):
+        """Each group is placed once per direction, whole, into the p-row sum of its step, rest - first:
+        49 groups at (7, 1), with five steps, +-1 outside the central band and 0, +-p in it. Each sum is
+        2n wide, its halves folded once per direction, and the rest columns of every alpha take one
+        n-wide shift-add per step."""
         square, params = mp343
         n, p = params.n, params.p
-        step = split_rows(params).step
-        assert (len(step), step.count(0)) == (49, 7)
+        first, rest = split_rows(params)
+        assert len(first) == 49 and sorted(set(np.subtract(rest, first).tolist())) == [-p, -1, 0, 1, p]
         calls = count_calls(monkeypatch, "_shift_add", ff.properties)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
-        assert len(calls) == 4 * (42 + 2 * 7) == 224
+        assert len(calls) == 4 * (49 + 5) == 216
         shapes = Counter(acc.shape for acc, _, _ in calls)
-        assert shapes == {(p, 2 * n): 4 * 42, (p - 1, 2 * n): 4 * 2 * 7}
+        assert shapes == {(p, 2 * n): 4 * 49, (p - 1, n): 4 * 5}
         # A failing square stops at its first failure: the untransformed order-27 square fails
-        # an up pattern, so only the up direction's placements run: 6 near groups, 3 central.
+        # an up pattern, so only the up direction's placements run: 9 groups, 5 steps.
         params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
-        assert split_rows(params).step.count(0) == 3
+        first, rest = split_rows(params)
+        assert len(first) == 9 and len(set(np.subtract(rest, first).tolist())) == 5
         calls.clear()
         verdict = ff.check_franklin_patterns(mp27, params)
         assert verdict.witness.location == "up pattern, alpha=1, offset=0"
-        assert len(calls) == 6 + 2 * 3 == 12
+        assert len(calls) == 9 + 5 == 14
 
 
 class TestVerifyAll:
