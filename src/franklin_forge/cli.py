@@ -13,8 +13,9 @@ Grid. p, k and r, if given, must be integers, and a loaded document's p must mat
 --p. Exit codes: 0 success/pass, 1 verification fail, 2 input error, 3 generator
 exhaustion.
 
-Square text is written and read without a Python int or str per cell. emit_square renders
-bands of rows in numpy: fixed-width digit tokens padded with NUL bytes, which are dropped.
+Square text is written and read without a Python int or str per cell. emit_square renders bands of
+rows in numpy as bytes (fixed-width digit tokens padded with NUL bytes, which are dropped) that the
+commands write as they come, to a file opened "wb" or stdout's binary buffer.
 parse_square first tries the plain reader. A document is plain when its entries are n rows of n
 unsigned decimals of at most 18 digits, with no leading zero (RFC 8259 section 6), laid out byte
 for byte as emit_square writes them or, in JSON, as json.dumps does by default (_LAYOUTS). That
@@ -30,6 +31,7 @@ the same message, on either path.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -271,12 +273,12 @@ def _decimal_values(data: bytes, at: np.ndarray, lengths: np.ndarray) -> np.ndar
     return value.view(np.int64)
 
 
-def _format_rows(grid: Grid, layout: tuple) -> list[str]:
-    """The grid as text in layout: its head, then one str per band of rows, no Python object per cell.
+def _format_rows(grid: Grid, layout: tuple):
+    """The grid as text in layout: the bytes of its head, then of each band of rows, no Python object per cell.
 
     Each row is its entries joined by the separator, then the row gap (the tail on the last row).
-    Each entry fills a fixed-width token: a sign byte when any entry is negative, then digits
-    right-aligned. Unused bytes are NUL and are dropped once per band."""
+    Each entry fills a fixed-width token: a sign byte when any entry is negative, then digits right-aligned,
+    each place a floor division and a subtraction. Unused bytes are NUL and are dropped once per band."""
     sep, gap, tail = (part.encode() for part in layout[1:])
     a = grid.entries
     rows, cols = a.shape
@@ -288,7 +290,7 @@ def _format_rows(grid: Grid, layout: tuple) -> list[str]:
     line = np.frombuffer((b"\0" * width + sep) * (cols - 1) + b"\0" * width + ends[0], np.uint8)
     narrow = max(-lo, hi) < 2**32
     band_rows = max(1, BAND_CELLS // cols)
-    out = [layout[0]]
+    yield layout[0].encode()
     for top in range(0, rows, band_rows):
         block = a[top:top + band_rows]
         buf = np.empty((block.shape[0], line.size), np.uint8)
@@ -304,14 +306,13 @@ def _format_rows(grid: Grid, layout: tuple) -> list[str]:
         if narrow:
             mag = mag.astype(np.uint32)
         for place in range(width - 1, signed - 1, -1):
-            rest, digit = np.divmod(mag, 10)
-            digit += 48
+            rest = mag // 10
+            digit = mag.astype(np.uint8) - rest.astype(np.uint8) * 10 + 48  # mag - 10 rest + 48, modulo 256
             if place < width - 1:
                 digit *= mag != 0  # a leading zero becomes NUL
             digits[:, :, place] = digit
             mag = rest
-        out.append(buf[buf != 0].tobytes().decode("ascii"))
-    return out
+        yield buf.tobytes().replace(b"\0", b"")
 
 
 def parse_square(text: str, fmt: str = "json") -> SquareDocument:
@@ -342,21 +343,28 @@ def parse_square(text: str, fmt: str = "json") -> SquareDocument:
     raise SquareFormatError(f"unknown format {fmt!r}")
 
 
-def emit_square(doc: SquareDocument, fmt: str = "json") -> str:
-    """Canonical serialization: stable key order, one entries row per line."""
+def emit_square(doc: SquareDocument, fmt: str = "json", out=None) -> str | None:
+    """Canonical serialization: stable key order, one entries row per line. Returned as a str, or written
+    band by band to out: a binary stream, or a path, opened "wb" once the format is checked."""
     if fmt not in _LAYOUTS:
         raise SquareFormatError(f"unknown format {fmt!r}")
     rows = _format_rows(doc.grid, _LAYOUTS[fmt][0])
-    if fmt == "csv":
-        return "".join(rows)
-    lines = ["{", f'  "schema": {json.dumps(SCHEMA_ID)},', f'  "order": {doc.order},']
-    for key in ("p", "k", "r"):
-        value = getattr(doc, key)
-        if value is not None:
-            lines.append(f'  "{key}": {int(value)},')
-    lines.append(f"  {_ENTRIES_FIELD}")
-    tail = f',\n  "metadata": {json.dumps(doc.metadata, sort_keys=True)}\n}}\n'
-    return "".join(["\n".join(lines), *rows, tail])
+    if fmt == "json":
+        lines = ["{", f'  "schema": {json.dumps(SCHEMA_ID)},', f'  "order": {doc.order},']
+        for key in ("p", "k", "r"):
+            value = getattr(doc, key)
+            if value is not None:
+                lines.append(f'  "{key}": {int(value)},')
+        lines.append(f"  {_ENTRIES_FIELD}")
+        tail = f',\n  "metadata": {json.dumps(doc.metadata, sort_keys=True)}\n}}\n'
+        rows = itertools.chain(["\n".join(lines).encode()], rows, [tail.encode()])
+    if out is None:
+        return b"".join(rows).decode()
+    if isinstance(out, str):
+        with open(out, "wb") as fh:
+            fh.writelines(rows)
+    else:
+        out.writelines(rows)
 
 
 def _read_input(path: str | None) -> str:
@@ -366,12 +374,16 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_output(doc: SquareDocument, fmt: str, path: str | None) -> None:
+    """emit_square's bytes, to the file at path or else to stdout's binary buffer once its text layer is
+    flushed, or as text to a stdout with none (an io.StringIO)."""
+    if path is not None and path != "-":
+        emit_square(doc, fmt, path)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        emit_square(doc, fmt, sys.stdout.buffer)
+    else:
+        sys.stdout.write(emit_square(doc, fmt))
 
 
 def _load(path: str | None, p: int) -> SquareDocument:
@@ -404,7 +416,7 @@ def _cmd_construct(args) -> int:
         square, p=args.p, r=args.r,
         metadata={"generator": args.family, "seed": args.seed},
     )
-    _write_output(emit_square(doc, "csv" if args.csv else "json"), args.out)
+    _write_output(doc, "csv" if args.csv else "json", args.out)
     return EXIT_OK
 
 
@@ -413,7 +425,7 @@ def _cmd_theta(args) -> int:
     doc = SquareDocument.from_square(  # rebinding frees the input square before the output text is built
         theta(doc.grid, TypeParams(args.p, doc.order)), p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
-    _write_output(emit_square(doc, "csv" if args.csv else "json"), args.out)
+    _write_output(doc, "csv" if args.csv else "json", args.out)
     return EXIT_OK
 
 
@@ -457,7 +469,7 @@ def _cmd_fixtures(args) -> int:
     for name, square, params in table:
         if name == args.export:
             doc = SquareDocument.from_square(square, p=params.p, metadata={"name": name})
-            _write_output(emit_square(doc), args.out)
+            _write_output(doc, "json", args.out)
             return EXIT_OK
     raise SquareFormatError(f"unknown fixture {args.export!r}")
 

@@ -39,9 +39,11 @@ def _is_permutation(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class _Owned:
-    """A fresh array that nothing else holds or writes; package code only. Grid adopts it uncopied."""
+    """A fresh array that nothing else holds or writes; package code only. Grid adopts it uncopied, and with a
+    source, whose entries it only rearranges, the source's recorded range and a NaturalSquare source's proof."""
 
     array: np.ndarray
+    source: Grid | None = None
 
 
 class Grid:
@@ -64,7 +66,8 @@ class Grid:
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("grid entries must form a non-empty 2-D array")
         a.setflags(write=False)
-        self._a, self._span = a, (int(a.min()), int(a.max()))
+        source = entries.source if isinstance(entries, _Owned) else None
+        self._a, self._span = a, (int(a.min()), int(a.max())) if source is None else source._span
 
     @property
     def rows(self) -> int:
@@ -103,7 +106,8 @@ class NaturalSquare(Grid):
     """Order-n square Grid whose entries are exactly the symbols 0..n^2-1.
 
     Every instance is proved on construction: the Grid's recorded range lies in 0..n^2-1,
-    and one boolean mark per symbol, set at each entry, leaves every mark set.
+    and one boolean mark per symbol, set at each entry, leaves every mark set. A rearrangement
+    of a NaturalSquare (core._Owned with that source) keeps the source's proof instead.
     """
 
     __slots__ = ()
@@ -115,6 +119,8 @@ class NaturalSquare(Grid):
             raise ValueError(f"natural square must be square, got {self.rows}x{self.cols}")
         if n > MAX_ORDER:
             raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+        if isinstance(entries, _Owned) and isinstance(entries.source, NaturalSquare):
+            return
         lo, hi = self._span
         if lo < 0 or hi >= n * n or not _is_permutation(self._a):  # range first: see _is_permutation
             raise ValueError(f"entries are not a permutation of 0..{n * n - 1}")
@@ -239,7 +245,7 @@ def get_toric(grid: Grid, row: int, col: int) -> int:
 def rotate_cw(square: NaturalSquare, quarter_turns: int) -> NaturalSquare:
     """Clockwise rotation; one quarter turn sends input (n-1-j, i) to output (i, j)."""
     q = quarter_turns % 4
-    return NaturalSquare(np.rot90(square.entries, -q))
+    return NaturalSquare(_Owned(np.rot90(square.entries, -q), square))
 
 
 def block_at(

@@ -10,7 +10,8 @@ view, so swapping the digits of every block row is swapping the first two axes.
 The involution is therefore one axis transpose of the (p, p, bs, p, p, bs) view
 of the entries; the reshape back to n x n copies into C order once, and the
 output adopts that copy. The one-sided variants transpose only the row axes or
-only the column axes. The output has the input's type (proved natural too).
+only the column axes. The output has the input's type, and as it only rearranges the input's
+entries, it adopts their recorded range and, for a NaturalSquare, its proof: nothing is rescanned.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _apply(grid, params: TypeParams, swap_rows: bool, swap_cols: bool):
         raise ValueError(f"p^2={p * p} does not divide order {n}")
     bs = n // (p * p)
     axes = ((1, 0, 2) if swap_rows else (0, 1, 2)) + ((4, 3, 5) if swap_cols else (3, 4, 5))
-    return type(grid)(_Owned(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n)))
+    return type(grid)(_Owned(grid.entries.reshape(p, p, bs, p, p, bs).transpose(axes).reshape(n, n), grid))
 
 
 def theta(square, params: TypeParams):

@@ -1,9 +1,9 @@
 """Property verifiers and witnessed certificates for magic-square structure.
 
-Each check returns a PropertyVerdict; a failing verdict carries a witness whose
-cells re-sum to the reported actual value. Every sum check but check_natural
-reports through _verdict, whose docstring states the one scan order, so reports
-are byte-stable across runs.
+Each check returns a PropertyVerdict; a failing verdict carries a witness whose cells re-sum
+to the reported actual value. The sum checks but p x p report through _verdict, whose docstring
+states the one scan order, probe then table: a table's first sums, gathered from their cells,
+decide a failure there before it is built. So reports are byte-stable across runs.
 
 Toric sums come from two kernels: _vertical_sums (sums of width cells down the rows as
 prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
@@ -23,12 +23,15 @@ sums could leave int64, reading the entry range the Grid recorded when it was bu
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BAND_CELLS, Grid, NaturalSquare, TypeParams
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows
+
+PROBE = 4  # the sums of each table that _verdict takes from their cells before it builds the table
 
 NATURAL = "natural"
 SEMI_MAGIC = "semi_magic"
@@ -184,14 +187,15 @@ def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
     """acc[..., c] += vec[..., (c + k) % n] on an n-wide acc, as two slice adds; on a 2n-wide acc one
     slice add places vec at column -k mod n, and acc[..., :n] + acc[..., n:] holds those sums."""
     n, s = vec.shape[-1], -k % vec.shape[-1]
-    wrap = max(s + n - acc.shape[-1], 0)  # the cells past acc's end, placed at its start
-    acc[..., s : s + n - wrap] += vec[..., : n - wrap]
-    if wrap:
+    wrap = s + n - acc.shape[-1]  # the cells past acc's end, placed at its start
+    if wrap > 0:
         acc[..., :wrap] += vec[..., n - wrap :]
+        vec = vec[..., : n - wrap]
+    acc[..., s : s + vec.shape[-1]] += vec
 
 
 def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple:
-    """D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, for i < m, and its witness.
+    """The table (_verdict) of D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, i < m.
 
     Every such set meets rows 0..m-1, so D's first failure is the torus's first. With count n
     the sets are the broken diagonals and j is the offset. location is formatted with i and j.
@@ -199,46 +203,62 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple
     by count: f1, the least divisor with f1^2 >= count, takes f1 + count/f1 slab adds, p for p-sets.
     """
     n, m = len(a), len(a) // count
-    d, f1 = a, next(f for f in range(1, count + 1) if count % f == 0 and f * f >= count)
-    for f in (g for g in (f1, count // f1) if g > 1):  # a factor 1 folds nothing
-        h, slabs = len(d) // f, d
-        d = np.zeros((h, n), dtype=a.dtype)
-        for t in range(f):
-            _shift_add(d, slabs[t * h : (t + 1) * h], sign * t * h)
+    steps = np.arange(count) * m
+
+    def build():
+        d, f1 = a, next(f for f in range(1, count + 1) if count % f == 0 and f * f >= count)
+        for f in (g for g in (f1, count // f1) if g > 1):  # a factor 1 folds nothing
+            h, slabs = len(d) // f, d
+            d = np.zeros((h, n), dtype=a.dtype)
+            for t in range(f):
+                _shift_add(d, slabs[t * h : (t + 1) * h], sign * t * h)
+        return d
+
+    def cells(i, j):  # i < m, so the rows need no wrap
+        return (i[:, None] + steps) * n + (j[:, None] + sign * steps) % n
 
     def witness(i, j):
         return location.format(i=i, j=j), [((i + t * m) % n, (j + sign * t * m) % n) for t in range(count)]
 
-    return d, witness
+    return (m, n), cells, witness, build
 
 
 def _segment_sums(a: np.ndarray, axis: str, parts: int) -> tuple:
-    """S[i, s] = sum of segment s of line i (a row, or a column for axis "cols"), each line cut
-    into parts aligned runs of n/parts cells, and its witness; one part is the whole line."""
+    """The table (_verdict) of S[i, s] = sum of segment s of line i (a row, or a column for axis "cols"),
+    each line cut into parts aligned runs of n/parts cells; one part is the whole line."""
     n, seg = len(a), len(a) // parts
     lines, label = (a, "row") if axis == "rows" else (a.T, "column")
+
+    def cells(i, s):
+        line, span = i[:, None], s[:, None] * seg + np.arange(seg)
+        return line * n + span if axis == "rows" else span * n + line
 
     def witness(i, s):
         span = range(s * seg, (s + 1) * seg)
         segment = f", segment {s} (indices {span[0]}..{span[-1]})" if parts > 1 else ""
         return f"{label} {i}{segment}", [(i, c) if axis == "rows" else (c, i) for c in span]
 
-    return lines.reshape(n, parts, seg).sum(axis=2), witness
+    return (n, parts), cells, witness, lambda: lines.reshape(n, parts, seg).sum(axis=2)
 
 
-def _verdict(name: str, target: int, tables) -> PropertyVerdict:
-    """The one sum scan: the first sum that misses target, with its witness, fails the property.
+def _verdict(name: str, target: int, a: np.ndarray, tables) -> PropertyVerdict:
+    """The one sum scan, probe then table: the first sum that misses target, with its witness, fails the property.
 
-    tables yields (sums, witness) pairs, read in order and each sums array row-major; witness(*index)
-    gives the location and cells of sums[index]. So rows precede columns, main diagonals anti ones,
-    segments go by line then position, p-sets and windows by top-left cell, and patterns by
-    direction, alpha, then offset. No table after a failing one is built."""
-    for sums, witness in tables:
+    tables yields (shape, cells, witness, build) per table, read in order: build() makes its 2-D sums, read
+    row-major; cells(i, j) gives the flat indices into a of the cells of sums[i[k], j[k]] along a last axis,
+    witness(i, j) one's location and cells. So rows precede columns, main diagonals anti ones, segments go by
+    line then position, p-sets and windows by top-left cell, and patterns by direction, alpha, then offset.
+    The first PROBE sums, gathered from their cells, decide a failure among them before a table is built."""
+    for (height, width), cells, witness, build in tables:
+        i, j = np.divmod(np.arange(min(PROBE, height * width)), width)
+        sums = a.take(cells(i, j)).sum(axis=-1)
+        if (sums == target).all():
+            sums = build().ravel()
         bad = sums != target
         if bad.any():  # argmax finds the first row-major failure without listing them all
-            index = tuple(int(x) for x in np.unravel_index(bad.argmax(), bad.shape))
-            location, cells = witness(*index)
-            return PropertyVerdict(name, False, Witness(location, target, int(sums[index]), tuple(cells)))
+            first = int(bad.argmax())
+            location, cells = witness(*divmod(first, width))
+            return PropertyVerdict(name, False, Witness(location, target, int(sums[first]), tuple(cells)))
     return PropertyVerdict(name, True)
 
 
@@ -268,7 +288,7 @@ def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
 def check_semi_magic(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Every row and column sums to the magic sum."""
     a = _array(square_or_grid, params)
-    return _verdict(SEMI_MAGIC, params.magic_sum, (_segment_sums(a, axis, 1) for axis in ("rows", "cols")))
+    return _verdict(SEMI_MAGIC, params.magic_sum, a, (_segment_sums(a, axis, 1) for axis in ("rows", "cols")))
 
 
 def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
@@ -276,7 +296,7 @@ def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
     a = _array(square_or_grid, params)
     tables = (_diagonal_sums(a, params.n, sign, label + " diagonal, offset {j}")
               for sign, label in ((1, "main"), (-1, "anti")))
-    return _verdict(PANDIAGONAL, params.magic_sum, tables)
+    return _verdict(PANDIAGONAL, params.magic_sum, a, tables)
 
 
 def check_complementary(square_or_grid, params: TypeParams, direction: str = "main") -> PropertyVerdict:
@@ -293,7 +313,7 @@ def check_complementary(square_or_grid, params: TypeParams, direction: str = "ma
         raise ValueError("direction must be 'main' or 'anti'")
     sign = 1 if direction == "main" else -1
     table = _diagonal_sums(a, p, sign, direction + "-diagonal p-set at ({i}, {j})")
-    return _verdict(COMPLEMENTARY, params.complement_sum, [table])
+    return _verdict(COMPLEMENTARY, params.complement_sum, a, [table])
 
 
 def check_pxp(square_or_grid, params) -> PropertyVerdict:
@@ -306,7 +326,7 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
 
     The vertical sums V decide every window (_first_failing_row), one band of top rows at a time,
     and the scan stops at the first failing band. A failing grid rebuilds the windows of its first
-    failing row alone, each the sum of the p vertical sums V(i, j..j+p-1), to witness.
+    failing row alone, each the sum of the p vertical sums V(i, j..j+p-1), and reports its first failing window.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
@@ -320,11 +340,9 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     windows = np.zeros_like(v)
     for dc in range(p):  # W(i, j) = V(i, j) + ... + V(i, j+p-1), wrapping past the last column
         _shift_add(windows, v, dc)
-
-    def witness(j):
-        return f"window at ({i}, {j})", [((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p)]
-
-    return _verdict(PXP, target, [(windows, witness)])
+    j = int((windows != target).argmax())  # the first failing window, of the row that has one
+    cells = tuple(((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p))
+    return PropertyVerdict(PXP, False, Witness(f"window at ({i}, {j})", target, int(windows[j]), cells))
 
 
 def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> PropertyVerdict:
@@ -336,7 +354,7 @@ def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> 
     if n % p:
         raise ValueError(f"p={p} does not divide order {n}")
     name = ONE_OVER_P_ROWS if axis == "rows" else ONE_OVER_P_COLS
-    return _verdict(name, params.segment_sum, [_segment_sums(a, axis, p)])
+    return _verdict(name, params.segment_sum, a, [_segment_sums(a, axis, p)])
 
 
 def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> PropertyVerdict:
@@ -354,30 +372,38 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    first, rest = split_rows(params)  # refuses an order that is not k*p^3; the witness reads the same table
+    first, rest = table = split_rows(params)  # refuses an order that is not k*p^3; the witness reads it too
     steps, step_of = np.unique(np.subtract(rest, first), return_inverse=True)  # step_of[g]: group g's sum
     chosen = np.array(select_alphas(params, alphas))
+    up, rotated = table.rows[chosen - 1], functools.cache(lambda: _rotated_columns(a))  # copied once, if need be
 
     def tables():
-        for direction, lines in zip(DIRECTIONS, _rotated_columns(a)):
-            groups = lines.reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-            acc = np.zeros((len(steps), p, 2 * n), dtype=a.dtype)  # one p-row sum per step, 2n wide
-            for g, (row, s) in enumerate(zip(first, step_of)):  # at offset o the pattern holds (r + o, c)
-                _shift_add(acc[s], groups[g], row)
-            acc[..., :n] += acc[..., n:]  # fold the halves: column c + n wraps to c
-            sums = np.cumsum(acc[..., :n], axis=1)  # sums[s, c]: columns 0..c of every group of step s
-            heads = sums[:, chosen - 1]  # heads[s, i]: the first chosen[i] columns
-            totals = heads.sum(axis=0)
-            for step, tail in zip(steps.tolist(), sums[:, -1:] - heads):  # the other columns, at rest = first + step
-                _shift_add(totals, tail, step)
+        for q, direction in enumerate(DIRECTIONS):  # the up pattern on the square turned q times
+            def cells(i, offset, q=q):  # its cells (row[c], c) there, up[i, c] being c's row at chosen[i], turned back
+                row, col = (up[i] + offset[:, None]) % n, np.arange(n)
+                flat = row * n + col if q % 2 == 0 else col * n + n - 1 - row
+                return flat if q < 2 else n * n - 1 - flat  # a half turn takes cell x to n^2 - 1 - x
 
             def witness(i, offset, direction=direction):
                 spec = PatternSpec(direction, int(chosen[i]), offset, params)
                 return f"{direction} pattern, alpha={spec.alpha}, offset={offset}", franklin_cells(spec).sorted_cells()
 
-            yield totals, witness  # row i holds alpha chosen[i]
+            yield (len(chosen), n), cells, witness, lambda q=q: direction_sums(q)  # row i holds alpha chosen[i]
 
-    return _verdict(FRANKLIN_PATTERNS, params.magic_sum, tables())
+    def direction_sums(q):
+        groups = rotated()[q].reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
+        acc = np.zeros((len(steps), p, 2 * n), dtype=a.dtype)  # one p-row sum per step, 2n wide
+        for g, (row, s) in enumerate(zip(first, step_of)):  # at offset o the pattern holds (r + o, c)
+            _shift_add(acc[s], groups[g], row)
+        acc[..., :n] += acc[..., n:]  # fold the halves: column c + n wraps to c
+        sums = np.cumsum(acc[..., :n], axis=1)  # sums[s, c]: columns 0..c of every group of step s
+        heads = sums[:, chosen - 1]  # heads[s, i]: the first chosen[i] columns
+        totals = heads.sum(axis=0)
+        for step, tail in zip(steps.tolist(), sums[:, -1:] - heads):  # the other columns, at rest = first + step
+            _shift_add(totals, tail, step)
+        return totals
+
+    return _verdict(FRANKLIN_PATTERNS, params.magic_sum, a, tables())
 
 
 def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None, *, required_for=None) -> PropertyReport:

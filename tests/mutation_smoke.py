@@ -25,6 +25,9 @@ PROPERTIES = "src/franklin_forge/properties.py"
 CORE = "src/franklin_forge/core.py"
 PATTERNS = "src/franklin_forge/patterns.py"
 ORBITS = "tests/test_orbits.py"
+REFERENCE_PROBE = "tests/test_reference.py::test_probe_and_table_give_the_reference_certificate"
+REARRANGEMENTS = "tests/test_involution.py::test_rearrangements_keep_the_proof_and_the_range"
+EMIT_DIGITS = "tests/test_cli.py::test_emit_matches_reference_on_every_digit_count"
 
 PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
@@ -61,6 +64,10 @@ MUTANTS = [
      ["tests/test_reference.py", ORBITS]),
     ("Franklin halves not folded", PROPERTIES, "acc[..., :n] += acc[..., n:]", "acc[..., :n] += 0",
      ["tests/test_reference.py"]),
+    ("probe compares with the wrong target", PROPERTIES, "if (sums == target).all():",
+     "if (sums == target + 1).all():", [REFERENCE_PROBE]),
+    ("probe reports the second failing entry", PROPERTIES, "first = int(bad.argmax())",
+     "first = int(np.flatnonzero(bad)[:2][-1])", [REFERENCE_PROBE]),
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", PATTERNS, "(rest if col % p else first)",
@@ -84,6 +91,10 @@ MUTANTS = [
      ["tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
      "((0, 1, 2) if swap_rows", ["tests/test_involution.py"]),
+    ("theta of a plain Grid comes back as a NaturalSquare", "src/franklin_forge/involution.py",
+     "return type(grid)(_Owned(", "return __import__('franklin_forge').NaturalSquare(_Owned(", [REARRANGEMENTS]),
+    ("a plain Grid's rearrangement taken as proved", CORE, "isinstance(entries.source, NaturalSquare)",
+     "isinstance(entries.source, Grid)", [REARRANGEMENTS]),
     ("range from the first row only", CORE, "(int(a.min()), int(a.max()))",
      "(int(a[0].min()), int(a[0].max()))", ["tests/test_core.py"] + GUARD_TESTS),
     ("no range test in the naturalness proof", CORE, "if lo < 0 or hi >= n * n or not _is_permutation",
@@ -105,6 +116,10 @@ MUTANTS = [
      ["tests/test_cli.py::test_tail_after_the_block_takes_the_plain_path"]),
     ("last row emitted with a trailing comma", CLI, '"]\\n  ]")', '"],\\n  ]")',
      ["tests/test_cli.py::TestFormats::test_golden_serialization"]),
+    ("digit taken from the wrong remainder", CLI, "rest.astype(np.uint8) * 10", "rest.astype(np.uint8) * 9",
+     [EMIT_DIGITS]),
+    ("streamed stdout not flushed first", CLI, "        sys.stdout.flush()\n", "",
+     ["tests/test_cli.py::TestStreamedOutput::test_file_stdout_and_text_stdout_carry_the_same_bytes"]),
     ("CSV layout with a CRLF row gap", CLI, '"csv": (("", ",", "\\n", "\\n"),)', '"csv": (("", ",", "\\r\\n", "\\n"),)',
      ["tests/test_cli.py::test_emit_matches_reference_on_squares"]),
 ]

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -797,6 +798,60 @@ def test_emit_matches_reference_on_squares(p, r):
 def test_emit_matches_reference_on_rows_wider_than_a_band():
     rows = np.arange(-70_000, 70_000, dtype=np.int64).reshape(2, 70_000) * 3
     assert_emits_as_reference(SquareDocument(ff.Grid(rows)))
+
+
+@pytest.mark.parametrize("widest", [9, 10, 19])
+@pytest.mark.parametrize("signed", [False, True])
+def test_emit_matches_reference_on_every_digit_count(widest, signed):
+    """Entries of every length from 1 to widest digits (below 2**32 at 9, so the uint32 digit path, else
+    the uint64 one), with negatives and -2**63 when signed, over two bands of rows, both formats."""
+    rng = random.Random(widest)
+    values = [rng.randrange(10 ** (digits - 1) if digits > 1 else 0, min(10**digits, 2**63))
+              for digits in range(1, widest + 1)]
+    if signed:
+        values += [-v for v in values] + ([-(2**63)] if widest == 19 else [])
+    rows = np.array([rng.choice(values) for _ in range(300 * 301)], dtype=np.int64).reshape(300, 301)
+    rows[0, : len(values)] = values  # every length occurs
+    assert_emits_as_reference(SquareDocument(ff.Grid(rows), p=3, metadata={"widest": widest}))
+
+
+class TestStreamedOutput:
+    """construct, theta and fixtures --export write emit_square's bytes band by band: to an --out file, to
+    stdout's binary buffer after its text layer, or as text to a stdout with no buffer."""
+
+    def test_file_stdout_and_text_stdout_carry_the_same_bytes(self, tmp_path, capsys):
+        for argv in (["construct", "--p", "3", "--r", "3"], ["construct", "--p", "2", "--r", "4", "--csv"],
+                     ["fixtures", "--export", "figure2_mp9"]):
+            out = tmp_path / "out"
+            assert main(argv + ["--out", str(out)]) == 0
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with mock.patch("sys.stdout", stdout):
+                print("before", end="")  # pending in the text layer: flushed ahead of the square's bytes
+                assert main(argv) == 0
+                print("after")
+                stdout.flush()
+            assert stdout.buffer.getvalue() == b"before" + out.read_bytes() + b"after\n"
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out.read_text()
+            text = io.StringIO()
+            with redirect_stdout(text):
+                assert main(argv) == 0
+            assert text.getvalue() == out.read_text()
+        assert out.read_text() == (GOLDEN_DIR / "figure2_mp9.json").read_text()
+
+    def test_theta_writes_emit_square_bytes(self, tmp_path):
+        square = ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
+        src, out = tmp_path / "mp.json", tmp_path / "f.csv"
+        src.write_text(emit_square(SquareDocument(square, p=3)))
+        assert main(["theta", "--p", "3", "--csv", "--in", str(src), "--out", str(out)]) == 0
+        theta_doc = SquareDocument(ff.theta(square, ff.TypeParams(3, 27)))
+        assert out.read_bytes() == emit_square(theta_doc, "csv").encode()
+
+    def test_format_checked_before_the_file_is_opened(self, tmp_path):
+        out = tmp_path / "never"
+        with pytest.raises(SquareFormatError, match="unknown format 'xml'"):
+            ff.cli._write_output(SquareDocument(ff.Grid([[0]])), "xml", str(out))
+        assert not out.exists()
 
 
 # Edits of one gap of a plain 3 x 3 block in the plain JSON layouts: other bytes of the same

@@ -60,10 +60,49 @@ def test_theta_returns_the_input_type(transform, mp8):
     assert transform(grid, params) == transform(square, params)
 
 
+def rotate_once(square, params):
+    return ff.rotate_cw(square, 1)
+
+
+def count_proofs(monkeypatch):
+    proofs, prove = [], ff.core._is_permutation
+    monkeypatch.setattr(ff.core, "_is_permutation", lambda a: proofs.append(a.shape) or prove(a))
+    return proofs
+
+
+@pytest.mark.parametrize("transform", [ff.theta, ff.theta_row, ff.theta_col, rotate_once])
+def test_rearrangements_keep_the_proof_and_the_range(transform, monkeypatch):
+    """An output that only rearranges a NaturalSquare's entries is a NaturalSquare holding the input's
+    recorded range, the same tuple, so no range scan ran, and no mark scatter ran either."""
+    params = ff.TypeParams.for_power(3, 3)
+    square = ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
+    proofs = count_proofs(monkeypatch)
+    out = transform(square, params)
+    assert type(out) is ff.NaturalSquare and out.span is square.span and proofs == []
+    assert sorted(out.entries.ravel().tolist()) == list(range(params.n**2)) and not out.entries.flags.writeable
+    grid = ff.Grid(square)
+    if transform is rotate_once:  # a plain Grid's rotation is a NaturalSquare only once proved
+        assert type(transform(grid, params)) is ff.NaturalSquare and proofs == [(27, 27)]
+        with pytest.raises(ValueError, match="not a permutation"):
+            ff.rotate_cw(ff.Grid([[0, 0], [1, 2]]), 1)
+    else:
+        out = transform(grid, params)
+        assert type(out) is ff.Grid and out.span is grid.span and proofs == []
+    assert ff.theta(ff.theta(square, params), params) == square
+
+
+def test_theta_of_theta_is_the_square_with_its_proof_and_range(monkeypatch):
+    params = ff.TypeParams.for_power(2, 6)
+    square = ff.generate_most_perfect(ff.GeneratorConfig(2, 6))
+    proofs = count_proofs(monkeypatch)
+    back = ff.theta(ff.theta(square, params), params)
+    assert type(back) is ff.NaturalSquare and back == square and back.span is square.span and proofs == []
+
+
 @pytest.mark.parametrize("transform", [ff.theta, ff.theta_row, ff.theta_col])
 def test_transform_peaks_at_about_one_square(transform):
-    """The reshape's C-ordered copy becomes the output's entries, with no second copy: the peak is
-    one square plus, for a NaturalSquare, the proof's one mark byte per cell."""
+    """The reshape's C-ordered copy becomes the output's entries, with no second copy, and a NaturalSquare's
+    output keeps the input's proof, with no mark byte per cell: the peak is one square."""
     params = ff.TypeParams.for_power(3, 6)
     square = ff.generate_most_perfect(ff.GeneratorConfig(3, 6))
     for held in (square, ff.Grid(square)):
@@ -75,7 +114,7 @@ def test_transform_peaks_at_about_one_square(transform):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * params.n**2 * 8, (type(held).__name__, peak / (params.n**2 * 8))
+        assert peak <= 1.05 * params.n**2 * 8, (type(held).__name__, peak / (params.n**2 * 8))
 
 
 class TestInvolutionAlgebra:

@@ -112,13 +112,17 @@ class TestDiagonalFold:
         for a in (natural, generic):
             for count in (c for c in range(1, n + 1) if n % c == 0):
                 for sign in (1, -1):
-                    table, witness = properties._diagonal_sums(a, count, sign, "({i}, {j})")
-                    assert table.dtype == np.int64 and table.shape == (n // count, n)
+                    shape, cells, witness, build = properties._diagonal_sums(a, count, sign, "({i}, {j})")
+                    table = build()
+                    assert table.dtype == np.int64 and table.shape == shape == (n // count, n)
                     assert table.tolist() == self.reference_table(a, count, sign)
                     i, j = rng.randrange(n // count), rng.randrange(n)
-                    location, cells = witness(i, j)
-                    assert location == f"({i}, {j})" and len(cells) == count
-                    assert sum(int(a[r, c]) for r, c in cells) == table[i, j]
+                    location, listed = witness(i, j)
+                    assert location == f"({i}, {j})" and len(listed) == count
+                    assert sum(int(a[r, c]) for r, c in listed) == table[i, j]
+                    probed = cells(np.array([i, 0]), np.array([j, 0]))  # the probe's cells, the witness's set
+                    assert sorted(divmod(x, n) for x in probed[0].tolist()) == sorted(listed)
+                    assert a.take(probed).sum(axis=-1).tolist() == [table[i, j], table[0, 0]]
 
     @pytest.mark.parametrize("p, r, per_sign", [(3, 6, 27 + 27), (7, 3, 49 + 7), (2, 5, 8 + 4), (5, 2, 5 + 5)])
     def test_slab_adds_per_check(self, p, r, per_sign, monkeypatch):
@@ -486,15 +490,16 @@ class TestFranklinPatterns:
         assert len(calls) == 4 * (49 + 5) == 216
         shapes = Counter(acc.shape for acc, _, _ in calls)
         assert shapes == {(p, 2 * n): 4 * 49, (p - 1, n): 4 * 5}
-        # A failing square stops at its first failure: the untransformed order-27 square fails
-        # an up pattern, so only the up direction's placements run: 9 groups, 5 steps.
+        # A square that fails among the probed first patterns builds no table: the untransformed
+        # order-27 square fails the first up pattern, so nothing is placed or transposed.
         params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
         first, rest = split_rows(params)
         assert len(first) == 9 and len(set(np.subtract(rest, first).tolist())) == 5
         calls.clear()
+        rotations = count_calls(monkeypatch, "_rotated_columns", ff.properties)
         verdict = ff.check_franklin_patterns(mp27, params)
         assert verdict.witness.location == "up pattern, alpha=1, offset=0"
-        assert len(calls) == 9 + 5 == 14
+        assert len(calls) == 0 and len(rotations) == 0
 
 
 class TestVerifyAll:

@@ -6,12 +6,14 @@ fast check must return the same PropertyVerdict, witness included.
 """
 
 import functools
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import franklin_forge as ff
+from franklin_forge import properties
 from franklin_forge.properties import (
     COMPLEMENTARY,
     FRANKLIN_PATTERNS,
@@ -19,6 +21,7 @@ from franklin_forge.properties import (
     ONE_OVER_P_COLS,
     ONE_OVER_P_ROWS,
     PANDIAGONAL,
+    PROBE,
     PXP,
     SEMI_MAGIC,
 )
@@ -48,47 +51,61 @@ def ref_natural(obj, params):
     return ff.PropertyVerdict(NATURAL, True)
 
 
-def ref_semi_magic(obj, params):
+def semi_magic_sets(params):
     """Every row, then every column."""
     n = params.n
     candidates = [(f"row {i}", [(i, c) for c in range(n)]) for i in range(n)]
-    candidates += [(f"column {i}", [(r, i) for r in range(n)]) for i in range(n)]
-    return first_failure(SEMI_MAGIC, candidates, obj.entries.tolist(), params.magic_sum)
+    return candidates + [(f"column {i}", [(r, i) for r in range(n)]) for i in range(n)]
 
 
-def ref_one_over_p(obj, params, axis):
+def ref_semi_magic(obj, params):
+    return first_failure(SEMI_MAGIC, semi_magic_sets(params), obj.entries.tolist(), params.magic_sum)
+
+
+def one_over_p_sets(params, axis):
     """Line by line, each line's p aligned segments left to right (top to bottom for columns)."""
     n, p = params.n, params.p
     seg = n // p
-    label, name = ("row", ONE_OVER_P_ROWS) if axis == "rows" else ("column", ONE_OVER_P_COLS)
-    candidates = (
+    label = "row" if axis == "rows" else "column"
+    return (
         (f"{label} {i}, segment {s} (indices {s * seg}..{(s + 1) * seg - 1})",
          [(i, c) if axis == "rows" else (c, i) for c in range(s * seg, (s + 1) * seg)])
         for i in range(n)
         for s in range(p)
     )
-    return first_failure(name, candidates, obj.entries.tolist(), params.segment_sum)
 
 
-def ref_pandiagonal(obj, params):
+def ref_one_over_p(obj, params, axis):
+    name = ONE_OVER_P_ROWS if axis == "rows" else ONE_OVER_P_COLS
+    return first_failure(name, one_over_p_sets(params, axis), obj.entries.tolist(), params.segment_sum)
+
+
+def pandiagonal_sets(params):
     n = params.n
-    candidates = (
+    return (
         (f"{label} diagonal, offset {c}", [(r, (sign * r + c) % n) for r in range(n)])
         for sign, label in ((1, "main"), (-1, "anti"))
         for c in range(n)
     )
-    return first_failure(PANDIAGONAL, candidates, obj.entries.tolist(), params.magic_sum)
 
 
-def ref_complementary(obj, params, direction):
+def ref_pandiagonal(obj, params):
+    return first_failure(PANDIAGONAL, pandiagonal_sets(params), obj.entries.tolist(), params.magic_sum)
+
+
+def complementary_sets(params, direction):
     n, p = params.n, params.p
     step, sign = n // p, 1 if direction == "main" else -1
-    candidates = (
+    return (
         (f"{direction}-diagonal p-set at ({i}, {j})",
          [((i + t * step) % n, (j + sign * t * step) % n) for t in range(p)])
         for i in range(n)
         for j in range(n)
     )
+
+
+def ref_complementary(obj, params, direction):
+    candidates = complementary_sets(params, direction)
     return first_failure(COMPLEMENTARY, candidates, obj.entries.tolist(), params.complement_sum)
 
 
@@ -148,14 +165,17 @@ def all_pattern_cells(params):
     return [(spec, tuple(sorted(ref_franklin_cells(spec)))) for spec in ff.enumerate_patterns(params)]
 
 
-def ref_franklin(obj, params, alphas):
+def franklin_sets(params, alphas=None):
     chosen = set(range(1, params.p)) if alphas is None else set(alphas)
-    candidates = (
+    return (
         (f"{spec.direction} pattern, alpha={spec.alpha}, offset={spec.frame_offset}", cells)
         for spec, cells in all_pattern_cells(params)
         if spec.alpha in chosen
     )
-    return first_failure(FRANKLIN_PATTERNS, candidates, obj.entries.tolist(), params.magic_sum)
+
+
+def ref_franklin(obj, params, alphas):
+    return first_failure(FRANKLIN_PATTERNS, franklin_sets(params, alphas), obj.entries.tolist(), params.magic_sum)
 
 
 def ref_theta(obj, params, swap_rows, swap_cols):
@@ -259,6 +279,99 @@ def test_franklin_right_pattern_failure_matches_reference(p, n):
         fast = ff.check_franklin_patterns(grid, params, alphas)
         assert fast == ref_franklin(grid, params, alphas)
         assert fast.witness.location.startswith("right pattern")
+
+
+def sum_checks(params):
+    """(fast check, reference, sets of its scan in order, target) for each probed sum check at the order."""
+    out = [(ff.check_semi_magic, ref_semi_magic, semi_magic_sets, params.magic_sum),
+           (ff.check_pandiagonal, ref_pandiagonal, pandiagonal_sets, params.magic_sum)]
+    if params.has_complement_sum:
+        out += [(functools.partial(ff.check_complementary, direction=d),
+                 functools.partial(ref_complementary, direction=d),
+                 functools.partial(complementary_sets, direction=d), params.complement_sum) for d in ("main", "anti")]
+    if params.has_segment_sum:
+        out += [(functools.partial(ff.check_one_over_p, axis=axis), functools.partial(ref_one_over_p, axis=axis),
+                 functools.partial(one_over_p_sets, axis=axis), params.segment_sum) for axis in ("rows", "cols")]
+    if params.franklin_k is not None:
+        out.append((ff.check_franklin_patterns, functools.partial(ref_franklin, alphas=None), franklin_sets,
+                    params.magic_sum))
+    return out
+
+
+def on_target_first(grid, sets, target, count):
+    """grid with one cell of each of the first count cell sets moved so that the set sums to target. The
+    sets must be disjoint, as the first table's of every probed check are (a diagonal sign, a direction)."""
+    a = grid.entries.tolist()
+    for _, cells in itertools.islice(sets, count):
+        r, c = cells[0]
+        a[r][c] += target - sum(a[x][y] for x, y in cells)
+    return ff.Grid(a)
+
+
+def two_cell_edits(square, rng):
+    """+1 at one cell and -1 at another of a square that passes: the first failure lies in the rows or the
+    first alphas inside the probe window or beyond it, in the column table (one row), in the anti diagonals
+    (one main diagonal), or, for the zero-sum column shift, in the right patterns."""
+    n, far = square.rows, PROBE + 2
+    pairs = [((1, 0), (2, 3)), ((far, 1), (far + 1, 2)), ((0, 1), (0, 2)), ((0, far), (0, far + 3)),
+             ((0, 0), (1, 1)), ((0, far), (1, far + 1))]
+    pairs += [tuple((rng.randrange(n), rng.randrange(n)) for _ in "xy") for _ in range(3)]
+    for x, y in pairs:
+        a = np.array(square.entries)
+        a[x[0] % n, x[1] % n] += 1
+        a[y[0] % n, y[1] % n] -= 1
+        yield ff.Grid(a)
+    shift = [rng.randrange(-9, 10) for _ in range(n - 1)]
+    yield ff.Grid(square.entries + np.array(shift + [-sum(shift)]))
+
+
+def record_scan_paths(monkeypatch):
+    """[(property, "probe" or "table")] for each failing verdict: did the probe decide it, or the built table?"""
+    paths, scan = [], properties._verdict
+
+    def spied(name, target, a, tables):
+        built = []
+
+        def watched():
+            for shape, cells, witness, build in tables:
+                built.append(False)
+                yield shape, cells, witness, lambda build=build: built.__setitem__(-1, True) or build()
+
+        verdict = scan(name, target, a, watched())
+        if not verdict.passed:
+            paths.append((name, "table" if built[-1] else "probe"))
+        return verdict
+
+    monkeypatch.setattr(properties, "_verdict", spied)
+    return paths
+
+
+@pytest.mark.parametrize("p,k", FRANKLIN_ORDERS)
+def test_probe_and_table_give_the_reference_certificate(p, k, monkeypatch):
+    """Failing squares whose first failure lies inside the probe window (the first PROBE sums of a table)
+    and beyond it: a later row, column, offset or direction, the anti sign. The certificate is the
+    reference's whichever decides it, and also with no probe or a probe over every sum; both occur."""
+    params = ff.TypeParams.for_franklin(p, k)
+    n = params.n
+    rng = random.Random(n)
+    squares = cases(p, n)[1]
+    edited = [grid for base in squares[:2] if p ** round(np.log(n) / np.log(p)) == n
+              for grid in two_cell_edits(base, rng)]
+    paths, decided, failing = record_scan_paths(monkeypatch), set(), set()
+    for check, ref, sets, target in sum_checks(params):
+        prefixed = [on_target_first(squares[-1], sets(params), target, count) for count in (PROBE - 2, PROBE + 2)]
+        for grid in squares + edited + prefixed:
+            expected = ref(grid, params)
+            if not expected.passed:
+                failing.add(expected.property_name)
+            for probe in (0, n * n, PROBE):  # no probe, a probe over every sum, then the probe as it is
+                monkeypatch.setattr(properties, "PROBE", probe)
+                paths.clear()
+                assert check(grid, params) == expected
+            decided.update(paths)
+    assert len(failing) == len(sum_checks(params)) - params.has_complement_sum  # its two directions share a name
+    for name in failing:
+        assert {path for other, path in decided if other == name} == {"probe", "table"}, name
 
 
 @pytest.mark.parametrize("p,k", FRANKLIN_ORDERS)
