@@ -3,7 +3,8 @@
 Each check returns a PropertyVerdict; a failing verdict carries a witness whose cells re-sum
 to the reported actual value. The sum checks but p x p report through _verdict, whose docstring
 states the one scan order, probe then table: a table's first sums, gathered from their cells,
-decide a failure there before it is built. So reports are byte-stable across runs.
+decide a failure there before it is built. Each table states its sums' cells once, and the
+witness of its failing sum lists them. So reports are byte-stable across runs.
 
 Toric sums come from two kernels: _vertical_sums (sums of width cells down the rows as
 prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
@@ -217,10 +218,7 @@ def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple
     def cells(i, j):  # i < m, so the rows need no wrap
         return (i[:, None] + steps) * n + (j[:, None] + sign * steps) % n
 
-    def witness(i, j):
-        return location.format(i=i, j=j), [((i + t * m) % n, (j + sign * t * m) % n) for t in range(count)]
-
-    return (m, n), cells, witness, build
+    return (m, n), cells, location.format, build
 
 
 def _segment_sums(a: np.ndarray, axis: str, parts: int) -> tuple:
@@ -233,23 +231,23 @@ def _segment_sums(a: np.ndarray, axis: str, parts: int) -> tuple:
         line, span = i[:, None], s[:, None] * seg + np.arange(seg)
         return line * n + span if axis == "rows" else span * n + line
 
-    def witness(i, s):
-        span = range(s * seg, (s + 1) * seg)
-        segment = f", segment {s} (indices {span[0]}..{span[-1]})" if parts > 1 else ""
-        return f"{label} {i}{segment}", [(i, c) if axis == "rows" else (c, i) for c in span]
+    def location(i, j):
+        return f"{label} {i}" + (f", segment {j} (indices {j * seg}..{(j + 1) * seg - 1})" if parts > 1 else "")
 
-    return (n, parts), cells, witness, lambda: lines.reshape(n, parts, seg).sum(axis=2)
+    return (n, parts), cells, location, lambda: lines.reshape(n, parts, seg).sum(axis=2)
 
 
 def _verdict(name: str, target: int, a: np.ndarray, tables) -> PropertyVerdict:
     """The one sum scan, probe then table: the first sum that misses target, with its witness, fails the property.
 
-    tables yields (shape, cells, witness, build) per table, read in order: build() makes its 2-D sums, read
+    tables yields (shape, cells, location, build) per table, read in order: build() makes its 2-D sums, read
     row-major; cells(i, j) gives the flat indices into a of the cells of sums[i[k], j[k]] along a last axis,
-    witness(i, j) one's location and cells. So rows precede columns, main diagonals anti ones, segments go by
-    line then position, p-sets and windows by top-left cell, and patterns by direction, alpha, then offset.
-    The first PROBE sums, gathered from their cells, decide a failure among them before a table is built."""
-    for (height, width), cells, witness, build in tables:
+    location(i=i, j=j) names one sum. So rows precede columns, main diagonals anti ones, segments go by line then
+    position, p-sets by top-left cell, and patterns by direction, alpha, then offset. The first PROBE sums,
+    gathered from their cells, decide a failure among them before a table is built. The witness lists the
+    failing sum's cells in (row, col) order: its flat indices from cells, sorted, then split by row."""
+    cols = a.shape[1]  # flat index x into a is cell divmod(x, cols)
+    for (height, width), cells, location, build in tables:
         i, j = np.divmod(np.arange(min(PROBE, height * width)), width)
         sums = a.take(cells(i, j)).sum(axis=-1)
         if (sums == target).all():
@@ -257,8 +255,9 @@ def _verdict(name: str, target: int, a: np.ndarray, tables) -> PropertyVerdict:
         bad = sums != target
         if bad.any():  # argmax finds the first row-major failure without listing them all
             first = int(bad.argmax())
-            location, cells = witness(*divmod(first, width))
-            return PropertyVerdict(name, False, Witness(location, target, int(sums[first]), tuple(cells)))
+            i, j = divmod(first, width)
+            listed = [divmod(x, cols) for x in sorted(cells(np.array([i]), np.array([j]))[0].tolist())]
+            return PropertyVerdict(name, False, Witness(location(i=i, j=j), target, int(sums[first]), tuple(listed)))
     return PropertyVerdict(name, True)
 
 
@@ -372,7 +371,7 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    first, rest = table = split_rows(params)  # refuses an order that is not k*p^3; the witness reads it too
+    first, rest = table = split_rows(params)  # refuses an order that is not k*p^3
     steps, step_of = np.unique(np.subtract(rest, first), return_inverse=True)  # step_of[g]: group g's sum
     chosen = np.array(select_alphas(params, alphas))
     up, rotated = table.rows[chosen - 1], functools.cache(lambda: _rotated_columns(a))  # copied once, if need be
@@ -384,11 +383,10 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
                 flat = row * n + col if q % 2 == 0 else col * n + n - 1 - row
                 return flat if q < 2 else n * n - 1 - flat  # a half turn takes cell x to n^2 - 1 - x
 
-            def witness(i, offset, direction=direction):
-                spec = PatternSpec(direction, int(chosen[i]), offset, params)
-                return f"{direction} pattern, alpha={spec.alpha}, offset={offset}", franklin_cells(spec).sorted_cells()
+            def location(i, j, direction=direction):
+                return f"{direction} pattern, alpha={chosen[i]}, offset={j}"
 
-            yield (len(chosen), n), cells, witness, lambda q=q: direction_sums(q)  # row i holds alpha chosen[i]
+            yield (len(chosen), n), cells, location, lambda q=q: direction_sums(q)  # row i holds alpha chosen[i]
 
     def direction_sums(q):
         groups = rotated()[q].reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
@@ -458,7 +456,8 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
 def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
     """Do all p x p windows of consecutive rows/columns share one sum? Decided from V, as in check_pxp.
 
-    A raw int64 array is summed in int64, so its sums are compared modulo 2^64."""
+    A Grid's entries, like a raw int64 array's, are summed in int64 by that kernel, so their sums are
+    compared modulo 2^64. The other oracles below read their entries as Python ints and are exact."""
     a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
     return _first_failing_row(a, p, toric, a[:p, :p].sum()) is None
 
@@ -469,7 +468,7 @@ def lemma_diagsum_oracle(grid_or_array, p: int) -> bool:
     Holds whenever the array has the window property; the oracle only evaluates
     the identity, so on arbitrary grids it may legitimately return False.
     """
-    a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
+    a = np.asarray(grid_or_array.entries if isinstance(grid_or_array, Grid) else grid_or_array, dtype=object)
     rows, cols = a.shape
     if p < 1 or rows < p + 1 or cols < p + 1 or (rows - 1) % p or (cols - 1) % p:  # p < 1 first: p = 0 divides by zero
         raise ValueError(f"grid {a.shape} is not (mp+1) x (np+1) for p={p}")
@@ -483,7 +482,7 @@ def lemma_moremoresums2_oracle(grid_or_array, p: int, k_split: int) -> bool:
     entries of the top row against the same positions of the bottom row.
     k_split may exceed p (any 1 <= k_split <= lp with room for the trailer).
     """
-    a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
+    a = np.asarray(grid_or_array.entries if isinstance(grid_or_array, Grid) else grid_or_array, dtype=object)
     rows, cols = a.shape
     if p < 1 or rows < p + 1 or (rows - 1) % p or cols < p or cols % p:  # p < 1 first: p = 0 divides by zero
         raise ValueError(f"grid {a.shape} is not (mp+1) x (np) for p={p}")
@@ -503,7 +502,7 @@ def cross_identity_holds(grid_or_array) -> bool:
 
     Brute force over all index quadruples; meant for small oracle grids.
     """
-    a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
+    a = np.asarray(grid_or_array.entries if isinstance(grid_or_array, Grid) else grid_or_array, dtype=object)
     rows, cols = a.shape
     for i1 in range(rows):
         for i2 in range(i1 + 1, rows):
@@ -516,7 +515,7 @@ def cross_identity_holds(grid_or_array) -> bool:
 
 def transversal_sum(grid_or_array, column_of_row) -> int:
     """Sum of one cell per row at the given columns; columns must be a permutation."""
-    a = grid_or_array.entries if isinstance(grid_or_array, Grid) else np.asarray(grid_or_array)
+    a = np.asarray(grid_or_array.entries if isinstance(grid_or_array, Grid) else grid_or_array, dtype=object)
     rows, cols = a.shape
     perm = list(column_of_row)
     if rows != cols or sorted(perm) != list(range(cols)):

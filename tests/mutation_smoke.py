@@ -68,6 +68,11 @@ MUTANTS = [
      "if (sums == target + 1).all():", [REFERENCE_PROBE]),
     ("probe reports the second failing entry", PROPERTIES, "first = int(bad.argmax())",
      "first = int(np.flatnonzero(bad)[:2][-1])", [REFERENCE_PROBE]),
+    ("witness cells left in scan order", PROPERTIES, "in sorted(cells(", "in list(cells(", BATTERY),
+    ("witness read one entry on", PROPERTIES, "np.array([j]))[0]", "np.array([j + 1]))[0]", BATTERY),
+    ("oracle reads int64 entries", PROPERTIES, "else grid_or_array, dtype=object)\n    rows, cols = a.shape\n    perm",
+     "else grid_or_array, dtype=np.int64)\n    rows, cols = a.shape\n    perm",
+     ["tests/test_properties.py::TestTransversals::test_exact_past_int64"]),
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", PATTERNS, "(rest if col % p else first)",

@@ -112,16 +112,16 @@ class TestDiagonalFold:
         for a in (natural, generic):
             for count in (c for c in range(1, n + 1) if n % c == 0):
                 for sign in (1, -1):
-                    shape, cells, witness, build = properties._diagonal_sums(a, count, sign, "({i}, {j})")
+                    shape, cells, location, build = properties._diagonal_sums(a, count, sign, "({i}, {j})")
                     table = build()
                     assert table.dtype == np.int64 and table.shape == shape == (n // count, n)
                     assert table.tolist() == self.reference_table(a, count, sign)
                     i, j = rng.randrange(n // count), rng.randrange(n)
-                    location, listed = witness(i, j)
-                    assert location == f"({i}, {j})" and len(listed) == count
-                    assert sum(int(a[r, c]) for r, c in listed) == table[i, j]
-                    probed = cells(np.array([i, 0]), np.array([j, 0]))  # the probe's cells, the witness's set
-                    assert sorted(divmod(x, n) for x in probed[0].tolist()) == sorted(listed)
+                    assert location(i=i, j=j) == f"({i}, {j})"
+                    m = n // count
+                    defining = sorted(((i + t * m) % n, (j + sign * t * m) % n) for t in range(count))
+                    probed = cells(np.array([i, 0]), np.array([j, 0]))  # the probe's cells, the witness's too
+                    assert sorted(divmod(x, n) for x in probed[0].tolist()) == defining
                     assert a.take(probed).sum(axis=-1).tolist() == [table[i, j], table[0, 0]]
 
     @pytest.mark.parametrize("p, r, per_sign", [(3, 6, 27 + 27), (7, 3, 49 + 7), (2, 5, 8 + 4), (5, 2, 5 + 5)])
@@ -696,6 +696,13 @@ class TestLemmaOracles:
         assert not ff.window_sums_all_equal(grid, 2)
         assert not ff.lemma_moremoresums2_oracle(grid, 2, 1)
 
+    def test_identities_are_exact_past_int64(self):
+        """Entries whose int64 sums wrap to equal values: the exact sums differ, so both identities fail."""
+        corners = ff.Grid([[2**62, 0, 0], [0, 0, 0], [-2**63, 0, 2**62]])  # 2^63 against -2^63
+        assert not ff.lemma_diagsum_oracle(corners, 2)
+        split = ff.Grid([[2**62, 2**62, 0, 0], [0] * 4, [-2**63, 0, 0, 0]])
+        assert not ff.lemma_moremoresums2_oracle(split, 2, 2)
+
     def test_split_identity_dimension_checks(self):
         grid = ff.Grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         with pytest.raises(ValueError):
@@ -724,6 +731,11 @@ class TestTransversals:
     def test_cross_identity_detects_violation(self):
         grid = ff.Grid([[0, 0], [0, 1]])
         assert not ff.cross_identity_holds(grid)
+
+    def test_exact_past_int64(self):
+        """Python-int sums: the transversal is 2^63, and 2^62 + 2^62 is not 0 + (-2^63)."""
+        assert ff.transversal_sum(ff.Grid([[2**62, 0], [0, 2**62]]), [0, 1]) == 2**63
+        assert not ff.cross_identity_holds(ff.Grid([[2**62, 0], [-2**63, 2**62]]))
 
     def test_transversal_requires_permutation(self):
         grid = ff.Grid([[1, 2], [3, 4]])

@@ -333,9 +333,9 @@ def record_scan_paths(monkeypatch):
         built = []
 
         def watched():
-            for shape, cells, witness, build in tables:
+            for shape, cells, location, build in tables:
                 built.append(False)
-                yield shape, cells, witness, lambda build=build: built.__setitem__(-1, True) or build()
+                yield shape, cells, location, lambda build=build: built.__setitem__(-1, True) or build()
 
         verdict = scan(name, target, a, watched())
         if not verdict.passed:
