@@ -6,18 +6,19 @@ states the one scan order, probe then table: a table's first sums, gathered from
 decide a failure there before it is built. Each table states its sums' cells once, and the
 witness of its failing sum lists them. So reports are byte-stable across runs.
 
-Toric sums come from two kernels: _vertical_sums (sums of width cells down the rows as
-prefix-sum differences) and _shift_add (cyclic shifts of a line or a slab of lines). With
-V(i, j) the p cells down from (i, j), W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j) for the p x p
-windows W, so V decides every window, and the first failing row's windows, p shift-adds of its V,
-witness the first failure: no window table is built. V is built in bands of about BAND_CELLS
-cells (_first_failing_row), so the p x p check holds no n^2 temporary. Diagonal and p-set sums
-fold slabs of rows, and a fold by f1 then by f2 is a fold by f1*f2, so the 2n broken diagonals take
-2(f1 + n/f1) ~ 4 sqrt(n) shift-adds and the p-sets p. An up pattern takes each aligned group
+Toric sums come from strided views and _shift_add (cyclic shifts of a line or a slab of lines).
+The 2n broken diagonals are n-cell windows of each band of rows copied twice side by side
+(_broken_diagonals): one pass over the rows with contiguous reads, whatever n's factors. The
+p-sets fold their p slabs of n/p rows. With E(r, j) = a[r, j+p] - a[r, j], W(i, j+1) - W(i, j)
+sums p rows of E for the p x p windows W, and that sum changes from top row i to i+1 by
+E(i+p, j) - E(i, j). So W(i, 0), row 0's E rows and E(i+p) == E(i) decide every window
+(_first_failing_row), in bands of about BAND_CELLS cells that carry their last p E rows on: no
+row is read twice and no window table is built. The first failing row's windows, p shift-adds
+of its vertical sums, witness the first failure. An up pattern takes each aligned group
 of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks
 walked once per order per process), the second the first plus 0, +-1 or +-p. The Franklin check places
 each group once, whole, in the p-row sum of its step, a prefix of which serves every alpha: O(n^2) for any p.
-An int64 prefix sum may wrap, but the wrap cancels modulo 2^64 in a difference,
+An int64 prefix sum or difference may wrap, but the wrap cancels modulo 2^64,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
 """
@@ -146,42 +147,40 @@ def _array(obj, params: TypeParams | None = None) -> np.ndarray:
     return a
 
 
-def _vertical_sums(a: np.ndarray, width: int) -> np.ndarray:
-    """V(i, j), the sum of the width cells of a down from (i, j) for the rows i where they fit, as prefix
-    differences in np.cumsum's accumulator dtype; the prefix adds whole rows (axis 0 steps down columns)."""
-    m = len(a)
-    c = np.empty(a.shape, dtype=np.cumsum(a[:0], axis=0).dtype)
-    c[0] = a[0]
-    for i in range(1, m):
-        np.add(c[i - 1], a[i], out=c[i])
-    out = np.empty_like(c, shape=(m - width + 1, a.shape[1]))
-    out[0] = c[width - 1]
-    np.subtract(c[width:], c[: m - width], out=out[1:])
-    return out
-
-
 def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple | None:
-    """(i, V(i, :)) for the first top row i with a window W(i, j) that misses target, else None.
-    Top rows are all rows when toric (windows wrap past the last row and column), else those whose
-    windows fit, in bands of about BAND_CELLS cells, each read with the width - 1 rows after it. As
-    W(i, j+1) - W(i, j) = V(i, j+width) - V(i, j), row i passes iff W(i, 0) does and every step is 0."""
+    """(i, V(i, :)) for the first top row i with a window W(i, j) that misses target, else None; V sums width cells
+    down. Top rows are all rows when toric (windows wrap past the last row and column), else those whose windows fit.
+    Row i passes iff W(i, 0) does, row 0's width E rows sum to 0 and E(k + width) == E(k) for k < i (module docstring).
+    E comes in bands of about BAND_CELLS cells, at least width rows, each carrying its last width E rows to the next."""
     rows, cols = a.shape
     if not 1 <= width <= min(rows, cols):
         raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
                          else f"window size {width} is not positive")
-    tops, band = rows if toric else rows - width + 1, -(-BAND_CELLS // cols)
-    for top in range(0, tops, band):
-        end = min(top + band, tops) + width - 1  # one past the last row the band reads
-        v = _vertical_sums(a[top:end] if end <= rows else np.concatenate((a[top:], a[: end - rows])), width)
-        first = v[:, :width].sum(axis=1)
-        bad = first != target
-        bad |= (v[:, width:] != v[:, :-width]).any(axis=1)
-        if toric:
-            bad |= (v[:, -width:] != v[:, :width]).any(axis=1)
-        if bad.any():
-            k = int(bad.argmax())
-            return top + k, v[k]
-    return None
+    tops, span = (rows, cols) if toric else (rows - width + 1, cols - width)  # E columns that steps read
+    heads = a[:, :width].sum(axis=1)  # W(i, 0) = heads[i] + ... + heads[i + width - 1], wrapping when toric
+    prefix = np.cumsum(np.concatenate((heads[:1] * 0, heads, heads[: width - 1] if toric else heads[:0])))
+    bad = np.flatnonzero(prefix[width:] - prefix[:-width] != target)
+    found = int(bad[0]) if bad.size else tops  # the first row that W(i, 0) fails, else tops
+    band = max(-(-BAND_CELLS // cols), width)
+    e = np.empty((width + band, cols), dtype=heads.dtype)  # rows :width carry the previous band's last E rows
+    stop = found - 1 + width  # E rows 0..found-2+width decide the rows before found
+    for lo in range(0, stop if found else 0, band):
+        e[:width] = e[band:]  # the last width E rows of the previous band, a full one (unread at lo = 0)
+        m = min(band, stop - lo)
+        block = a[lo : lo + m] if lo + m <= rows else a.take(np.arange(lo, lo + m) % rows, axis=0)
+        flat, out = block.ravel(), e[width : width + m]
+        np.subtract(flat[width:], flat[:-width], out=out.ravel()[:-width], dtype=e.dtype)
+        if toric:  # the last width columns read the first ones of the same row
+            np.subtract(block[:, :width], block[:, -width:], out=out[:, -width:], dtype=e.dtype)
+        skip = max(width - lo, 0)  # E rows below width have no E row width before them
+        row0 = lo == 0 and out[:width, :span].sum(axis=0).any()  # row 0's own E rows do not sum to 0
+        steps = (out[skip:, :span] != e[skip:m, :span]).any(axis=1)
+        if row0 or steps.any():
+            found = 0 if row0 else lo + skip + int(steps.argmax()) - width + 1
+            break
+    if found == tops:
+        return None
+    return found, a.take(np.arange(found, found + width) % rows, axis=0).sum(axis=0)
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
@@ -195,24 +194,41 @@ def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
     acc[..., s : s + vec.shape[-1]] += vec
 
 
+def _broken_diagonals(a: np.ndarray) -> np.ndarray:
+    """[sum_i a[i, (j + i) % n] for j] and [sum_i a[i, (j - i) % n] for j]: the main and anti broken diagonals.
+
+    Each band of rows is copied twice, side by side, into one buffer of about BAND_CELLS cells. There band row k,
+    square row i = top + k, holds its main cells from column i on and its anti cells from column n - i on: n
+    contiguous cells at flat offset top + k(2n+1) or n - top + k(2n-1). So each set is the first n columns of
+    the flat buffer read from top or n - top as rows of 2n+1 or 2n-1 cells: a strided view, summed down the band."""
+    n = len(a)
+    band = min(max(1, BAND_CELLS // (2 * n)), n)
+    flat = np.empty(2 * n * band + n, dtype=a.dtype)  # the last rows of 2n+1 or 2n-1 cells end up to n cells on
+    doubled = flat[: 2 * n * band].reshape(band, 2 * n)
+    out = np.zeros((2, n), dtype=a.dtype)
+    for top in range(0, n, band):
+        k = min(band, n - top)
+        doubled[:k, :n] = doubled[:k, n:] = a[top : top + k]
+        out[0] += flat[top : top + k * (2 * n + 1)].reshape(k, -1)[:, :n].sum(axis=0)
+        out[1] += flat[n - top : n - top + k * (2 * n - 1)].reshape(k, -1)[:, :n].sum(axis=0)
+    return out
+
+
 def _diagonal_sums(a: np.ndarray, count: int, sign: int, location: str) -> tuple:
     """The table (_verdict) of D[i, j] = sum of the count cells (i + t*m, j + sign*t*m), m = n/count, i < m.
 
     Every such set meets rows 0..m-1, so D's first failure is the torus's first. With count n
     the sets are the broken diagonals and j is the offset. location is formatted with i and j.
-    D folds f slabs of h = rows/f rows, slab t shifted by sign*t*h, and a fold by f1 then count/f1 folds
-    by count: f1, the least divisor with f1^2 >= count, takes f1 + count/f1 slab adds, p for p-sets.
+    D folds the count slabs of m rows, slab t shifted by sign*t*m: p slab adds for p-sets (the
+    pandiagonal check builds its count-n tables with _broken_diagonals instead).
     """
     n, m = len(a), len(a) // count
     steps = np.arange(count) * m
 
     def build():
-        d, f1 = a, next(f for f in range(1, count + 1) if count % f == 0 and f * f >= count)
-        for f in (g for g in (f1, count // f1) if g > 1):  # a factor 1 folds nothing
-            h, slabs = len(d) // f, d
-            d = np.zeros((h, n), dtype=a.dtype)
-            for t in range(f):
-                _shift_add(d, slabs[t * h : (t + 1) * h], sign * t * h)
+        d = np.zeros((m, n), dtype=a.dtype)
+        for t in range(count):
+            _shift_add(d, a[t * m : (t + 1) * m], sign * t * m)
         return d
 
     def cells(i, j):  # i < m, so the rows need no wrap
@@ -291,10 +307,12 @@ def check_semi_magic(square_or_grid, params: TypeParams) -> PropertyVerdict:
 
 
 def check_pandiagonal(square_or_grid, params: TypeParams) -> PropertyVerdict:
-    """All 2n broken diagonals sum to the magic sum."""
+    """All 2n broken diagonals sum to the magic sum. _diagonal_sums states each table's cells and
+    locations; one _broken_diagonals pass, made once the main table's probe passes, builds both."""
     a = _array(square_or_grid, params)
-    tables = (_diagonal_sums(a, params.n, sign, label + " diagonal, offset {j}")
-              for sign, label in ((1, "main"), (-1, "anti")))
+    both = functools.cache(lambda: _broken_diagonals(a))
+    tables = [_diagonal_sums(a, params.n, sign, label + " diagonal, offset {j}")[:3] + (lambda row=row: both()[row],)
+              for row, (sign, label) in enumerate(((1, "main"), (-1, "anti")))]
     return _verdict(PANDIAGONAL, params.magic_sum, a, tables)
 
 
@@ -323,9 +341,9 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     no order check, so the grid may be rectangular. So the certificate depends on
     the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
 
-    The vertical sums V decide every window (_first_failing_row), one band of top rows at a time,
-    and the scan stops at the first failing band. A failing grid rebuilds the windows of its first
-    failing row alone, each the sum of the p vertical sums V(i, j..j+p-1), and reports its first failing window.
+    _first_failing_row decides every window from W(i, 0) and the row differences E, one band at a
+    time, and stops at the first failing row. A failing grid rebuilds the windows of that row alone,
+    each the sum of its p vertical sums V(i, j..j+p-1), and reports its first failing window.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
@@ -454,7 +472,7 @@ def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,
 
 
 def window_sums_all_equal(grid_or_array, p: int, toric: bool = False) -> bool:
-    """Do all p x p windows of consecutive rows/columns share one sum? Decided from V, as in check_pxp.
+    """Do all p x p windows of consecutive rows/columns share one sum? Decided as in check_pxp.
 
     A Grid's entries, like a raw int64 array's, are summed in int64 by that kernel, so their sums are
     compared modulo 2^64. The other oracles below read their entries as Python ints and are exact."""

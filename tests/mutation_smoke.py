@@ -38,22 +38,22 @@ PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
-    ("band wrap rows start one late", PROPERTIES, "a[: end - rows]))", "a[1 : end - rows + 1]))", PXP_TESTS),
-    ("band reads p - 2 following rows", PROPERTIES, "tops) + width - 1", "tops) + width - 2",
-     ["tests/test_properties.py::TestPxp::test_band_edges_match_reference"]),
-    ("off-by-one prefix", PROPERTIES, "np.add(c[i - 1], a[i], out=c[i])",
-     "np.add(c[i - 1], a[i - 1], out=c[i])", PXP_TESTS),
-    ("decision without the wrap compare", PROPERTIES, "bad |= (v[:, -width:] != v[:, :width]).any(axis=1)",
-     "pass", PXP_TESTS),
-    ("decision without the W(i, 0) test", PROPERTIES, "bad = first != target",
-     "bad = np.zeros(len(v), dtype=bool)", PXP_TESTS),
-    ("decision compares V(i, j+1) for V(i, j+p)", PROPERTIES, "(v[:, width:] != v[:, :-width])",
-     "(v[:, 1:] != v[:, :-1])", PXP_TESTS),
+    ("toric E columns not wrapped", PROPERTIES,
+     "np.subtract(block[:, :width], block[:, -width:], out=out[:, -width:], dtype=e.dtype)", "pass", PXP_TESTS),
+    ("first-column windows without the wrap rows", PROPERTIES, "heads[: width - 1] if toric",
+     "heads[:0] if toric", PXP_TESTS),
+    ("row 0 not decided from its E rows", PROPERTIES, "row0 = lo == 0 and", "row0 = lo < 0 and",
+     PXP_TESTS),
+    ("E compared w - 1 rows apart", PROPERTIES, "!= e[skip:m, :span]", "!= e[skip + 1 : m + 1, :span]", PXP_TESTS),
+    ("carried E rows one short", PROPERTIES, "e[:width] = e[band:]", "e[1:width] = e[band + 1 :]", PXP_TESTS),
+    ("failing row reported one late", PROPERTIES, "- width + 1\n", "- width + 2\n", PXP_TESTS),
     ("p x p witness one column short", PROPERTIES, "for dc in range(p):", "for dc in range(p - 1):", PXP_TESTS),
-    ("failing row found from W(i, 0) alone", PROPERTIES, "k = int(bad.argmax())",
-     "k = int((first != target).argmax())", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
-    ("slab offset t*m for t*h", PROPERTIES, "sign * t * h)", "sign * t * m)", ["tests/test_reference.py"]),
+    ("anti windows read on the main stride", PROPERTIES, "n - top + k * (2 * n - 1)]",
+     "n - top + k * (2 * n + 1)]", ["tests/test_reference.py"]),
+    ("diagonal window starting one column on", PROPERTIES, "flat[top : top + k", "flat[top + 1 : top + 1 + k",
+     ["tests/test_reference.py"]),
+    ("p-set slab t shifted by (t+1)*m", PROPERTIES, "sign * t * m)", "sign * (t + 1) * m)", ["tests/test_reference.py"]),
     ("negated Franklin placement shift", PROPERTIES, "_shift_add(acc[s], groups[g], row)",
      "_shift_add(acc[s], groups[g], -row)", ["tests/test_reference.py"]),
     ("Franklin rest read -step columns on", PROPERTIES, "_shift_add(totals, tail, step)",

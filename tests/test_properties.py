@@ -92,7 +92,8 @@ class TestPandiagonal:
 
 
 class TestDiagonalFold:
-    """_diagonal_sums folds slabs of rows; its table is compared with the defining sum itself."""
+    """_diagonal_sums folds slabs of rows and _broken_diagonals sums windows of a doubled band; both are
+    compared with the defining sums themselves."""
 
     @staticmethod
     def reference_table(a, count, sign):
@@ -101,6 +102,21 @@ class TestDiagonalFold:
         m = n // count
         return [[sum(rows[(i + t * m) % n][(j + sign * t * m) % n] for t in range(count)) for j in range(n)]
                 for i in range(m)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 74, 300])
+    def test_broken_diagonals_match_the_defining_sums(self, n):
+        """Row 0 holds sum_i a[i, (j + i) % n] and row 1 sum_i a[i, (j - i) % n], on natural and generic
+        int64 grids with negative entries. At n = 300 the doubled bands hold 109, 109 and 82 rows."""
+        rng = random.Random(300 + n)
+        natural = random_natural_square(n, rng).entries
+        generic = np.array([[rng.randrange(-10**9, 10**9) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+        assert properties.BAND_CELLS // (2 * 300) == 109
+        for a in (natural, generic):
+            rows = a.tolist()
+            sums = properties._broken_diagonals(a)
+            assert sums.dtype == np.int64 and sums.shape == (2, n)
+            assert sums.tolist() == [[sum(rows[i][(j + sign * i) % n] for i in range(n)) for j in range(n)]
+                                     for sign in (1, -1)]
 
     @pytest.mark.parametrize("n", [1, 7, 12, 30, 74])
     def test_table_matches_brute_force_for_every_count(self, n):
@@ -124,19 +140,18 @@ class TestDiagonalFold:
                     assert sorted(divmod(x, n) for x in probed[0].tolist()) == defining
                     assert a.take(probed).sum(axis=-1).tolist() == [table[i, j], table[0, 0]]
 
-    @pytest.mark.parametrize("p, r, per_sign", [(3, 6, 27 + 27), (7, 3, 49 + 7), (2, 5, 8 + 4), (5, 2, 5 + 5)])
-    def test_slab_adds_per_check(self, p, r, per_sign, monkeypatch):
-        """The 2n broken diagonals take f1 + n/f1 slab adds per sign, f1 the least divisor of n
-        with f1^2 >= n, and the p-sets p: not one shift-add per row."""
+    @pytest.mark.parametrize("p, r", [(3, 6), (7, 3), (2, 5), (5, 2)])
+    def test_slab_adds_per_check(self, p, r, monkeypatch):
+        """The 2n broken diagonals take one _broken_diagonals pass, which serves both directions, and no
+        shift-add; the p-sets take p slab adds of n/p rows: not one shift-add per row."""
         params = ff.TypeParams.for_power(p, r)
         square = ff.generate_most_perfect(ff.GeneratorConfig(p, r))
         calls = count_calls(monkeypatch, "_shift_add", ff.properties)
+        passes = count_calls(monkeypatch, "_broken_diagonals", ff.properties)
         assert ff.check_pandiagonal(square, params).passed
-        assert len(calls) == 2 * per_sign
-        assert max(len(acc) for acc, _, _ in calls) <= params.n // params.p  # no larger than a p-set table
-        calls.clear()
+        assert len(calls) == 0 and len(passes) == 1
         assert ff.check_complementary(square, params).passed
-        assert len(calls) == p
+        assert len(calls) == p and len(passes) == 1
         assert {acc.shape for acc, _, _ in calls} == {(params.n // p, params.n)}
 
 
@@ -209,8 +224,8 @@ class TestPxp:
                     ff.window_sums_all_equal(grid, width, toric)
 
     def test_passing_grids_take_one_vertical_pass(self, monkeypatch):
-        """A grid is decided from the vertical sums V alone, and a failing one is witnessed from them
-        too: one _vertical_sums pass whether the windows all share one sum or not."""
+        """A grid is decided by one _first_failing_row scan, and a failing one is witnessed from the
+        vertical sums that scan returns: one scan whether the windows all share one sum or not."""
         rng = random.Random(9)
         cases = []
         for p, r in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
@@ -224,11 +239,112 @@ class TestPxp:
             cases += [(ff.NaturalSquare(swapped), params, False), (ff.Grid(swapped), p, False)]
         cases += [(random_toric_window_grid(n, p, rng), p, True) for n, p in ((6, 2), (9, 3), (10, 5))]
         cases.append((reading_order_square(4), ff.TypeParams(2, 4), False))
-        calls = count_calls(monkeypatch, "_vertical_sums", properties)
+        calls = count_calls(monkeypatch, "_first_failing_row", properties)
         for grid, params, passes in cases:
             calls.clear()
             assert ff.check_pxp(grid, params).passed == passes
             assert len(calls) == 1
+
+    def test_bands_read_each_row_once(self, monkeypatch):
+        """The scan reads each row of a once, in its band, but for the width - 1 rows that toric windows
+        wrap to; W(i, 0) reads the first width columns once. Bands of BAND_CELLS = 64 cells here: at
+        least width rows, so 8 rows of 9 columns, and 5 of 16 (width 5 exceeds the 4 rows of 64 cells)."""
+        reads = []  # (rows, columns) of each slice or take of a
+
+        class Logged(np.ndarray):
+            def __getitem__(self, key):
+                rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+                reads.append((list(range(len(self))[rows]), cols))
+                return np.asarray(self)[key]
+
+            def take(self, indices, axis=None):
+                assert axis == 0
+                reads.append((list(indices), slice(None)))
+                return np.asarray(self).take(indices, axis=0)
+
+        monkeypatch.setattr(properties, "BAND_CELLS", 64)
+        rng = random.Random(64)
+        for rows, cols, width in ((24, 9, 3), (40, 16, 5), (21, 9, 1), (22, 9, 2)):
+            a = self.row_periodic_grid(rows, cols, width, rng)
+            for toric in (False, True):
+                reads.clear()
+                assert properties._first_failing_row(a.view(Logged), width, toric, 30 * width * width) is None
+                columns = [r for r, c in reads if c != slice(None)]
+                assert columns == [list(range(rows))] and reads[0][1] == slice(None, width)
+                whole = Counter(row for read, c in reads if c == slice(None) for row in read)
+                wrapped = width - 1 if toric else 0
+                assert whole == Counter(list(range(rows)) + list(range(wrapped)))
+
+    @staticmethod
+    def first_failing_top_row(rows, width, toric, target):
+        """The first top row with a width x width window that misses target, and its vertical sums,
+        by brute force on the lists rows; None when every window hits target."""
+        height, cols = len(rows), len(rows[0])
+        tops, lefts = (height, cols) if toric else (height - width + 1, cols - width + 1)
+        for i in range(tops):
+            v = [sum(rows[(i + t) % height][j] for t in range(width)) for j in range(cols)]
+            if any(sum(v[(j + s) % cols] for s in range(width)) != target for j in range(lefts)):
+                return i, v
+        return None
+
+    def test_first_failing_row_matches_reference_at_band_edges(self, monkeypatch):
+        """c + F(i mod w, j) grids with one edit, toric and not, rectangular, w in {1, 2, 3, 5}, in bands
+        of BAND_CELLS = 64 cells (at least w rows). The first failing row comes from W(i, 0) (a whole row
+        raised), from row 0's E rows (a +1, -1 pair in row w - 1), from an E row compared across a band
+        edge with the carried rows (a pair in the band's last row, its next, or the last carried one's),
+        from the last band (a pair in the last row) and, with w not dividing the rows and F zero on the
+        first w columns, from the wrap rows alone. The verdict is ref_pxp's and window_sums_all_equal
+        ref_window_sums_all_equal's."""
+        from test_reference import ref_pxp, ref_window_sums_all_equal
+
+        monkeypatch.setattr(properties, "BAND_CELLS", 64)
+        rng = random.Random(24)
+        cases = []  # (grid, width, first failing toric top row)
+        for rows, cols, width in ((20, 9, 1), (24, 9, 2), (21, 10, 3), (25, 16, 5), (30, 7, 5)):
+            band = max(-(-64 // cols), width)
+            assert rows > 2 * band
+            edits = [(band + 1, [1] * cols, band + 2 - width)]  # (row, its +1/-1 entries, the row that fails)
+            for row in (width - 1, band - 1, band, band + width - 1, rows - 1):
+                edits.append((row, [0] * width + [1, -1] + [0] * (cols - width - 2), max(row - width + 1, 0)))
+            for row, change, found in edits:
+                grid = self.row_periodic_grid(rows, cols, width, rng)
+                grid[row] += change
+                cases.append((grid, width, found))
+            if width > 1:
+                wrapped = self.row_periodic_grid(rows * width + 1, cols, width, rng)
+                wrapped[:, :width] = 30
+                cases.append((wrapped, width, rows * width + 2 - width))
+        for grid, width, found in cases:
+            target, lists = width * width * 30, grid.tolist()
+            for toric in (False, True):
+                expected = self.first_failing_top_row(lists, width, toric, target)
+                if toric:
+                    assert expected[0] == found
+                got = properties._first_failing_row(grid, width, toric, target)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert (got[0], got[1].tolist()) == expected
+                reference = ref_window_sums_all_equal(ff.Grid(grid), width, toric)
+                assert ff.window_sums_all_equal(grid, width, toric) == reference
+            verdict = ff.check_pxp(ff.Grid(grid), width)
+            assert verdict == ref_pxp(ff.Grid(grid), width)
+
+    def test_window_wider_than_a_band(self):
+        """4096 columns make a band of BAND_CELLS cells 16 rows, less than width 17, so the bands take 17
+        rows: a +1, -1 pair in row 17 is first compared with the carried E row 0, and fails top row 1."""
+        from test_reference import ref_pxp
+
+        rng = random.Random(17)
+        assert -(-properties.BAND_CELLS // 4096) == 16
+        grid = self.row_periodic_grid(51, 4096, 17, rng)
+        assert ff.check_pxp(ff.Grid(grid), 17).passed
+        for toric in (False, True):
+            assert ff.window_sums_all_equal(grid, 17, toric)
+        grid[17, [40, 41]] += [1, -1]
+        verdict = ff.check_pxp(ff.Grid(grid), 17)
+        assert verdict == ref_pxp(ff.Grid(grid), 17)
+        assert verdict.witness.location == "window at (1, 24)"
+        assert properties._first_failing_row(grid, 17, False, 17 * 17 * 30)[0] == 1
 
     def test_failing_grid_peaks_no_higher_than_a_passing_one(self):
         """The witness needs one row of windows, not a window table: a failing check_pxp allocates
@@ -303,13 +419,14 @@ class TestPxp:
                 assert verdict.witness.location == "window at ({}, {})".format(*found)
 
     def test_band_edges_match_reference(self):
-        """check_pxp and window_sums_all_equal scan bands of about BAND_CELLS cells of top rows, each
-        band reading its rows and the p - 1 after them. At n = 729 (p = 3, bands of 90 top rows) a
-        swap in row t + 2 first fails the windows at top row t: the last row of band 0 (a NaturalSquare,
-        pinned target) and the first of band 1 (a plain Grid, bare p, target W(0, 0)). On 128-column
-        grids (p = 2, bands of 512 top rows), c + F(i mod 2, j) with a bump in row t + 1 fails first at
-        top row t = 511 or 512; with 515 rows it fails first at the wrapped top row 514, which the last
-        band reads from rows 514 and 0, and passes without the wrap."""
+        """check_pxp and window_sums_all_equal scan E rows in bands of about BAND_CELLS cells, each band
+        carrying the last p E rows of the one before. At n = 729 (p = 3, bands of 90 rows) a swap in
+        row t + 2 first fails the windows at top row t, where E row t + 2 of band 1 meets the carried E
+        row t - 1: t = 89 (a NaturalSquare, pinned target) and 90 (a plain Grid, bare p, target W(0, 0)).
+        On 128-column grids (p = 2, bands of 512 rows), c + F(i mod 2, j) with a bump in row t + 1 fails
+        first at top row t = 511, found by the first E row of band 1, or 512; with 515 rows it fails
+        first at the wrapped top row 514, which the last band reads from rows 514 and 0, and passes
+        without the wrap."""
         from test_reference import ref_pxp, ref_window_sums_all_equal
 
         params = ff.TypeParams.for_power(3, 6)
