@@ -226,7 +226,8 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
 
 
 class SplitRows(tuple):
-    """split_rows' (first, rest), with rows[alpha - 1, c], the offset-0 up row of column c (read-only, (p - 1) x n)."""
+    """split_rows' (first, rest), with rows[alpha - 1, c], the offset-0 up row of column c (read-only, (p - 1) x n),
+    and runs, the groups cut from the left into the longest runs with one step rest - first and arithmetic first rows."""
 
 
 @lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~31 MiB, the 16 largest 2.3 MiB
@@ -254,6 +255,15 @@ def split_rows(params: TypeParams) -> SplitRows:
     table = SplitRows((tuple(first), tuple(rest)))
     table.rows = np.where(np.arange(n) % p < np.arange(1, p)[:, None], np.repeat(first, p), np.repeat(rest, p))
     table.rows.flags.writeable = False
+    runs, g = [], 0  # (g, count, first[g], slope, step): the longest run from g with one step and first arithmetic
+    while g < len(first):
+        step, end = rest[g] - first[g], g + 1
+        slope = first[end] - first[g] if end < len(first) and rest[end] - first[end] == step else 0
+        while end < len(first) and rest[end] - first[end] == step and first[end] - first[end - 1] == slope:
+            end += 1
+        runs.append((g, end - g, first[g], slope, step))
+        g = end
+    table.runs = tuple(runs)
     return table
 
 

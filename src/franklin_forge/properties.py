@@ -16,8 +16,9 @@ E(i+p, j) - E(i, j). So W(i, 0), row 0's E rows and E(i+p) == E(i) decide every 
 row is read twice and no window table is built. The first failing row's windows, p shift-adds
 of its vertical sums, witness the first failure. An up pattern takes each aligned group
 of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks
-walked once per order per process), the second the first plus 0, +-1 or +-p. The Franklin check places
-each group once, whole, in the p-row sum of its step, a prefix of which serves every alpha: O(n^2) for any p.
+walked once per order per process), the second the first plus 0, +-1 or +-p. The Franklin check sums each run
+of groups with one step and arithmetic first rows as one strided view of a band of columns or rows (_franklin_pass)
+into the p-row sum of its step, a prefix of which serves every alpha: O(n^2) for any p, and no whole-square copy.
 An int64 prefix sum or difference may wrap, but the wrap cancels modulo 2^64,
 so each sum equals a direct int64 addition; _array rejects any Grid whose true
 sums could leave int64, reading the entry range the Grid recorded when it was built.
@@ -25,6 +26,7 @@ sums could leave int64, reading the entry range the Grid recorded when it was bu
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -184,14 +186,10 @@ def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple 
 
 
 def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
-    """acc[..., c] += vec[..., (c + k) % n] on an n-wide acc, as two slice adds; on a 2n-wide acc one
-    slice add places vec at column -k mod n, and acc[..., :n] + acc[..., n:] holds those sums."""
+    """acc[..., c] += vec[..., (c + k) % n], as two slice adds."""
     n, s = vec.shape[-1], -k % vec.shape[-1]
-    wrap = s + n - acc.shape[-1]  # the cells past acc's end, placed at its start
-    if wrap > 0:
-        acc[..., :wrap] += vec[..., n - wrap :]
-        vec = vec[..., : n - wrap]
-    acc[..., s : s + vec.shape[-1]] += vec
+    acc[..., :s] += vec[..., n - s :]
+    acc[..., s:] += vec[..., : n - s]
 
 
 def _broken_diagonals(a: np.ndarray) -> np.ndarray:
@@ -272,17 +270,47 @@ def _verdict(name: str, target: int, a: np.ndarray, tables) -> PropertyVerdict:
         if bad.any():  # argmax finds the first row-major failure without listing them all
             first = int(bad.argmax())
             i, j = divmod(first, width)
-            listed = [divmod(x, cols) for x in sorted(cells(np.array([i]), np.array([j]))[0].tolist())]
-            return PropertyVerdict(name, False, Witness(location(i=i, j=j), target, int(sums[first]), tuple(listed)))
+            flat = cells(np.array([i]), np.array([j]))[0]
+            at = [x.tolist() for x in np.divmod(flat[flat.argsort()], cols)]  # rows and columns, in (row, col) order
+            return PropertyVerdict(name, False, Witness(location(i=i, j=j), target, int(sums[first]), tuple(zip(*at))))
     return PropertyVerdict(name, True)
 
 
-def _rotated_columns(a: np.ndarray) -> tuple:
-    """For q = 0..3, a view whose row c is column c of np.rot90(a, q); rows run forward or reversed.
+def _franklin_pass(a: np.ndarray, p: int, runs, columns: bool) -> tuple:
+    """The p-row sums of the two directions whose lines are a's columns (up, down) or rows (right, left): sums[s, c, o]
+    adds, over the groups g of the runs of step index s, cell first[g] + o (mod n) of line c of g as the direction reads
+    it. Up and right take lines g*p + c, down and left n - 1 - (g*p + c); up and left read a line forward, right and
+    down backward. runs lists (g, count, first[g], slope, s) for runs of groups whose first rows are arithmetic.
 
-    One copy: a Grid's entries are C-ordered, so only a.T is copied to make every row contiguous."""
-    cols = a.T.copy()
-    return cols, a[:, ::-1], cols[::-1, ::-1], a[::-1]
+    Bands of whole groups of lines, about BAND_CELLS cells, are copied (columns transposed) into rows laid out as
+    [last e cells | line | first e cells], e = n/p - 1: first[g] <= e, so the n cells from e + first[g] forward, or
+    back from there, lie in the row. A run's groups in a band are then one strided (count, p, n) view, summed down
+    its groups. A backward direction's view reads the same cells forward from their other end, so its sums come out
+    reversed, and are turned round once at the end."""
+    n = len(a)
+    e, size = n // p - 1, a.itemsize
+    width = n + 2 * e
+    k = p * min(-(-BAND_CELLS // (p * width)), n // p)  # lines per band, whole groups
+    buf, strip = np.empty((k, width), dtype=a.dtype), np.empty((n, k) if columns else 0, dtype=a.dtype)
+    out = np.zeros((2, 1 + max(run[4] for run in runs), p, n), dtype=a.dtype)
+    ends, taus = [g + count for g, count, *_ in runs], (1, -1) if columns else (-1, 1)  # cells read forward or back
+    for top in range(0, n, k):
+        m = min(k, n - top)
+        if columns:  # gathered, then transposed from cache: faster than one strided copy of the strip at large n
+            strip[:, :m] = a[:, top : top + m]
+        buf[:m, e : e + n] = strip[:, :m].T if columns else a[top : top + m]
+        buf[:m, :e], buf[:m, e + n :] = buf[:m, n : n + e], buf[:m, e : 2 * e]
+        for sums, sign, tau in zip(out, (1, -1), taus):  # lines from the near end (up, right), the far end (down, left)
+            lo = (n - top - m) // p if sign < 0 else top // p  # the band holds groups lo .. lo + m/p - 1
+            for g0, count, f0, slope, s in runs[bisect.bisect_right(ends, lo) :]:
+                if g0 >= lo + m // p:
+                    break
+                g, end = max(g0, lo), min(g0 + count, lo + m // p)
+                line = (n - 1 - g * p if sign < 0 else g * p) - top
+                offset = line * width + e + tau * (f0 + slope * (g - g0))
+                strides = ((sign * p * width + tau * slope) * size, sign * width * size, size)
+                sums[s] += np.ndarray((end - g, p, n), a.dtype, buf, offset * size, strides).sum(axis=0)
+    return tuple(sums if tau > 0 else sums[..., ::-1] for sums, tau in zip(out, taus))
 
 
 def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
@@ -383,16 +411,18 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
     down the rows (patterns guarantees it). At offset 0 the pattern takes the first
     alpha columns of each aligned group g of p from row first[g] and the rest from
     rest[g] = first[g] + step, for every alpha (split_rows): step is +-1 outside the
-    odd-p central band, 0 or +-p in it. So each group is placed once, whole, by first[g]
-    into the p-row sum of its step, and after a prefix down its rows a sum gives every
-    alpha's n offset sums: its first alpha columns, plus the last p - alpha read step columns on.
+    odd-p central band, 0 or +-p in it. So each group is summed once, whole, from first[g] into the
+    p-row sum of its step (_franklin_pass: up's column pass serves down, right's row pass left), and
+    after a prefix down its rows a sum gives every alpha's n offset sums: its first alpha columns,
+    plus the last p - alpha read step columns on.
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p
-    first, rest = table = split_rows(params)  # refuses an order that is not k*p^3
-    steps, step_of = np.unique(np.subtract(rest, first), return_inverse=True)  # step_of[g]: group g's sum
+    table = split_rows(params)  # refuses an order that is not k*p^3
+    steps = sorted({run[4] for run in table.runs})
+    runs = [run[:4] + (steps.index(run[4]),) for run in table.runs]  # each run's step as its index into steps
     chosen = np.array(select_alphas(params, alphas))
-    up, rotated = table.rows[chosen - 1], functools.cache(lambda: _rotated_columns(a))  # copied once, if need be
+    up, passes = table.rows[chosen - 1], functools.cache(lambda columns: _franklin_pass(a, p, runs, columns))
 
     def tables():
         for q, direction in enumerate(DIRECTIONS):  # the up pattern on the square turned q times
@@ -407,15 +437,12 @@ def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> 
             yield (len(chosen), n), cells, location, lambda q=q: direction_sums(q)  # row i holds alpha chosen[i]
 
     def direction_sums(q):
-        groups = rotated()[q].reshape(n // p, p, n)  # groups[g, c] is lines[g*p + c]
-        acc = np.zeros((len(steps), p, 2 * n), dtype=a.dtype)  # one p-row sum per step, 2n wide
-        for g, (row, s) in enumerate(zip(first, step_of)):  # at offset o the pattern holds (r + o, c)
-            _shift_add(acc[s], groups[g], row)
-        acc[..., :n] += acc[..., n:]  # fold the halves: column c + n wraps to c
-        sums = np.cumsum(acc[..., :n], axis=1)  # sums[s, c]: columns 0..c of every group of step s
+        sums = passes(q % 2 == 0)[q // 2]  # read by this direction alone, so summed down its rows in place
+        for c in range(1, p):  # sums[s, c]: columns 0..c of every group of step s
+            sums[:, c] += sums[:, c - 1]
         heads = sums[:, chosen - 1]  # heads[s, i]: the first chosen[i] columns
         totals = heads.sum(axis=0)
-        for step, tail in zip(steps.tolist(), sums[:, -1:] - heads):  # the other columns, at rest = first + step
+        for step, tail in zip(steps, sums[:, -1:] - heads):  # the other columns, at rest = first + step
             _shift_add(totals, tail, step)
         return totals
 

@@ -26,6 +26,8 @@ CORE = "src/franklin_forge/core.py"
 PATTERNS = "src/franklin_forge/patterns.py"
 ORBITS = "tests/test_orbits.py"
 REFERENCE_PROBE = "tests/test_reference.py::test_probe_and_table_give_the_reference_certificate"
+FRANKLIN_REFERENCE = "tests/test_reference.py::test_franklin_matches_reference"
+FRANKLIN_BANDS = "tests/test_reference.py::test_franklin_in_many_bands_matches_reference"
 REARRANGEMENTS = "tests/test_involution.py::test_rearrangements_keep_the_proof_and_the_range"
 EMIT_DIGITS = "tests/test_cli.py::test_emit_matches_reference_on_every_digit_count"
 
@@ -54,21 +56,26 @@ MUTANTS = [
     ("diagonal window starting one column on", PROPERTIES, "flat[top : top + k", "flat[top + 1 : top + 1 + k",
      ["tests/test_reference.py"]),
     ("p-set slab t shifted by (t+1)*m", PROPERTIES, "sign * t * m)", "sign * (t + 1) * m)", ["tests/test_reference.py"]),
-    ("negated Franklin placement shift", PROPERTIES, "_shift_add(acc[s], groups[g], row)",
-     "_shift_add(acc[s], groups[g], -row)", ["tests/test_reference.py"]),
+    ("Franklin run slope sign flipped", PROPERTIES, "+ tau * slope) * size", "- tau * slope) * size",
+     [FRANKLIN_REFERENCE, ORBITS]),
+    ("Franklin wrap margin one cell short", PROPERTIES, "e, size = n // p - 1,", "e, size = n // p - 2,",
+     [FRANKLIN_REFERENCE]),
+    ("Franklin backward direction read forward", PROPERTIES, "e + tau * (f0 + slope", "e + (f0 + slope",
+     [FRANKLIN_REFERENCE]),
+    ("Franklin run piece one group past its band", PROPERTIES, "min(g0 + count, lo + m // p)",
+     "min(g0 + count, lo + m // p + 1)", [FRANKLIN_BANDS]),
     ("Franklin rest read -step columns on", PROPERTIES, "_shift_add(totals, tail, step)",
      "_shift_add(totals, tail, -step)", ["tests/test_reference.py", ORBITS]),
-    ("Franklin steps taken from rest - rest", PROPERTIES, "np.subtract(rest, first)", "np.subtract(rest, rest)",
-     ["tests/test_reference.py", ORBITS]),
     ("Franklin rest read from the whole group", PROPERTIES, "sums[:, -1:] - heads", "sums[:, -1:]",
      ["tests/test_reference.py", ORBITS]),
-    ("Franklin halves not folded", PROPERTIES, "acc[..., :n] += acc[..., n:]", "acc[..., :n] += 0",
-     ["tests/test_reference.py"]),
+    ("Franklin backward sums not turned round", PROPERTIES, "sums if tau > 0 else sums[..., ::-1]", "sums",
+     [FRANKLIN_REFERENCE]),
     ("probe compares with the wrong target", PROPERTIES, "if (sums == target).all():",
      "if (sums == target + 1).all():", [REFERENCE_PROBE]),
     ("probe reports the second failing entry", PROPERTIES, "first = int(bad.argmax())",
      "first = int(np.flatnonzero(bad)[:2][-1])", [REFERENCE_PROBE]),
-    ("witness cells left in scan order", PROPERTIES, "in sorted(cells(", "in list(cells(", BATTERY),
+    ("witness cells left in scan order", PROPERTIES, "np.divmod(flat[flat.argsort()], cols)", "np.divmod(flat, cols)",
+     BATTERY),
     ("witness read one entry on", PROPERTIES, "np.array([j]))[0]", "np.array([j + 1]))[0]", BATTERY),
     ("oracle reads int64 entries", PROPERTIES, "else grid_or_array, dtype=object)\n    rows, cols = a.shape\n    perm",
      "else grid_or_array, dtype=np.int64)\n    rows, cols = a.shape\n    perm",

@@ -6,6 +6,7 @@ classifies most-perfect and its θ pandiagonal Franklin, so the checks run on ma
 per order, not only the closed form. Permuting the row digits among themselves and the
 column digits among themselves as well (D @ M @ Q) gives near misses, most of which fail
 most-perfect; at n <= 81 their Franklin verdicts are compared with the brute-force reference.
+One near miss at (2, 4) is pinned: it shows that the converse of the paper's direction fails.
 """
 
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import franklin_forge as ff
 from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
 
-from test_reference import ref_franklin
+from test_reference import ref_complementary, ref_franklin
 
 # (p, r, squares drawn): 523 squares over 11 orders, n from 8 to 1331
 ORBIT_ORDERS = [(2, 3, 80), (2, 4, 80), (2, 5, 70), (2, 6, 50), (2, 7, 20), (3, 3, 80), (3, 4, 60),
@@ -83,3 +84,23 @@ def test_near_miss_franklin_verdicts_match_reference():
                     if w.cells:
                         assert sum(entries[i][j] for i, j in w.cells) == w.actual != w.expected
     assert outcomes == {True, False}
+
+
+def test_converse_counterexample_at_order_16():
+    """A near miss S at (2, 4) that fails only complementary among the most-perfect checks, yet θ(S) classifies
+    pandiagonal Franklin: θ of a pandiagonal Franklin square need not be most-perfect. S itself is pandiagonal
+    Franklin too, each of the two fails complementary at the first main-diagonal p-set, and θ(θ(S)) = S."""
+    rows = "00010010 01100001 00010110 00011010 00110001 10100001 00010011 00100001".split()
+    matrix, offset = [[int(d) for d in row] for row in rows], [int(d) for d in "01011010"]
+    params = ff.TypeParams.for_power(2, 4)
+    square = candidate_to_square(DigitLinearCandidate.of(matrix, offset), 2, 4)
+    franklin = ff.theta(square, params)
+    for candidate in (square, franklin):
+        report = ff.verify_all(candidate, params)
+        assert report.classification == "pandiagonal_franklin_type_p"
+        failed = [v for v in report.verdicts if not v.passed]
+        assert [(v.property_name, v.witness.location) for v in failed] == [
+            ("complementary", "main-diagonal p-set at (0, 0)")]
+        assert failed[0] == ref_complementary(candidate, params, "main")
+        assert report.verdict("franklin_patterns") == ref_franklin(candidate, params, None)
+    assert np.array_equal(ff.theta(franklin, params).entries, square.entries)

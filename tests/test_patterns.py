@@ -181,13 +181,18 @@ def test_step_marks_the_groups_outside_the_central_band(p, k, near):
 
 def test_every_franklin_order_steps_by_0_1_or_p():
     """At every Franklin order up to MAX_ORDER (521 of them) each group's rest row is its first row
-    plus 0, +-1 or +-p, so the Franklin check keeps at most five p-row sums."""
+    plus 0, +-1 or +-p, so the Franklin check keeps at most five p-row sums. Every first row lies in the
+    frame, 0..n/p - 1, which the Franklin passes' margins of n/p - 1 cells rely on, and the runs list
+    every group once, in order, with its first row and step."""
     orders = [(p, k) for p in range(2, MAX_ORDER + 1) if is_prime(p) for k in range(1, MAX_ORDER // p**3 + 1)]
     assert len(orders) == 521
     try:
         for p, k in orders:
-            first, rest = split_rows(ff.TypeParams.for_franklin(p, k))
+            first, rest = table = split_rows(ff.TypeParams.for_franklin(p, k))
             assert set(np.subtract(rest, first).tolist()) <= {0, 1, -1, p, -p}, (p, k)
+            assert 0 <= min(first) and max(first) < k * p**2, (p, k)
+            listed = [(g + j, f + slope * j, step) for g, count, f, slope, step in table.runs for j in range(count)]
+            assert listed == [(g, f, r - f) for g, (f, r) in enumerate(zip(first, rest))], (p, k)
     finally:
         split_rows.cache_clear()  # later tests see a cold memo, as before this sweep
 

@@ -18,7 +18,6 @@ from franklin_forge.properties import (
     PANDIAGONAL,
     PXP,
     SEMI_MAGIC,
-    _rotated_columns,
 )
 from franklin_forge.patterns import split_rows
 
@@ -29,6 +28,23 @@ from conftest import (
     random_toric_window_grid,
     random_window_grid,
 )
+
+
+def record_views(monkeypatch):
+    """[shape] of each array that properties builds with np.ndarray(...): the strided views of the Franklin passes."""
+    shapes = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def ndarray(shape, *args):
+            shapes.append(shape)
+            return np.ndarray(shape, *args)
+
+    monkeypatch.setattr(properties, "np", Numpy())
+    return shapes
 
 
 def reading_order_square(n):
@@ -585,38 +601,71 @@ class TestFranklinPatterns:
         ff.PatternSpec("up", 1, 0, ff.TypeParams.for_franklin(2, 1))
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-    def test_rotated_columns_with_one_copy(self, layout):
-        a = layout(np.arange(42).reshape(6, 7))
-        views = _rotated_columns(a)
-        for q, lines in enumerate(views):
-            assert np.array_equal(lines, np.rot90(a, q).T)
-        assert sum(np.shares_memory(lines, a) for lines in views) == 2
-
-    def test_one_placement_per_group_one_rest_add_per_step(self, mp343, monkeypatch):
-        """Each group is placed once per direction, whole, into the p-row sum of its step, rest - first:
-        49 groups at (7, 1), with five steps, +-1 outside the central band and 0, +-p in it. Each sum is
-        2n wide, its halves folded once per direction, and the rest columns of every alpha take one
-        n-wide shift-add per step."""
+    def test_two_banded_passes_one_strided_sum_per_run_piece(self, mp343, monkeypatch):
+        """A built check makes one column pass, for up and down, and one row pass, for right and left. Each
+        copies its lines in bands of whole groups and sums each piece of a run that a band holds as one strided
+        (count, p, n) view. At (7, 1) the 49 groups form 9 runs over five steps, +-1 outside the central band
+        and 0, +-p in it. Bands of 22 groups cut two runs in each direction, so each direction sums 11 pieces.
+        The rest columns of every alpha take one n-wide shift-add per step and direction."""
         square, params = mp343
         n, p = params.n, params.p
-        first, rest = split_rows(params)
-        assert len(first) == 49 and sorted(set(np.subtract(rest, first).tolist())) == [-p, -1, 0, 1, p]
+        runs = split_rows(params).runs
+        assert len(runs) == 9 and sorted({step for *_, step in runs}) == [-p, -1, 0, 1, p]
+        assert -(-properties.BAND_CELLS // (p * (n + 2 * (n // p - 1)))) == 22
+        passes = count_calls(monkeypatch, "_franklin_pass", ff.properties)
         calls = count_calls(monkeypatch, "_shift_add", ff.properties)
+        views = record_views(monkeypatch)
         assert ff.check_franklin_patterns(ff.theta(square, params), params).passed
-        assert len(calls) == 4 * (49 + 5) == 216
-        shapes = Counter(acc.shape for acc, _, _ in calls)
-        assert shapes == {(p, 2 * n): 4 * 49, (p - 1, n): 4 * 5}
+        assert [columns for *_, columns in passes] == [True, False]
+        assert len(views) == 4 * 11 and sum(count for count, _, _ in views) == 4 * 49
+        assert {shape[1:] for shape in views} == {(p, n)}
+        assert len(calls) == 4 * 5 and {acc.shape for acc, _, _ in calls} == {(p - 1, n)}
         # A square that fails among the probed first patterns builds no table: the untransformed
-        # order-27 square fails the first up pattern, so nothing is placed or transposed.
+        # order-27 square fails the first up pattern, so no band is copied.
         params, mp27 = ff.TypeParams.for_franklin(3, 1), ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
-        first, rest = split_rows(params)
-        assert len(first) == 9 and len(set(np.subtract(rest, first).tolist())) == 5
-        calls.clear()
-        rotations = count_calls(monkeypatch, "_rotated_columns", ff.properties)
+        passes.clear(), calls.clear(), views.clear()
         verdict = ff.check_franklin_patterns(mp27, params)
         assert verdict.witness.location == "up pattern, alpha=1, offset=0"
-        assert len(calls) == 0 and len(rotations) == 0
+        assert passes == calls == views == []
+
+    def test_one_pass_per_pair_of_directions(self, mp343, monkeypatch):
+        """With no probe every direction's table is built in scan order: an up failure needs the column pass
+        alone, a right failure both passes, and a passing check makes each pass once, down and left reading
+        the pass that served up and right."""
+        square, params = mp343
+        n = params.n
+        franklin = ff.theta(square, params).entries
+        up = split_rows(params).rows[0]
+        column_edit = franklin.copy()  # up pattern alpha=1, offset 10 holds the +1 in column 5, offset 10 + n/2 the -1
+        column_edit[(up[5] + 10) % n, 5] += 1
+        column_edit[(up[5] + 10 + n // 2) % n, 5] -= 1
+        shift = np.random.default_rng(n).integers(-9, 10, n)
+        shift[-1] -= shift.sum()
+        column_shift = franklin + shift  # zero-sum over the columns: up and down keep their sums
+        monkeypatch.setattr(properties, "PROBE", 0)
+        passes = count_calls(monkeypatch, "_franklin_pass", ff.properties)
+        for grid, location, built in ((column_edit, "up pattern, alpha=1, offset=10", [True]),
+                                      (column_shift, "right pattern", [True, False]),
+                                      (franklin, None, [True, False])):
+            passes.clear()
+            verdict = ff.check_franklin_patterns(ff.Grid(grid), params)
+            assert verdict.passed if location is None else verdict.witness.location.startswith(location)
+            assert [columns for *_, columns in passes] == built
+
+    def test_peak_far_below_the_square(self):
+        """No whole-square copy: at (3, 7), n = 2187, the check on θ of the seed-0 square peaks at a few
+        band-sized buffers and the p-row sums, under 20 MiB where the square itself takes 36.5 MiB."""
+        params = ff.TypeParams.for_power(3, 7)
+        franklin = ff.theta(ff.generate_most_perfect(ff.GeneratorConfig(3, 7)), params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            assert ff.check_franklin_patterns(franklin, params).passed
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20 < franklin.entries.nbytes
 
 
 class TestVerifyAll:

@@ -14,6 +14,7 @@ import pytest
 
 import franklin_forge as ff
 from franklin_forge import properties
+from franklin_forge.patterns import split_rows
 from franklin_forge.properties import (
     COMPLEMENTARY,
     FRANKLIN_PATTERNS,
@@ -267,18 +268,90 @@ def test_franklin_matches_reference(p, n):
             assert fast == ref_franklin(square, params, alphas)
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (3, 27), (5, 125)])
-def test_franklin_right_pattern_failure_matches_reference(p, n):
-    """θ of a most-perfect square plus a zero-sum shift per column: every up and
-    down pattern keeps its magic sum, so the first failure is a right pattern."""
-    params, squares = cases(p, n)
-    rng = random.Random(n)
+def band_cells(params, groups):
+    """A BAND_CELLS that makes each band of the Franklin passes hold the given number of groups of p lines."""
+    n, p = params.n, params.p
+    return groups * p * (n + 2 * (n // p - 1))  # a band row: the line and a margin of n/p - 1 cells each side
+
+
+@pytest.mark.parametrize("p,k", FRANKLIN_ORDERS)
+def test_franklin_in_many_bands_matches_reference(p, k, monkeypatch):
+    """Bands of one group of p lines, and of just under a third of the groups: at least 3 bands, with runs of split
+    rows cut at band edges. Every case of the order, passing and failing, gives the reference's verdict."""
+    params = ff.TypeParams.for_franklin(p, k)
+    groups, runs = params.n // p, split_rows(params).runs
+    squares = cases(p, params.n)[1]
+    for per_band in (1, max(1, (groups - 1) // 3)):
+        monkeypatch.setattr(properties, "BAND_CELLS", band_cells(params, per_band))
+        assert -(-groups // per_band) >= 3
+        assert any(g // per_band != (g + count - 1) // per_band for g, count, *_ in runs)
+        for square in squares:
+            for alphas in (None, (p - 1,)):
+                assert ff.check_franklin_patterns(square, params, alphas) == ref_franklin(square, params, alphas)
+
+
+def franklin_failure(grid, params, direction, rng):
+    """The up (or right) failure of θ of a most-perfect square: +1 and -1 in one column (or a zero-sum shift of
+    the columns, which keeps every up and down sum), the +1 on the first up pattern past the probe."""
+    n, a = params.n, np.array(grid.entries)
+    if direction == "up":
+        column = rng.randrange(n)
+        row = int(split_rows(params).rows[0, column]) + PROBE + 1
+        a[[row % n, (row + n // 2) % n], column] += (1, -1)
+        return ff.Grid(a)
     shift = [rng.randrange(-9, 10) for _ in range(n - 1)]
-    grid = ff.Grid(squares[1].entries + np.array(shift + [-sum(shift)]))
-    for alphas in (None, (p - 1,), tuple(range(p - 1, 0, -1))):
-        fast = ff.check_franklin_patterns(grid, params, alphas)
-        assert fast == ref_franklin(grid, params, alphas)
-        assert fast.witness.location.startswith("right pattern")
+    return ff.Grid(a + np.array(shift + [-sum(shift)]))
+
+
+def test_franklin_in_many_bands_at_the_central_band_of_order_343(monkeypatch):
+    """At (7, 1) the central band's groups 21..27 form runs of 3, 1 and 3 (steps -p, 0, p). Bands of 1, 2 and 3
+    groups cut them, and θ of a most-perfect square still passes. Edits in the central band's columns, and a zero-sum
+    shift of the columns, which fails a right pattern, give the verdict of one band of all the lines (the reference
+    scan is too slow at n = 343)."""
+    params = ff.TypeParams.for_franklin(7, 1)
+    n = params.n
+    franklin = ff.theta(ff.generate_most_perfect(ff.GeneratorConfig(7, 3)), params)
+    assert split_rows(params).runs[3:6] == ((21, 3, 48, -14, -7), (24, 1, 6, 0, 0), (25, 3, 13, 14, 7))
+    grids = [franklin]
+    for column in (21 * 7 + 3, 24 * 7, 27 * 7 + 6, n - 1 - 24 * 7):
+        a = np.array(franklin.entries)
+        a[[5, 200], column] += (1, -1)
+        grids.append(ff.Grid(a))
+    grids.append(franklin_failure(franklin, params, "right", random.Random(n)))
+    monkeypatch.setattr(properties, "BAND_CELLS", band_cells(params, n // 7))
+    expected = [ff.check_franklin_patterns(grid, params) for grid in grids]
+    assert expected[0].passed and not any(v.passed for v in expected[1:])
+    assert expected[-1].witness.location.startswith("right pattern")
+    for per_band in (1, 2, 3):
+        monkeypatch.setattr(properties, "BAND_CELLS", band_cells(params, per_band))
+        assert [ff.check_franklin_patterns(grid, params) for grid in grids] == expected
+
+
+def assert_failure_matches_reference(p, n, direction, monkeypatch):
+    """franklin_failure's grid gives the reference's verdict, a failure in the given direction, in one band and in
+    bands of one group of p lines, for every alpha, the last alone, and all of them listed downwards."""
+    params, squares = cases(p, n)
+    grid = franklin_failure(squares[1], params, direction, random.Random(n))
+    for cells in (properties.BAND_CELLS, band_cells(params, 1)):
+        monkeypatch.setattr(properties, "BAND_CELLS", cells)
+        for alphas in (None, (p - 1,), tuple(range(p - 1, 0, -1))):
+            fast = ff.check_franklin_patterns(grid, params, alphas)
+            assert fast == ref_franklin(grid, params, alphas)
+            assert fast.witness.location.startswith(direction + " pattern")
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (3, 27), (5, 125)])
+def test_franklin_right_pattern_failure_matches_reference(p, n, monkeypatch):
+    """θ of a most-perfect square plus a zero-sum shift per column: every up and
+    down pattern keeps its magic sum, so the first failure is a right pattern, from the row pass."""
+    assert_failure_matches_reference(p, n, "right", monkeypatch)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 16), (3, 27), (5, 125)])
+def test_franklin_up_pattern_failure_matches_reference(p, n, monkeypatch):
+    """θ of a most-perfect square with +1 and -1 in one column: the first failure is an up pattern past
+    the probe, from the column pass."""
+    assert_failure_matches_reference(p, n, "up", monkeypatch)
 
 
 def sum_checks(params):
