@@ -14,7 +14,7 @@ import numpy as np
 
 # n*(n^2-1)/2 for MAX_ORDER is ~1.3e10, far inside int64; larger orders are rejected.
 MAX_ORDER = 3000
-BAND_CELLS = 1 << 16  # cells per band of whole rows in construct, the p x p check and emit
+BAND_CELLS = 1 << 16  # cells per band in construct, emit, p x p and properties._bands (diagonals, Franklin passes)
 
 
 def is_prime(m: int) -> bool:

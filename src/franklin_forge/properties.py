@@ -1,27 +1,24 @@
 """Property verifiers and witnessed certificates for magic-square structure.
 
-Each check returns a PropertyVerdict; a failing verdict carries a witness whose cells re-sum
-to the reported actual value. The sum checks but p x p report through _verdict, whose docstring
-states the one scan order, probe then table: a table's first sums, gathered from their cells,
-decide a failure there before it is built. Each table states its sums' cells once, and the
-witness of its failing sum lists them. So reports are byte-stable across runs.
+Each check returns a PropertyVerdict; a failing verdict carries a witness whose cells re-sum to the reported actual
+value. The sum checks but p x p report through _verdict, whose docstring states the one scan order, probe then
+table: a table's first sums, gathered from their cells, decide a failure there before it is built. Each table states
+its sums' cells once, and the witness of its failing sum lists them. So reports are byte-stable across runs.
 
-Toric sums come from strided views and _shift_add (cyclic shifts of a line or a slab of lines).
-The 2n broken diagonals are n-cell windows of each band of rows copied twice side by side
-(_broken_diagonals): one pass over the rows with contiguous reads, whatever n's factors. The
-p-sets fold their p slabs of n/p rows. With E(r, j) = a[r, j+p] - a[r, j], W(i, j+1) - W(i, j)
-sums p rows of E for the p x p windows W, and that sum changes from top row i to i+1 by
-E(i+p, j) - E(i, j). So W(i, 0), row 0's E rows and E(i+p) == E(i) decide every window
-(_first_failing_row), in bands of about BAND_CELLS cells that carry their last p E rows on: no
-row is read twice and no window table is built. The first failing row's windows, p shift-adds
-of its vertical sums, witness the first failure. An up pattern takes each aligned group
-of p columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks
-walked once per order per process), the second the first plus 0, +-1 or +-p. The Franklin check sums each run
-of groups with one step and arithmetic first rows as one strided view of a band of columns or rows (_franklin_pass)
-into the p-row sum of its step, a prefix of which serves every alpha: O(n^2) for any p, and no whole-square copy.
-An int64 prefix sum or difference may wrap, but the wrap cancels modulo 2^64,
-so each sum equals a direct int64 addition; _array rejects any Grid whose true
-sums could leave int64, reading the entry range the Grid recorded when it was built.
+Toric sums come from strided views and _shift_add (cyclic shifts of a line or a slab of lines). The 2n broken
+diagonals (_broken_diagonals) and the Franklin passes sum strided views of the wrapped bands of rows or columns of
+one walker (_bands): one pass, contiguous reads, whatever n's factors. The p-sets fold their p slabs of n/p rows.
+With E(r, j) = a[r, j+p] - a[r, j], W(i, j+1) - W(i, j) sums p rows of E for the p x p windows W, and that sum
+changes from top row i to i+1 by E(i+p, j) - E(i, j). So W(i, 0), row 0's E rows and E(i+p) == E(i) decide every
+window (_first_failing_row), in bands of about BAND_CELLS cells that carry their last p E rows on: no row is read
+twice and no window table is built. The first failing row's windows, p shift-adds of its vertical sums, witness the
+first failure. An up pattern takes each aligned group of p columns from two rows split at alpha, the same two for
+every alpha (patterns.split_rows, its blocks walked once per order per process), the second the first plus 0, +-1 or
++-p. The Franklin check sums each run of groups with one step and arithmetic first rows as one strided view of a
+band of columns or rows (_franklin_pass) into the p-row sum of its step, a prefix of which serves every alpha:
+O(n^2) for any p, and no whole-square copy. An int64 prefix sum or difference may wrap, but the wrap cancels modulo
+2^64, so each sum equals a direct int64 addition; _array rejects any Grid whose true sums could leave int64, reading
+the entry range the Grid recorded when it was built.
 """
 
 from __future__ import annotations
@@ -192,23 +189,40 @@ def _shift_add(acc: np.ndarray, vec: np.ndarray, k: int) -> None:
     acc[..., s:] += vec[..., : n - s]
 
 
+def _bands(a: np.ndarray, group: int, left: int, right: int, columns: bool):
+    """Yield (top, band) for the rows of square a, or its columns, in bands of whole groups of group lines and about
+    BAND_CELLS cells (loop blocking: Lam, Rothberg & Wolf, ASPLOS 1991). Band row k is line top + k as [its last left
+    cells | the line | its first right cells], left, right <= n. Every band is a view of one buffer that the next
+    overwrites. Columns are gathered, then transposed from cache: faster at large n than one strided copy."""
+    n = len(a)
+    width = left + n + right
+    k = group * min(-(-BAND_CELLS // (group * width)), n // group)  # lines per band
+    buf, strip = np.empty((k, width), dtype=a.dtype), np.empty((n, k) if columns else 0, dtype=a.dtype)
+    for top in range(0, n, k):
+        m = min(k, n - top)
+        if columns:
+            strip[:, :m] = a[:, top : top + m]
+        lines = strip[:, :m].T if columns else a[top : top + m]  # copied from, not within, buf: no overlap temporary
+        buf[:m, :left], buf[:m, left : left + n], buf[:m, left + n :] = lines[:, n - left :], lines, lines[:, :right]
+        yield top, buf[:m]
+
+
+def _view(band: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """The strided view of C-ordered band whose element x is its flat cell offset + sum(x * strides), all in cells."""
+    return np.ndarray(shape, band.dtype, band, offset * band.itemsize, [s * band.itemsize for s in strides])
+
+
 def _broken_diagonals(a: np.ndarray) -> np.ndarray:
     """[sum_i a[i, (j + i) % n] for j] and [sum_i a[i, (j - i) % n] for j]: the main and anti broken diagonals.
 
-    Each band of rows is copied twice, side by side, into one buffer of about BAND_CELLS cells. There band row k,
-    square row i = top + k, holds its main cells from column i on and its anti cells from column n - i on: n
-    contiguous cells at flat offset top + k(2n+1) or n - top + k(2n-1). So each set is the first n columns of
-    the flat buffer read from top or n - top as rows of 2n+1 or 2n-1 cells: a strided view, summed down the band."""
+    In _bands with margins 0 and n, band row k, square row i = top + k, holds its row twice, side by side: its main
+    cells from column i on, its anti cells from column n - i on. So the n cells at flat offset top + k(2n+1), or
+    n - top + k(2n-1), of each band row form a strided (k, n) view, summed down the band."""
     n = len(a)
-    band = min(max(1, BAND_CELLS // (2 * n)), n)
-    flat = np.empty(2 * n * band + n, dtype=a.dtype)  # the last rows of 2n+1 or 2n-1 cells end up to n cells on
-    doubled = flat[: 2 * n * band].reshape(band, 2 * n)
     out = np.zeros((2, n), dtype=a.dtype)
-    for top in range(0, n, band):
-        k = min(band, n - top)
-        doubled[:k, :n] = doubled[:k, n:] = a[top : top + k]
-        out[0] += flat[top : top + k * (2 * n + 1)].reshape(k, -1)[:, :n].sum(axis=0)
-        out[1] += flat[n - top : n - top + k * (2 * n - 1)].reshape(k, -1)[:, :n].sum(axis=0)
+    for top, band in _bands(a, 1, 0, n, False):
+        out[0] += _view(band, top, (len(band), n), (2 * n + 1, 1)).sum(axis=0)
+        out[1] += _view(band, n - top, (len(band), n), (2 * n - 1, 1)).sum(axis=0)
     return out
 
 
@@ -282,34 +296,24 @@ def _franklin_pass(a: np.ndarray, p: int, runs, columns: bool) -> tuple:
     it. Up and right take lines g*p + c, down and left n - 1 - (g*p + c); up and left read a line forward, right and
     down backward. runs lists (g, count, first[g], slope, s) for runs of groups whose first rows are arithmetic.
 
-    Bands of whole groups of lines, about BAND_CELLS cells, are copied (columns transposed) into rows laid out as
-    [last e cells | line | first e cells], e = n/p - 1: first[g] <= e, so the n cells from e + first[g] forward, or
-    back from there, lie in the row. A run's groups in a band are then one strided (count, p, n) view, summed down
-    its groups. A backward direction's view reads the same cells forward from their other end, so its sums come out
-    reversed, and are turned round once at the end."""
+    In _bands of whole groups with margins e = n/p - 1 >= first[g], the n cells from e + first[g] forward, or back,
+    lie in the band row, so a run's groups in a band are one strided (count, p, n) view, summed down its groups. A
+    backward view reads the same cells forward from their other end: its sums are turned round once at the end."""
     n = len(a)
-    e, size = n // p - 1, a.itemsize
-    width = n + 2 * e
-    k = p * min(-(-BAND_CELLS // (p * width)), n // p)  # lines per band, whole groups
-    buf, strip = np.empty((k, width), dtype=a.dtype), np.empty((n, k) if columns else 0, dtype=a.dtype)
+    e = n // p - 1
     out = np.zeros((2, 1 + max(run[4] for run in runs), p, n), dtype=a.dtype)
     ends, taus = [g + count for g, count, *_ in runs], (1, -1) if columns else (-1, 1)  # cells read forward or back
-    for top in range(0, n, k):
-        m = min(k, n - top)
-        if columns:  # gathered, then transposed from cache: faster than one strided copy of the strip at large n
-            strip[:, :m] = a[:, top : top + m]
-        buf[:m, e : e + n] = strip[:, :m].T if columns else a[top : top + m]
-        buf[:m, :e], buf[:m, e + n :] = buf[:m, n : n + e], buf[:m, e : 2 * e]
-        for sums, sign, tau in zip(out, (1, -1), taus):  # lines from the near end (up, right), the far end (down, left)
-            lo = (n - top - m) // p if sign < 0 else top // p  # the band holds groups lo .. lo + m/p - 1
+    for top, band in _bands(a, p, e, e, columns):
+        m, width = band.shape
+        for sums, stride, tau in zip(out, (width, -width), taus):  # from the near end (up, right), the far (down, left)
+            lo = (n - top - m) // p if stride < 0 else top // p  # the band holds groups lo .. lo + m/p - 1
             for g0, count, f0, slope, s in runs[bisect.bisect_right(ends, lo) :]:
                 if g0 >= lo + m // p:
                     break
                 g, end = max(g0, lo), min(g0 + count, lo + m // p)
-                line = (n - 1 - g * p if sign < 0 else g * p) - top
+                line = (n - 1 - g * p if stride < 0 else g * p) - top
                 offset = line * width + e + tau * (f0 + slope * (g - g0))
-                strides = ((sign * p * width + tau * slope) * size, sign * width * size, size)
-                sums[s] += np.ndarray((end - g, p, n), a.dtype, buf, offset * size, strides).sum(axis=0)
+                sums[s] += _view(band, offset, (end - g, p, n), (p * stride + tau * slope, stride, 1)).sum(axis=0)
     return tuple(sums if tau > 0 else sums[..., ::-1] for sums, tau in zip(out, taus))
 
 
@@ -318,9 +322,8 @@ def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
     a = _array(square_or_grid, params)
     if isinstance(square_or_grid, NaturalSquare):
         return PropertyVerdict(NATURAL, True)  # proved at construction; the entries are read-only
-    n = params.n
     flat = np.sort(a, axis=None)
-    bad = np.nonzero(flat != np.arange(n * n))[0]
+    bad = np.nonzero(flat != np.arange(a.size))[0]
     if bad.size == 0:
         return PropertyVerdict(NATURAL, True)
     k = int(bad[0])
@@ -364,14 +367,13 @@ def check_complementary(square_or_grid, params: TypeParams, direction: str = "ma
 def check_pxp(square_or_grid, params) -> PropertyVerdict:
     """Every toric p x p window shares one sum.
 
-    Natural squares must hit the pinned target p^2(n^2-1)/2; generic grids only
-    need all windows equal (the lemma-oracle mode). A bare p selects that mode with
-    no order check, so the grid may be rectangular. So the certificate depends on
-    the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
+    Natural squares must hit the pinned target p^2(n^2-1)/2; generic grids only need all windows equal (the
+    lemma-oracle mode). A bare p selects that mode with no order check, so the grid may be rectangular. So the
+    certificate depends on the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
 
-    _first_failing_row decides every window from W(i, 0) and the row differences E, one band at a
-    time, and stops at the first failing row. A failing grid rebuilds the windows of that row alone,
-    each the sum of its p vertical sums V(i, j..j+p-1), and reports its first failing window.
+    _first_failing_row decides every window from W(i, 0) and the row differences E, one band at a time, and stops at
+    the first failing row. A failing grid rebuilds the windows of that row alone, each the sum of its p vertical
+    sums V(i, j..j+p-1), and reports its first failing window.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
@@ -405,16 +407,14 @@ def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> 
 def check_franklin_patterns(square_or_grid, params: TypeParams, alphas=None) -> PropertyVerdict:
     """Every Franklin pattern sums to the magic sum.
 
-    Patterns range over 4 directions, the alphas of patterns.select_alphas (default
-    all of 1..p-1), and all n frame offsets. A direction is the up pattern on the
-    square rotated q quarter turns, and the n offsets translate the offset-0 cells
-    down the rows (patterns guarantees it). At offset 0 the pattern takes the first
-    alpha columns of each aligned group g of p from row first[g] and the rest from
-    rest[g] = first[g] + step, for every alpha (split_rows): step is +-1 outside the
-    odd-p central band, 0 or +-p in it. So each group is summed once, whole, from first[g] into the
-    p-row sum of its step (_franklin_pass: up's column pass serves down, right's row pass left), and
-    after a prefix down its rows a sum gives every alpha's n offset sums: its first alpha columns,
-    plus the last p - alpha read step columns on.
+    Patterns range over 4 directions, the alphas of patterns.select_alphas (default all of 1..p-1), and all n frame
+    offsets. A direction is the up pattern on the square rotated q quarter turns, and the n offsets translate the
+    offset-0 cells down the rows (patterns guarantees it). At offset 0 the pattern takes the first alpha columns of
+    each aligned group g of p from row first[g] and the rest from rest[g] = first[g] + step, for every alpha
+    (split_rows): step is +-1 outside the odd-p central band, 0 or +-p in it. So each group is summed once, whole,
+    from first[g] into the p-row sum of its step (_franklin_pass: up's column pass serves down, right's row pass
+    left), and after a prefix down its rows a sum gives every alpha's n offset sums: its first alpha columns, plus
+    the last p - alpha read step columns on.
     """
     a = _array(square_or_grid, params)
     n, p = params.n, params.p

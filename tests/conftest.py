@@ -59,6 +59,36 @@ def random_natural_square(n: int, rng: random.Random) -> ff.NaturalSquare:
     return ff.NaturalSquare.from_rows([symbols[i * n : (i + 1) * n] for i in range(n)])
 
 
+def kotzig_square(p: int, n: int) -> ff.NaturalSquare:
+    """The orbit square of order n, p^2 | n, for which p^2(n^2-1)/2 is an integer: a most-perfect square whether
+    n is a prime power or not (its windows and p-sets for the reasons below, its lines and diagonals as tested).
+
+    A Kotzig array K is p x m, m = n/p: each row a permutation of 0..m-1, each column summing to p(m-1)/2. The
+    orbits O_a = {t*m + K[t, a] : t < p} partition 0..n-1, each summing to p(n-1)/2; sigma takes element t of each
+    orbit to element t + 1 (mod p), and g(a + t*m) = O_a[t]. Entry (i, j) is n*sigma^(j mod p)(g(i)) plus
+    sigma^(i mod p)(g(j)): p consecutive columns add one whole orbit to a row's high part, p consecutive rows one
+    to a column's low part, so every p x p window sums to p^2(n^2-1)/2, and the p cells (i + t*m, j + t*m) meet
+    the whole orbit of g(i) and of g(j), so each p-set sums to p(n^2-1)/2.
+    """
+    m = n // p
+    a = np.arange(m)
+    if p == 2:
+        rows = [a, m - 1 - a]
+    else:  # m is odd: three rows summing to 3h, h = (m-1)/2, then pairs summing to m - 1
+        h = (m - 1) // 2
+        shifted = (a + h) % m
+        rows = [a, shifted, (3 * h - a - shifted) % m] + [a, m - 1 - a] * ((p - 3) // 2)
+    orbits = (np.arange(p)[:, None] * m + np.array(rows)).T  # orbits[a, t] = O_a[t]
+    g = orbits.T.ravel()
+    powers = [np.arange(n)]  # powers[s][x] = sigma^s(x)
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[orbits] = np.roll(orbits, -1, axis=1)
+    for _ in range(p - 1):
+        powers.append(sigma[powers[-1]])
+    powers, i = np.array(powers), np.arange(n)
+    return ff.NaturalSquare(ff.Grid(n * powers[i % p, g[:, None]] + powers[i[:, None] % p, g]))
+
+
 def random_window_grid(rows: int, cols: int, p: int, rng: random.Random) -> ff.Grid:
     """Random grid whose contiguous (non-toric) p x p windows all share one sum.
 

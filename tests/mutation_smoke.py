@@ -30,6 +30,8 @@ FRANKLIN_REFERENCE = "tests/test_reference.py::test_franklin_matches_reference"
 FRANKLIN_BANDS = "tests/test_reference.py::test_franklin_in_many_bands_matches_reference"
 REARRANGEMENTS = "tests/test_involution.py::test_rearrangements_keep_the_proof_and_the_range"
 EMIT_DIGITS = "tests/test_cli.py::test_emit_matches_reference_on_every_digit_count"
+BANDS = "tests/test_properties.py::TestBands"
+DIAGONALS = "tests/test_properties.py::TestDiagonalFold::test_broken_diagonals_match_the_defining_sums"
 
 PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
@@ -51,14 +53,14 @@ MUTANTS = [
     ("failing row reported one late", PROPERTIES, "- width + 1\n", "- width + 2\n", PXP_TESTS),
     ("p x p witness one column short", PROPERTIES, "for dc in range(p):", "for dc in range(p - 1):", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
-    ("anti windows read on the main stride", PROPERTIES, "n - top + k * (2 * n - 1)]",
-     "n - top + k * (2 * n + 1)]", ["tests/test_reference.py"]),
-    ("diagonal window starting one column on", PROPERTIES, "flat[top : top + k", "flat[top + 1 : top + 1 + k",
-     ["tests/test_reference.py"]),
+    ("anti windows read on the main stride", PROPERTIES, "(2 * n - 1, 1)", "(2 * n + 1, 1)",
+     ["tests/test_reference.py", DIAGONALS]),
+    ("diagonal window starting one column on", PROPERTIES, "_view(band, top, (len(band), n)",
+     "_view(band, top + 1, (len(band), n)", ["tests/test_reference.py", DIAGONALS]),
     ("p-set slab t shifted by (t+1)*m", PROPERTIES, "sign * t * m)", "sign * (t + 1) * m)", ["tests/test_reference.py"]),
-    ("Franklin run slope sign flipped", PROPERTIES, "+ tau * slope) * size", "- tau * slope) * size",
+    ("Franklin run slope sign flipped", PROPERTIES, "+ tau * slope, stride", "- tau * slope, stride",
      [FRANKLIN_REFERENCE, ORBITS]),
-    ("Franklin wrap margin one cell short", PROPERTIES, "e, size = n // p - 1,", "e, size = n // p - 2,",
+    ("Franklin wrap margin one cell short", PROPERTIES, "e = n // p - 1\n", "e = n // p - 2\n",
      [FRANKLIN_REFERENCE]),
     ("Franklin backward direction read forward", PROPERTIES, "e + tau * (f0 + slope", "e + (f0 + slope",
      [FRANKLIN_REFERENCE]),
@@ -70,6 +72,12 @@ MUTANTS = [
      ["tests/test_reference.py", ORBITS]),
     ("Franklin backward sums not turned round", PROPERTIES, "sums if tau > 0 else sums[..., ::-1]", "sums",
      [FRANKLIN_REFERENCE]),
+    ("walker right margin filled from the line's end", PROPERTIES, "lines[:, :right]", "lines[:, n - right :]",
+     [BANDS, FRANKLIN_REFERENCE]),
+    ("walker column band copied without the transpose", PROPERTIES, "strip[:, :m].T if columns",
+     "strip[:, :m].reshape(m, n) if columns", [BANDS, FRANKLIN_REFERENCE]),
+    ("walker's last partial band read one line long", PROPERTIES, "yield top, buf[:m]", "yield top, buf[: m + 1]",
+     [BANDS, DIAGONALS]),
     ("probe compares with the wrong target", PROPERTIES, "if (sums == target).all():",
      "if (sums == target + 1).all():", [REFERENCE_PROBE]),
     ("probe reports the second failing entry", PROPERTIES, "first = int(bad.argmax())",

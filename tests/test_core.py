@@ -70,6 +70,11 @@ class TestTypeParams:
             with pytest.raises(ValueError):
                 make(p, m)
 
+    def test_power_order_needs_a_positive_exponent(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="^r must be positive$"):
+                ff.TypeParams.for_power(2, r)
+
     def test_franklin_k(self):
         assert ff.TypeParams(2, 8).franklin_k == 1
         assert ff.TypeParams(2, 16).franklin_k == 2

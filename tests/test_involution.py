@@ -199,3 +199,10 @@ class TestTransport:
         assert not report.verdict(PXP).passed
         assert not report.verdict(PANDIAGONAL).passed
         assert not report.verdict(ONE_OVER_P_ROWS).passed
+
+
+def test_involutions_refuse_a_non_square_grid():
+    grid, params = ff.Grid(np.zeros((4, 8), dtype=np.int64)), ff.TypeParams(2, 4)
+    for transform in (ff.theta, ff.theta_row, ff.theta_col):
+        with pytest.raises(ValueError, match="^involution requires a square grid$"):
+            transform(grid, params)

@@ -7,6 +7,7 @@ per order, not only the closed form. Permuting the row digits among themselves a
 column digits among themselves as well (D @ M @ Q) gives near misses, most of which fail
 most-perfect; at n <= 81 their Franklin verdicts are compared with the brute-force reference.
 One near miss at (2, 4) is pinned: it shows that the converse of the paper's direction fails.
+The Kotzig orbit squares (conftest.kotzig_square) are most-perfect at every order with a p x p target.
 """
 
 import random
@@ -16,6 +17,7 @@ import numpy as np
 import franklin_forge as ff
 from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
 
+from conftest import kotzig_square
 from test_reference import ref_complementary, ref_franklin
 
 # (p, r, squares drawn): 523 squares over 11 orders, n from 8 to 1331
@@ -63,6 +65,18 @@ def test_orbit_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
             franklin = ff.verify_all(ff.theta(square, params), params)
             assert franklin.classification == "pandiagonal_franklin_type_p"
     assert len(seen) >= 500
+
+
+def test_kotzig_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
+    """The Kotzig orbit square is most-perfect wherever p^2 | n and the p x p target is an integer, prime power or
+    not, and at the Franklin orders among them its θ is pandiagonal Franklin."""
+    for p, n in ((2, 8), (2, 12), (2, 24), (3, 27), (2, 40), (3, 45), (3, 81), (5, 125), (3, 135), (7, 245)):
+        params = ff.TypeParams(p, n)
+        square = kotzig_square(p, n)
+        assert ff.verify_all(square, params).classification == "most_perfect_type_p"
+        if params.franklin_k is not None:
+            franklin = ff.verify_all(ff.theta(square, params), params)
+            assert franklin.classification == "pandiagonal_franklin_type_p"
 
 
 def test_near_miss_franklin_verdicts_match_reference():

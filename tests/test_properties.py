@@ -171,6 +171,34 @@ class TestDiagonalFold:
         assert {acc.shape for acc, _, _ in calls} == {(params.n // p, params.n)}
 
 
+class TestBands:
+    """_bands yields every line of the square once, in order, in bands of whole groups, each band a view of one reused
+    buffer whose rows are the lines wrapped as np.pad wraps them."""
+
+    @pytest.mark.parametrize("columns", [False, True], ids=["rows", "columns"])
+    @pytest.mark.parametrize("p, n", [(3, 27), (2, 40)])
+    def test_bands_are_the_wrapped_lines(self, p, n, columns, monkeypatch):
+        """Groups of 1 and p lines, margins (0, n) as the broken diagonals take them and (n/p - 1, n/p - 1) as the
+        Franklin passes do. BAND_CELLS makes each band 2 or 3 groups, so the last band is partial."""
+        a = np.random.default_rng(n).integers(-10**9, 10**9, (n, n))
+        lines = a.T if columns else a
+        for group in (1, p):
+            for left, right in ((0, n), (n // p - 1, n // p - 1)):
+                per_band = 2 if n // group % 2 else 3
+                assert n // group % per_band  # a partial last band
+                width = left + n + right
+                monkeypatch.setattr(properties, "BAND_CELLS", per_band * group * width - 1)
+                expected = np.pad(lines, ((0, 0), (left, right)), mode="wrap")
+                tops, buffers, size = [], [], per_band * group
+                for top, band in properties._bands(a, group, left, right, columns):
+                    assert band.shape == (min(size, n - top), width)
+                    assert np.array_equal(band, expected[top : top + len(band)])
+                    tops.append(top)
+                    buffers.append(band.base)
+                assert tops == list(range(0, n, size)) and n - tops[-1] < size
+                assert all(buffer is buffers[0] for buffer in buffers)
+
+
 class TestComplementary:
     def test_mp8_target63(self, mp8):
         square, params = mp8
@@ -879,6 +907,39 @@ class TestLemmaOracles:
         for p in (0, -1):
             with pytest.raises(ValueError):
                 ff.lemma_moremoresums2_oracle(ok, p, 1)
+
+
+class TestInputValidation:
+    """The refusals of malformed verdicts, inputs and arguments, each with its message."""
+
+    def test_verdict_carries_a_witness_exactly_when_it_fails(self):
+        witness = ff.Witness("row 0", 3, 1)
+        for passed, carried in ((True, witness), (False, None)):
+            with pytest.raises(ValueError, match="^verdict must carry a witness exactly when it fails$"):
+                ff.PropertyVerdict(SEMI_MAGIC, passed, carried)
+
+    def test_report_verdict_of_an_absent_name_is_none(self, mp9):
+        report = ff.verify_all(*mp9)  # order 9 is no Franklin order, so that check is omitted
+        assert report.verdict(SEMI_MAGIC).passed
+        assert report.verdict(FRANKLIN_PATTERNS) is None and report.verdict("no such property") is None
+
+    def test_non_grid_refused(self):
+        with pytest.raises(TypeError, match="^expected NaturalSquare or Grid, got list$"):
+            ff.check_semi_magic([[0]], ff.TypeParams(2, 1))
+
+    def test_complementary_direction_refused(self, mp8):
+        with pytest.raises(ValueError, match="^direction must be 'main' or 'anti'$"):
+            ff.check_complementary(*mp8, direction="up")
+
+    def test_p_that_does_not_divide_the_order_refused(self):
+        square, params = ff.NaturalSquare.from_rows([[0]]), ff.TypeParams(2, 1)
+        for check in (ff.check_complementary, ff.check_one_over_p):
+            with pytest.raises(ValueError, match="^p=2 does not divide order 1$"):
+                check(square, params)
+
+    def test_split_identity_refuses_an_empty_split(self):
+        with pytest.raises(ValueError, match="^k_split must be at least 1$"):
+            ff.lemma_moremoresums2_oracle(ff.Grid([[1, 2], [3, 4], [5, 6]]), 2, 0)
 
 
 class TestTransversals:

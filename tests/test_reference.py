@@ -27,9 +27,9 @@ from franklin_forge.properties import (
     SEMI_MAGIC,
 )
 
-from conftest import random_natural_square, random_toric_window_grid, random_window_grid
+from conftest import kotzig_square, random_natural_square, random_toric_window_grid, random_window_grid
 
-FRANKLIN_ORDERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+FRANKLIN_ORDERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 5), (3, 5)]
 POWER_ORDERS = [(2, 2), (3, 2), (5, 2), (7, 2)]  # r = 2: no Franklin patterns
 
 
@@ -202,9 +202,10 @@ def swap_two_cells(square, rng):
 
 @functools.lru_cache(maxsize=None)
 def cases(p, n):
-    """Closed-form most-perfect square (random natural where n is no prime power), its θ,
-    each with and without a two-cell swap, and two random integer grids. Where p^2 does not
-    divide n there is no θ: two random natural squares take the place of the pair."""
+    """Closed-form most-perfect square (where n is no prime power, the Kotzig orbit square if the p x p
+    target is an integer, else a random natural square), its θ, each with and without a two-cell swap,
+    and two random integer grids. Where p^2 does not divide n there is no θ: two random natural squares
+    take the place of the pair."""
     rng = random.Random(1000 * p + n)
     params = ff.TypeParams(p, n)
     r = round(np.log(n) / np.log(p))
@@ -213,6 +214,8 @@ def cases(p, n):
     else:
         if p**r == n:
             base = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed=rng.randrange(p ** (2 * r))))
+        elif params.has_pxp_sum:
+            base = kotzig_square(p, n)
         else:
             base = random_natural_square(n, rng)
         squares = [base, ff.theta(base, params)]
@@ -259,13 +262,30 @@ def test_pxp_matches_reference(p, n):
         assert ff.check_pxp(square, p) == ref_pxp(square, p)
 
 
-@pytest.mark.parametrize("p,n", [(p, k * p**3) for p, k in FRANKLIN_ORDERS], ids=ORDER_IDS[:6])
+@pytest.mark.parametrize("p,n", [(p, k * p**3) for p, k in FRANKLIN_ORDERS], ids=ORDER_IDS[: len(FRANKLIN_ORDERS)])
 def test_franklin_matches_reference(p, n):
     params, squares = cases(p, n)
     for square in squares:
         for alphas in (None, (1,), (p - 1,), tuple(range(p - 1, 0, -1)), (1, 1)):
             fast = ff.check_franklin_patterns(square, params, alphas)
             assert fast == ref_franklin(square, params, alphas)
+
+
+def test_each_franklin_order_with_a_pxp_target_holds_a_passing_theta(monkeypatch):
+    """Where the p x p target is an integer, cases() holds a most-perfect square, the Kotzig orbit square where n is
+    no prime power, whose θ passes the Franklin check through both banded passes: so the reference comparisons above
+    run _franklin_pass on a passing square at every such order, (2, 3) and (2, 5) included."""
+    passes, franklin_pass = [], properties._franklin_pass
+    monkeypatch.setattr(properties, "_franklin_pass", lambda *args: passes.append(args[-1]) or franklin_pass(*args))
+    covered = []
+    for p, k in FRANKLIN_ORDERS:
+        params, squares = cases(p, k * p**3)
+        if params.has_pxp_sum:
+            assert ff.verify_all(squares[0], params).classification == "most_perfect_type_p"
+            passes.clear()
+            assert ff.check_franklin_patterns(squares[1], params).passed and passes == [True, False]
+            covered.append((p, k))
+    assert covered == [order for order in FRANKLIN_ORDERS if order != (3, 2)]  # n = 54 has no p x p target
 
 
 def band_cells(params, groups):
