@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
+from .construct import FAMILIES, GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
 from .core import BAND_CELLS, MAX_ORDER, Grid, NaturalSquare, TypeParams, _Owned
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
@@ -89,15 +89,6 @@ class SquareDocument:
     @property
     def order(self) -> int:
         return self.grid.rows
-
-    @property
-    def entries(self) -> list[list[int]]:
-        """The rows as Python ints; each read converts the whole grid."""
-        return self.grid.to_lists()
-
-    @classmethod
-    def from_square(cls, square, p=None, k=None, r=None, metadata=None) -> "SquareDocument":
-        return cls(square, p=p, k=k, r=r, metadata=dict(metadata or {}))
 
 
 def _parse_grid(rows: list, order: int) -> Grid:
@@ -412,17 +403,14 @@ def _report_lines(report) -> list[str]:
 def _cmd_construct(args) -> int:
     config = GeneratorConfig(p=args.p, r=args.r, seed=args.seed, family=args.family)
     square = generate_most_perfect(config)
-    doc = SquareDocument.from_square(
-        square, p=args.p, r=args.r,
-        metadata={"generator": args.family, "seed": args.seed},
-    )
+    doc = SquareDocument(square, p=args.p, r=args.r, metadata={"generator": args.family, "seed": args.seed})
     _write_output(doc, "csv" if args.csv else "json", args.out)
     return EXIT_OK
 
 
 def _cmd_theta(args) -> int:
     doc = _load(args.infile, args.p)
-    doc = SquareDocument.from_square(  # rebinding frees the input square before the output text is built
+    doc = SquareDocument(  # rebinding frees the input square before the output text is built
         theta(doc.grid, TypeParams(args.p, doc.order)), p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
     _write_output(doc, "csv" if args.csv else "json", args.out)
@@ -461,34 +449,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    table = builtin_fixtures()
+    table = {name: (square, params) for name, square, params in builtin_fixtures()}
     if args.list:
-        for name, square, params in table:
+        for name, (square, params) in table.items():
             print(f"{name}  order={square.order}  p={params.p}")
         return EXIT_OK
-    for name, square, params in table:
-        if name == args.export:
-            doc = SquareDocument.from_square(square, p=params.p, metadata={"name": name})
-            _write_output(doc, "json", args.out)
-            return EXIT_OK
-    raise SquareFormatError(f"unknown fixture {args.export!r}")
+    square, params = table.get(args.export, (None, None))
+    if square is None:
+        raise SquareFormatError(f"unknown fixture {args.export!r}")
+    _write_output(SquareDocument(square, p=params.p, metadata={"name": args.export}), "json", args.out)
+    return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     doc = _load(args.infile, args.p)
     target, params = doc.grid, TypeParams(args.p, doc.order)
     report = verify_all(target, params)
-
-    def target_or_na(flag, value):
-        return str(value()) if flag else "n/a"
-
     lines = [
         f"order {params.n}, p={params.p}",
         "magic sum {}, window sum {}, segment sum {}, complement sum {}".format(
             params.magic_sum,
-            target_or_na(params.has_pxp_sum, lambda: params.pxp_sum),
-            target_or_na(params.has_segment_sum, lambda: params.segment_sum),
-            target_or_na(params.has_complement_sum, lambda: params.complement_sum),
+            params.pxp_sum if params.has_pxp_sum else "n/a",
+            params.segment_sum if params.has_segment_sum else "n/a",
+            params.complement_sum if params.has_complement_sum else "n/a",
         ),
     ]
     lines += _report_lines(report)
@@ -515,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--seed", type=int, default=0, help="picks the digit offset (mod p^(2r))")
-    c.add_argument("--family", choices=("digit_linear", "fixtures_only"), default="digit_linear")
+    c.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
     c.add_argument("--out", default=None)
     c.add_argument("--csv", action="store_true")
     c.set_defaults(func=_cmd_construct)

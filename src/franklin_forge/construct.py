@@ -32,6 +32,7 @@ from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
 from .properties import REQUIRED_VERDICTS, verify_all
 
 _TABLE_ROWS = 32  # the most rows of one digit table; of 16, 32, 64 and 256, 32 measured fastest
+FAMILIES = ("digit_linear", "fixtures_only")  # the generator families; the first is the default
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -43,13 +44,13 @@ class GeneratorConfig:
     p: int
     r: int
     seed: int = 0
-    family: str = "digit_linear"
+    family: str = FAMILIES[0]
 
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("most-perfect construction needs r >= 2")
         TypeParams.for_power(self.p, self.r)  # bounds r, then the order, then checks p is prime
-        if self.family not in ("digit_linear", "fixtures_only"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
 
 
@@ -155,14 +156,10 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
     params = TypeParams.for_power(config.p, config.r)
     if config.family == "fixtures_only":
         wanted = {(2, 3): "figure2_mp8", (3, 2): "figure2_mp9"}.get((config.p, config.r))
-        if wanted is None:
-            raise GeneratorExhaustedError(
-                f"no embedded most-perfect square for p={config.p}, r={config.r}"
-            )
-        for name, square, _ in builtin_fixtures():
-            if name == wanted:
-                return square
-        raise GeneratorExhaustedError(f"fixture {wanted} missing")  # pragma: no cover
+        square = {name: fixture for name, fixture, _ in builtin_fixtures()}.get(wanted)
+        if square is None:
+            raise GeneratorExhaustedError(f"no embedded most-perfect square for p={config.p}, r={config.r}")
+        return square
 
     candidate = closed_form_candidate(config.p, config.r, config.seed)
     square = candidate_to_square(candidate, config.p, config.r)

@@ -37,6 +37,7 @@ PXP_TESTS = ["tests/test_properties.py::TestPxp", "tests/test_reference.py"]
 GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
 BATTERY = ["tests/test_certificate_bytes.py"]
 CLI = "src/franklin_forge/cli.py"
+CONSTRUCT = "src/franklin_forge/construct.py"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
                "tests/test_cli.py::test_plain_path_compares_gap_bytes"]
 
@@ -106,7 +107,7 @@ MUTANTS = [
     ("CellSet lines swapped", PATTERNS, "CellSet(line, cols) if q % 2 == 0 else CellSet(cols, line)",
      "CellSet(cols, line) if q % 2 == 0 else CellSet(line, cols)",
      ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
-    ("group code read with the wrong place value", "src/franklin_forge/construct.py",
+    ("group code read with the wrong place value", CONSTRUCT,
      "codes.append(places @ row_res[group])", "codes.append(places[::-1] @ row_res[group])",
      ["tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
@@ -142,6 +143,15 @@ MUTANTS = [
      ["tests/test_cli.py::TestStreamedOutput::test_file_stdout_and_text_stdout_carry_the_same_bytes"]),
     ("CSV layout with a CRLF row gap", CLI, '"csv": (("", ",", "\\n", "\\n"),)', '"csv": (("", ",", "\\r\\n", "\\n"),)',
      ["tests/test_cli.py::test_emit_matches_reference_on_squares"]),
+    ("report window target read under the segment flag", CLI, "params.pxp_sum if params.has_pxp_sum",
+     "params.pxp_sum if params.has_segment_sum",
+     ["tests/test_cli.py::TestCommands::test_report_header_marks_targets_that_are_not_integers"]),
+    ("fixtures --export serves the first fixture for any known name", CLI, "table.get(args.export, (None, None))",
+     "next(iter(table.values())) if args.export in table else (None, None)",
+     ["tests/test_cli.py::TestCommands::test_fixtures_list_and_export_serve_the_golden_files"]),
+    ("fixtures_only ignores (p, r)", CONSTRUCT, ".get((config.p, config.r))", ".get((2, 3))",
+     ["tests/test_construct.py::TestGenerator::test_fixtures_only_returns_figure_square",
+      "tests/test_construct.py::TestGenerator::test_fixtures_only_unavailable_pair_exhausts"]),
 ]
 
 TIMEOUT_S = 120

@@ -98,7 +98,7 @@ def _checks(label: str, grid, params, full: bool = True) -> list:
 
 def _cli_lines(label: str, grid, params, tmp_dir) -> list:
     path = tmp_dir / "doc.json"
-    path.write_text(emit_square(SquareDocument.from_square(grid, p=params.p)))
+    path.write_text(emit_square(SquareDocument(grid, p=params.p)))
     p, src = str(params.p), ["--in", str(path)]
     runs = [["theta", "--p", p, *src], ["verify", "--p", p, "--json", *src],
             ["verify", "--p", p, *src], ["report", "--p", p, *src]]

@@ -42,23 +42,23 @@ def write_fixture(tmp_path, name):
 class TestFormats:
     def test_json_round_trip(self, mp8):
         square, params = mp8
-        doc = SquareDocument.from_square(square, p=params.p, metadata={"name": "x"})
+        doc = SquareDocument(square, p=params.p, metadata={"name": "x"})
         text = emit_square(doc)
         again = parse_square(text)
-        assert again.entries == doc.entries
+        assert again.grid == doc.grid
         assert emit_square(again) == text  # canonical form is a fixed point
 
     def test_csv_round_trip(self, fig1):
         square, _ = fig1
-        doc = SquareDocument.from_square(square)
+        doc = SquareDocument(square)
         text = emit_square(doc, "csv")
         again = parse_square(text, "csv")
-        assert again.entries == square.to_lists()
+        assert again.grid == square
         assert emit_square(again, "csv") == text
 
     def test_minimal_json_document(self):
         doc = parse_square('{"order":2,"entries":[[0,1],[2,3]]}')
-        assert doc.order == 2 and doc.entries == [[0, 1], [2, 3]]
+        assert doc.order == 2 and doc.grid.to_lists() == [[0, 1], [2, 3]]
 
     def test_dimension_error(self):
         rows = [",".join(str(8 * i + j) for j in range(7)) for i in range(8)]
@@ -106,7 +106,7 @@ class TestFormats:
         assert str(excinfo.value) == message
 
     def test_unknown_format_rejected(self, mp8):
-        doc = SquareDocument.from_square(mp8[0])
+        doc = SquareDocument(mp8[0])
         with pytest.raises(SquareFormatError, match="^unknown format 'xml'$"):
             parse_square(emit_square(doc), "xml")
         with pytest.raises(SquareFormatError, match="^unknown format 'xml'$"):
@@ -121,7 +121,7 @@ class TestFormats:
     )
     def test_golden_serialization(self, name, fixture_map):
         square, params = fixture_map[name]
-        doc = SquareDocument.from_square(square, p=params.p, metadata={"name": name})
+        doc = SquareDocument(square, p=params.p, metadata={"name": name})
         assert emit_square(doc) == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
@@ -143,7 +143,7 @@ class TestCommands:
         assert capsys.readouterr().out == first
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
-        doc = SquareDocument.from_square(
+        doc = SquareDocument(
             ff.NaturalSquare.from_rows([[8 * i + j for j in range(8)] for i in range(8)])
         )
         path = tmp_path / "reading.json"
@@ -204,7 +204,7 @@ class TestCommands:
         twice = tmp_path / "twice.json"
         main(["theta", "--p", "3", "--in", str(src), "--out", str(once)])
         main(["theta", "--p", "3", "--in", str(once), "--out", str(twice)])
-        assert parse_square(twice.read_text()).entries == parse_square(src.read_text()).entries
+        assert parse_square(twice.read_text()).grid == parse_square(src.read_text()).grid
 
     def test_pattern_sum_figure1(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "figure1_franklin8")
@@ -268,6 +268,16 @@ class TestCommands:
         for name in ("figure1_franklin8", "figure2_mp8", "figure2_mp9", "sec14_franklin27"):
             assert name in out
 
+    def test_fixtures_list_and_export_serve_the_golden_files(self, tmp_path, capsys):
+        """--list gives each fixture's order and p, and --export writes each listed one as its golden file."""
+        assert main(["fixtures", "--list"]) == EXIT_OK
+        listed = capsys.readouterr().out.splitlines()
+        assert listed == ["figure1_franklin8  order=8  p=2", "figure2_mp8  order=8  p=2",
+                          "figure2_mp9  order=9  p=3", "sec14_franklin27  order=27  p=3"]
+        for line in listed:
+            name = line.split()[0]
+            assert write_fixture(tmp_path, name).read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
     def test_fixtures_unknown_name(self, capsys):
         assert main(["fixtures", "--export", "nonesuch"]) == EXIT_INPUT_ERROR
 
@@ -278,6 +288,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "s_0=6552" in out and "s_1=3276" in out
         assert "classification: pandiagonal_franklin_type_p" in out
+
+    @pytest.mark.parametrize(
+        "p, rows, header",
+        [
+            (3, [[54 * i + j for j in range(54)] for i in range(54)],
+             "magic sum 78705, window sum n/a, segment sum 26235, complement sum n/a"),
+            (2, [[0]], "magic sum 0, window sum n/a, segment sum n/a, complement sum n/a"),
+        ],
+        ids=["n54_p3", "n1_p2"],
+    )
+    def test_report_header_marks_targets_that_are_not_integers(self, tmp_path, capsys, p, rows, header):
+        """At n = 54, p = 3 the window and complement targets are half-integers; at n = 1, p = 2 does not divide n."""
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"entries": rows}))
+        main(["report", "--p", str(p), "--in", str(path)])
+        assert capsys.readouterr().out.splitlines()[1] == header
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -320,7 +346,7 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_tokens_may_carry_a_sign_and_spaces(self):
-        assert parse_square(" 0 , +1\n2,\t3 ", "csv").entries == [[0, 1], [2, 3]]
+        assert parse_square(" 0 , +1\n2,\t3 ", "csv").grid.to_lists() == [[0, 1], [2, 3]]
 
     @pytest.mark.parametrize("row0", [[2**62, 2**62, 2**62 - 3], [2**62, 2**62, 12 - 2**63]])
     def test_overflowing_grid_exit_code(self, tmp_path, capsys, row0):

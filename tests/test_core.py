@@ -117,6 +117,14 @@ class TestGrid:
         assert ff.Grid(g).entries is g.entries
         assert not ff.Grid(g).entries.flags.writeable
 
+    def test_never_equals_its_rows_as_lists(self):
+        assert ff.Grid([[1, 2]]).__eq__([[1, 2]]) is NotImplemented
+        assert (ff.Grid([[1, 2]]) == [[1, 2]]) is False
+
+    def test_reprs_give_the_shape(self):
+        assert repr(ff.Grid([[1, 2]])) == "Grid(1x2)"
+        assert repr(ff.NaturalSquare([[3, 1], [2, 0]])) == "NaturalSquare(order=2)"
+
 
 class TestNaturalSquare:
     def test_is_a_grid_sharing_the_grid_it_proves(self):
@@ -141,6 +149,12 @@ class TestNaturalSquare:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             ff.NaturalSquare.from_rows([[0, 1, 2], [3, 4, 5]])
+
+    def test_rejects_an_order_past_the_cap(self):
+        """The order is refused before the naturalness proof, and the owned zeros are adopted uncopied."""
+        n = MAX_ORDER + 1
+        with pytest.raises(ValueError, match=f"^order {n} exceeds supported maximum {MAX_ORDER}$"):
+            ff.NaturalSquare(ff.core._Owned(np.zeros((n, n), np.int64)))
 
     @pytest.mark.parametrize(
         "rows",

@@ -92,6 +92,9 @@ class TestFranklinCells:
         assert cells.cells == frozenset(FIG1_UP_DIAGONAL)
         assert sum(int(square.entries[r, c]) for r, c in cells) == 252
 
+    def test_beta_is_p_minus_alpha(self):
+        assert [up_spec(5, 1, alpha, 0).beta for alpha in range(1, 5)] == [4, 3, 2, 1]
+
     def test_order27_boxed_pattern(self, f27):
         square, _ = f27
         cells = ff.franklin_cells(up_spec(3, 1, 1, 2))
@@ -251,8 +254,10 @@ class TestSplitRowsMemo:
         for params in self.ORDERS:
             assert split_rows(params) == reference_split_rows(params)
         bound = split_rows.cache_info().maxsize
-        for k in range(4, 5 + bound):  # more orders than the bound, none of them a reference order
-            split_rows(ff.TypeParams.for_franklin(2, k))
+        sweep = [(2, k) for k in range(4, 4 + 2 * bound) if (2, k) not in FRANKLIN_ORDERS][: bound + 1]
+        assert len(sweep) > bound and not set(sweep) & set(FRANKLIN_ORDERS)  # more than the bound, none a reference
+        for p, k in sweep:
+            split_rows(ff.TypeParams.for_franklin(p, k))
         misses = split_rows.cache_info().misses
         for params in self.ORDERS:
             assert split_rows(params) == reference_split_rows(params)
