@@ -10,8 +10,8 @@ ASCII digits, spaces around). Either format is parsed straight to one int64 Grid
 the document's only copy of the entries (the plain reader's array, uncopied), and
 proved natural once: a natural document holds a NaturalSquare, any other a plain
 Grid. p, k and r, if given, must be integers, and a loaded document's p must match
---p. Exit codes: 0 success/pass, 1 verification fail, 2 input error, 3 generator
-exhaustion.
+--p. Exit codes: 0 success/pass, 1 verification fail or a closed stdout, 2 input error,
+3 generator exhaustion.
 
 Square text is written and read without a Python int or str per cell. emit_square renders bands of
 rows in numpy as bytes (fixed-width digit tokens padded with NUL bytes, which are dropped) that the
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 import warnings
@@ -552,6 +553,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader left: no error line, and devnull takes the exit flush (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except GeneratorExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED

@@ -8,17 +8,17 @@ its sums' cells once, and the witness of its failing sum lists them. So reports 
 Toric sums come from strided views and _shift_add (cyclic shifts of a line or a slab of lines). The 2n broken
 diagonals (_broken_diagonals) and the Franklin passes sum strided views of the wrapped bands of rows or columns of
 one walker (_bands): one pass, contiguous reads, whatever n's factors. The p-sets fold their p slabs of n/p rows.
-With E(r, j) = a[r, j+p] - a[r, j], W(i, j+1) - W(i, j) sums p rows of E for the p x p windows W, and that sum
-changes from top row i to i+1 by E(i+p, j) - E(i, j). So W(i, 0), row 0's E rows and E(i+p) == E(i) decide every
-window (_first_failing_row), in bands of about BAND_CELLS cells that carry their last p E rows on: no row is read
-twice and no window table is built. The first failing row's windows, p shift-adds of its vertical sums, witness the
-first failure. An up pattern takes each aligned group of p columns from two rows split at alpha, the same two for
-every alpha (patterns.split_rows, its blocks walked once per order per process), the second the first plus 0, +-1 or
-+-p. The Franklin check sums each run of groups with one step and arithmetic first rows as one strided view of a
-band of columns or rows (_franklin_pass) into the p-row sum of its step, a prefix of which serves every alpha:
-O(n^2) for any p, and no whole-square copy. An int64 prefix sum or difference may wrap, but the wrap cancels modulo
-2^64, so each sum equals a direct int64 addition; _array rejects any Grid whose true sums could leave int64, reading
-the entry range the Grid recorded when it was built.
+With F(r, j) = a[r+p, j] - a[r, j], the vertical p-sums V step down by V(i+1) = V(i) + F(i), and the p x p windows
+W along a row by W(i, j+1) - W(i, j) = V(i, j+p) - V(i, j). So W(i, 0), row 0's windows and F(k, j+p) == F(k, j)
+for all k < i decide row i (_first_failing_row): bands of about BAND_CELLS cells read a's rows and the rows p
+below, hand nothing on and build no window table. One prefix sum along a line (_windows) gives W(i, 0), row 0's
+windows and the first failing row's, which witness the first failure. An up pattern takes each aligned group of p
+columns from two rows split at alpha, the same two for every alpha (patterns.split_rows, its blocks walked once per
+order per process), the second the first plus 0, +-1 or +-p. The Franklin check sums each run of groups with one
+step and arithmetic first rows as one strided view of a band of columns or rows (_franklin_pass) into the p-row sum
+of its step, a prefix of which serves every alpha: O(n^2) for any p, and no whole-square copy. An int64 prefix sum
+or difference may wrap, but the wrap cancels modulo 2^64, so each sum equals a direct int64 addition; _array
+rejects any Grid whose true sums could leave int64, reading the entry range the Grid recorded when it was built.
 """
 
 from __future__ import annotations
@@ -146,37 +146,39 @@ def _array(obj, params: TypeParams | None = None) -> np.ndarray:
     return a
 
 
+def _windows(v: np.ndarray, width: int, toric: bool) -> np.ndarray:
+    """The sums of width consecutive entries of line v from each start, wrapping past its end when toric, else not."""
+    prefix = np.cumsum(np.concatenate((v[:1] * 0, v, v[: width - 1] if toric else v[:0])))
+    return prefix[width:] - prefix[:-width]
+
+
 def _first_failing_row(a: np.ndarray, width: int, toric: bool, target) -> tuple | None:
     """(i, V(i, :)) for the first top row i with a window W(i, j) that misses target, else None; V sums width cells
-    down. Top rows are all rows when toric (windows wrap past the last row and column), else those whose windows fit.
-    Row i passes iff W(i, 0) does, row 0's width E rows sum to 0 and E(k + width) == E(k) for k < i (module docstring).
-    E comes in bands of about BAND_CELLS cells, at least width rows, each carrying its last width E rows to the next."""
+    down. Top rows are all rows when toric (windows wrap past the last row and column), else those whose windows fit."""
     rows, cols = a.shape
     if not 1 <= width <= min(rows, cols):
         raise ValueError(f"grid {a.shape} smaller than window size {width}" if width > 0
                          else f"window size {width} is not positive")
-    tops, span = (rows, cols) if toric else (rows - width + 1, cols - width)  # E columns that steps read
-    heads = a[:, :width].sum(axis=1)  # W(i, 0) = heads[i] + ... + heads[i + width - 1], wrapping when toric
-    prefix = np.cumsum(np.concatenate((heads[:1] * 0, heads, heads[: width - 1] if toric else heads[:0])))
-    bad = np.flatnonzero(prefix[width:] - prefix[:-width] != target)
+    tops, span = (rows, cols) if toric else (rows - width + 1, cols - width)  # top rows, F columns whose lag decides
+    heads = a[:, :width].sum(axis=1)  # W(i, 0) sums width of them, wrapping when toric
+    bad = np.flatnonzero(_windows(heads, width, toric) != target)
     found = int(bad[0]) if bad.size else tops  # the first row that W(i, 0) fails, else tops
-    band = max(-(-BAND_CELLS // cols), width)
-    e = np.empty((width + band, cols), dtype=heads.dtype)  # rows :width carry the previous band's last E rows
-    stop = found - 1 + width  # E rows 0..found-2+width decide the rows before found
-    for lo in range(0, stop if found else 0, band):
-        e[:width] = e[band:]  # the last width E rows of the previous band, a full one (unread at lo = 0)
-        m = min(band, stop - lo)
-        block = a[lo : lo + m] if lo + m <= rows else a.take(np.arange(lo, lo + m) % rows, axis=0)
-        flat, out = block.ravel(), e[width : width + m]
-        np.subtract(flat[width:], flat[:-width], out=out.ravel()[:-width], dtype=e.dtype)
-        if toric:  # the last width columns read the first ones of the same row
-            np.subtract(block[:, :width], block[:, -width:], out=out[:, -width:], dtype=e.dtype)
-        skip = max(width - lo, 0)  # E rows below width have no E row width before them
-        row0 = lo == 0 and out[:width, :span].sum(axis=0).any()  # row 0's own E rows do not sum to 0
-        steps = (out[skip:, :span] != e[skip:m, :span]).any(axis=1)
-        if row0 or steps.any():
-            found = 0 if row0 else lo + skip + int(steps.argmax()) - width + 1
+    if (_windows(a[:width].sum(axis=0), width, toric) != target).any():  # row 0's windows
+        found = 0
+    band = -(-BAND_CELLS // cols)  # rows of F, each band read from a's rows and the rows width below them alone
+    f, lag = np.empty((band, cols), dtype=heads.dtype), np.empty((band, cols), dtype=bool)
+    for lo in range(0, found - 1, band):  # F rows 0..found-2 decide the rows before found
+        m = min(band, found - 1 - lo)
+        k = min(m, max(rows - width - lo, 0))  # F(r) = a[r + width] - a[r] reads row r + width in a for r < lo + k
+        np.subtract(a[lo + width : lo + width + k], a[lo : lo + k], out=f[:k], dtype=f.dtype)
+        if k < m:  # and past the last row for the rest, so wrapped to a's top
+            np.subtract(a[lo + width + k - rows : lo + width + m - rows], a[lo + k : lo + m], out=f[k:m], dtype=f.dtype)
+        np.not_equal(f.ravel()[width : m * cols], f.ravel()[: m * cols - width], out=lag.ravel()[: m * cols - width])
+        np.not_equal(f[:m, :width], f[:m, -width:], out=lag[:m, -width:])  # F(r, j + width) wraps in the last columns
+        if lag[:m, :span].any():  # the first F row with a lag miss fails the top row after it
+            found = lo + int(lag[:m, :span].any(axis=1).argmax()) + 1
             break
+    del f, lag  # freed before the witness, so a failing scan peaks no higher than a passing one
     if found == tops:
         return None
     return found, a.take(np.arange(found, found + width) % rows, axis=0).sum(axis=0)
@@ -370,10 +372,6 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     Natural squares must hit the pinned target p^2(n^2-1)/2; generic grids only need all windows equal (the
     lemma-oracle mode). A bare p selects that mode with no order check, so the grid may be rectangular. So the
     certificate depends on the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
-
-    _first_failing_row decides every window from W(i, 0) and the row differences E, one band at a time, and stops at
-    the first failing row. A failing grid rebuilds the windows of that row alone, each the sum of its p vertical
-    sums V(i, j..j+p-1), and reports its first failing window.
     """
     typed = isinstance(params, TypeParams)
     p = params.p if typed else int(params)
@@ -384,9 +382,7 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     if failing is None:
         return PropertyVerdict(PXP, True)
     i, v = failing
-    windows = np.zeros_like(v)
-    for dc in range(p):  # W(i, j) = V(i, j) + ... + V(i, j+p-1), wrapping past the last column
-        _shift_add(windows, v, dc)
+    windows = _windows(v, p, True)  # W(i, j) = V(i, j) + ... + V(i, j+p-1), wrapping past the last column
     j = int((windows != target).argmax())  # the first failing window, of the row that has one
     cells = tuple(((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p))
     return PropertyVerdict(PXP, False, Witness(f"window at ({i}, {j})", target, int(windows[j]), cells))

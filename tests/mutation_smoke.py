@@ -43,16 +43,22 @@ PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
-    ("toric E columns not wrapped", PROPERTIES,
-     "np.subtract(block[:, :width], block[:, -width:], out=out[:, -width:], dtype=e.dtype)", "pass", PXP_TESTS),
-    ("first-column windows without the wrap rows", PROPERTIES, "heads[: width - 1] if toric",
-     "heads[:0] if toric", PXP_TESTS),
-    ("row 0 not decided from its E rows", PROPERTIES, "row0 = lo == 0 and", "row0 = lo < 0 and",
+    ("p x p wrap compare dropped", PROPERTIES,
+     "np.not_equal(f[:m, :width], f[:m, -width:], out=lag[:m, -width:])", "pass", PXP_TESTS),
+    ("first-column windows without the wrap rows", PROPERTIES, "v[: width - 1] if toric", "v[:0] if toric",
      PXP_TESTS),
-    ("E compared w - 1 rows apart", PROPERTIES, "!= e[skip:m, :span]", "!= e[skip + 1 : m + 1, :span]", PXP_TESTS),
-    ("carried E rows one short", PROPERTIES, "e[:width] = e[band:]", "e[1:width] = e[band + 1 :]", PXP_TESTS),
-    ("failing row reported one late", PROPERTIES, "- width + 1\n", "- width + 2\n", PXP_TESTS),
-    ("p x p witness one column short", PROPERTIES, "for dc in range(p):", "for dc in range(p - 1):", PXP_TESTS),
+    ("row 0 not decided", PROPERTIES, "        found = 0\n", "        pass\n", PXP_TESTS),
+    ("F read width - 1 rows below", PROPERTIES, "a[lo + width : lo + width + k], a[lo : lo + k]",
+     "a[lo + width - 1 : lo + width - 1 + k], a[lo : lo + k]", PXP_TESTS),
+    ("failing row reported one late", PROPERTIES, ".argmax()) + 1\n", ".argmax()) + 2\n", PXP_TESTS),
+    ("wrapped rows clipped instead of wrapped", PROPERTIES, "a[lo + width + k - rows : lo + width + m - rows]",
+     "a[[rows - 1] * (m - k)]", PXP_TESTS),
+    ("flat lag compare one column short", PROPERTIES,
+     "f.ravel()[width : m * cols], f.ravel()[: m * cols - width], out=lag.ravel()[: m * cols - width]",
+     "f.ravel()[width : m * cols - 1], f.ravel()[: m * cols - width - 1], out=lag.ravel()[: m * cols - width - 1]",
+     PXP_TESTS),
+    ("last F row skipped", PROPERTIES, "range(0, found - 1, band)", "range(0, found - 2, band)", PXP_TESTS),
+    ("p x p witness windows read unwrapped", PROPERTIES, "_windows(v, p, True)", "_windows(v, p, False)", PXP_TESTS),
     ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
     ("anti windows read on the main stride", PROPERTIES, "(2 * n - 1, 1)", "(2 * n + 1, 1)",
      ["tests/test_reference.py", DIAGONALS]),

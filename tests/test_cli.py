@@ -1,8 +1,10 @@
 import gc
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -872,6 +874,20 @@ class TestStreamedOutput:
         assert main(["theta", "--p", "3", "--csv", "--in", str(src), "--out", str(out)]) == 0
         theta_doc = SquareDocument(ff.theta(square, ff.TypeParams(3, 27)))
         assert out.read_bytes() == emit_square(theta_doc, "csv").encode()
+
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        """A reader that closes stdout early, as `| head -c 10` does, is no input error: the command exits 1 with
+        no error line, no traceback and no "Exception ignored" from the exit flush. The square at n = 729 is about
+        4 MB, far more than a pipe holds, so the pipe is sure to break."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "franklin_forge.cli", "construct", "--p", "3", "--r", "6"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(10) == b'{\n  "schem'
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert stderr == b""
 
     def test_format_checked_before_the_file_is_opened(self, tmp_path):
         out = tmp_path / "never"

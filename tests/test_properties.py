@@ -290,11 +290,12 @@ class TestPxp:
             assert ff.check_pxp(grid, params).passed == passes
             assert len(calls) == 1
 
-    def test_bands_read_each_row_once(self, monkeypatch):
-        """The scan reads each row of a once, in its band, but for the width - 1 rows that toric windows
-        wrap to; W(i, 0) reads the first width columns once. Bands of BAND_CELLS = 64 cells here: at
-        least width rows, so 8 rows of 9 columns, and 5 of 16 (width 5 exceeds the 4 rows of 64 cells)."""
-        reads = []  # (rows, columns) of each slice or take of a
+    def test_bands_read_their_rows_and_the_rows_width_below(self, monkeypatch):
+        """After W(i, 0) (the first width columns) and row 0's windows (the first width rows), each band of
+        ceil(BAND_CELLS / cols) rows, fewer than width in the 16-column case, reads its rows and the rows width below
+        them as slices of a; the rows below past the last row, which toric windows wrap to, are a slice of its top.
+        Nothing else is read, no take, and no row more than twice. Bands of BAND_CELLS = 64 cells here."""
+        reads = []  # the rows of each slice of a, and its columns
 
         class Logged(np.ndarray):
             def __getitem__(self, key):
@@ -303,22 +304,28 @@ class TestPxp:
                 return np.asarray(self)[key]
 
             def take(self, indices, axis=None):
-                assert axis == 0
-                reads.append((list(indices), slice(None)))
-                return np.asarray(self).take(indices, axis=0)
+                raise AssertionError("a passing scan takes no rows")
 
         monkeypatch.setattr(properties, "BAND_CELLS", 64)
         rng = random.Random(64)
         for rows, cols, width in ((24, 9, 3), (40, 16, 5), (21, 9, 1), (22, 9, 2)):
+            band = -(-64 // cols)
+            assert (band < width) == (cols == 16)
             a = self.row_periodic_grid(rows, cols, width, rng)
             for toric in (False, True):
                 reads.clear()
                 assert properties._first_failing_row(a.view(Logged), width, toric, 30 * width * width) is None
-                columns = [r for r, c in reads if c != slice(None)]
-                assert columns == [list(range(rows))] and reads[0][1] == slice(None, width)
-                whole = Counter(row for read, c in reads if c == slice(None) for row in read)
-                wrapped = width - 1 if toric else 0
-                assert whole == Counter(list(range(rows)) + list(range(wrapped)))
+                assert reads[:2] == [(list(range(rows)), slice(None, width)), (list(range(width)), slice(None))]
+                whole = reads[2:]  # a subtract's rows below, then its own rows, for each subtract
+                assert all(columns == slice(None) for _, columns in whole)
+                pairs = [(below, upper) for (below, _), (upper, _) in zip(whole[::2], whole[1::2]) if upper]
+                assert all(below == [(r + width) % rows for r in upper] for below, upper in pairs)
+                last = rows - 1 if toric else rows - width  # F rows 0..last - 1 decide top rows 1..last
+                bands = [range(lo, min(lo + band, last)) for lo in range(0, last, band)]
+                pieces = [[r for r in rows_ if (r + width < rows) == inside]  # read below in a, then wrapped
+                          for rows_ in bands for inside in (True, False)]
+                assert [upper for _, upper in pairs] == [piece for piece in pieces if piece]
+                assert max(Counter(r for rows_, _ in whole for r in rows_).values()) <= 2
 
     @staticmethod
     def first_failing_top_row(rows, width, toric, target):
@@ -333,27 +340,35 @@ class TestPxp:
         return None
 
     def test_first_failing_row_matches_reference_at_band_edges(self, monkeypatch):
-        """c + F(i mod w, j) grids with one edit, toric and not, rectangular, w in {1, 2, 3, 5}, in bands
-        of BAND_CELLS = 64 cells (at least w rows). The first failing row comes from W(i, 0) (a whole row
-        raised), from row 0's E rows (a +1, -1 pair in row w - 1), from an E row compared across a band
-        edge with the carried rows (a pair in the band's last row, its next, or the last carried one's),
-        from the last band (a pair in the last row) and, with w not dividing the rows and F zero on the
-        first w columns, from the wrap rows alone. The verdict is ref_pxp's and window_sums_all_equal
-        ref_window_sums_all_equal's."""
+        """c + P(i mod w, j) grids with one or two edits, toric and not, rectangular, w in {1, 2, 3, 5}, in bands of
+        ceil(BAND_CELLS / cols) rows with BAND_CELLS = 64, so 4-row bands at width 5 with 16 columns. An edit in row r
+        first shows in the F row r - w that reads it from below. The first failing row comes from W(i, 0) (a whole
+        row raised), from row 0's windows (a +1, -1 pair in row w - 1), from the last F row of a band or the first of
+        the next (a pair in row band - 1 + w or band + w), from a pair in a band's last or first row, from the last
+        band (a pair in the last row), from an F row alone in the last band before a W(i, 0) failure, from the last
+        lag compare of a full band (a +1 in the last column, compared w columns back) and, with w not dividing the
+        rows and P zero on the first w columns, from the wrap rows alone. The verdict is ref_pxp's and
+        window_sums_all_equal ref_window_sums_all_equal's."""
         from test_reference import ref_pxp, ref_window_sums_all_equal
 
         monkeypatch.setattr(properties, "BAND_CELLS", 64)
         rng = random.Random(24)
         cases = []  # (grid, width, first failing toric top row)
         for rows, cols, width in ((20, 9, 1), (24, 9, 2), (21, 10, 3), (25, 16, 5), (30, 7, 5)):
-            band = max(-(-64 // cols), width)
-            assert rows > 2 * band
-            edits = [(band + 1, [1] * cols, band + 2 - width)]  # (row, its +1/-1 entries, the row that fails)
-            for row in (width - 1, band - 1, band, band + width - 1, rows - 1):
-                edits.append((row, [0] * width + [1, -1] + [0] * (cols - width - 2), max(row - width + 1, 0)))
-            for row, change, found in edits:
+            band = -(-64 // cols)
+            assert rows > 2 * band + width + 1
+            pair = [0] * width + [1, -1] + [0] * (cols - width - 2)
+            edits = [([(band + 1, [1] * cols)], band + 2 - width)]  # ([(row, its +1/-1 entries)], the row that fails)
+            for row in (width - 1, band - 1 + width, band + width, band - 1, band, rows - 1):
+                edits.append(([(row, pair)], max(row - width + 1, 0)))
+            alone = 2 * band  # F row alone in the last band that the W(i, 0) failure at top row alone + 2 leaves
+            edits.append(([(alone + width, pair), (alone + width + 1, [1] + [0] * (cols - 1))], alone + 1))
+            end = 2 * band - 1 + width  # F row 2 band - 1, the last of band 1, differs only in its last column
+            edits.append(([(end, [0] * (cols - 1) + [1])], end - width + 1))
+            for changes, found in edits:
                 grid = self.row_periodic_grid(rows, cols, width, rng)
-                grid[row] += change
+                for row, change in changes:
+                    grid[row] += change
                 cases.append((grid, width, found))
             if width > 1:
                 wrapped = self.row_periodic_grid(rows * width + 1, cols, width, rng)
@@ -375,8 +390,9 @@ class TestPxp:
             assert verdict == ref_pxp(ff.Grid(grid), width)
 
     def test_window_wider_than_a_band(self):
-        """4096 columns make a band of BAND_CELLS cells 16 rows, less than width 17, so the bands take 17
-        rows: a +1, -1 pair in row 17 is first compared with the carried E row 0, and fails top row 1."""
+        """4096 columns make a band of BAND_CELLS cells 16 rows, fewer than width 17, so each band reads its rows
+        below from the bands after it: a +1, -1 pair in row 17 first changes F row 0, read in band 0 from row 17 of
+        band 1, and fails top row 1."""
         from test_reference import ref_pxp
 
         rng = random.Random(17)
@@ -394,7 +410,7 @@ class TestPxp:
     def test_failing_grid_peaks_no_higher_than_a_passing_one(self):
         """The witness needs one row of windows, not a window table: a failing check_pxp allocates
         no more at its peak than a passing one of the same order. At n = 729 the scan takes 9 bands,
-        and a passing one holds a few band-sized arrays at once, never an n^2 one."""
+        and a passing one holds one band of F rows and its bool lag flags at once, never an n^2 array."""
         params = ff.TypeParams.for_power(3, 6)
         square = ff.generate_most_perfect(ff.GeneratorConfig(3, 6))
         swapped = square.entries.copy()
@@ -415,13 +431,13 @@ class TestPxp:
             gc.enable()
         passing, failing = min(peaks[True][1:]), min(peaks[False][1:])  # the warm rounds
         n, p = params.n, params.p
-        band_bytes = (-(-properties.BAND_CELLS // n) + p - 1) * n * 8  # a band's rows and the p - 1 after
+        band_bytes = (-(-properties.BAND_CELLS // n) + p - 1) * n * 8  # at most a band of F and its flags
         assert band_bytes <= passing <= 4 * band_bytes < n * n * 8  # a band's prefix is traced
         assert failing <= passing
 
     @staticmethod
     def row_periodic_grid(rows, cols, p, rng):
-        """c + F(i mod p, j), F zero-sum down each column: every toric p x p window sums to p^2 c,
+        """c + P(i mod p, j), P zero-sum down each column: every toric p x p window sums to p^2 c,
         whatever cols is, once p divides rows."""
         f = np.array([[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(p)])
         f[-1] = -f[:-1].sum(axis=0)
@@ -464,14 +480,14 @@ class TestPxp:
                 assert verdict.witness.location == "window at ({}, {})".format(*found)
 
     def test_band_edges_match_reference(self):
-        """check_pxp and window_sums_all_equal scan E rows in bands of about BAND_CELLS cells, each band
-        carrying the last p E rows of the one before. At n = 729 (p = 3, bands of 90 rows) a swap in
-        row t + 2 first fails the windows at top row t, where E row t + 2 of band 1 meets the carried E
-        row t - 1: t = 89 (a NaturalSquare, pinned target) and 90 (a plain Grid, bare p, target W(0, 0)).
-        On 128-column grids (p = 2, bands of 512 rows), c + F(i mod 2, j) with a bump in row t + 1 fails
-        first at top row t = 511, found by the first E row of band 1, or 512; with 515 rows it fails
-        first at the wrapped top row 514, which the last band reads from rows 514 and 0, and passes
-        without the wrap."""
+        """check_pxp and window_sums_all_equal scan F rows in bands of about BAND_CELLS cells, each band read
+        from a's rows and the rows p below them. At n = 729 (p = 3, bands of 90 rows) a swap of columns 0 and 3
+        in row t + 2 first fails the windows at top row t, whose W(t, 0) misses, near the end of band 0: t = 89
+        (a NaturalSquare, pinned target) and 90 (a plain Grid, bare p, target W(0, 0)). On 128-column grids
+        (p = 2, bands of 512 rows), c + P(i mod 2, j) with a bump in row t + 1 fails first at top row t = 511 or
+        512, found by F row 510 or 511 of band 0, which read rows 512 and 513 of band 1; with 515 rows it fails
+        first at the wrapped top row 514, found by F row 513 of the last band, which reads row 0 below it, and
+        passes without the wrap."""
         from test_reference import ref_pxp, ref_window_sums_all_equal
 
         params = ff.TypeParams.for_power(3, 6)
