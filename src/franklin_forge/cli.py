@@ -366,9 +366,15 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
-def _write_output(doc: SquareDocument, fmt: str, path: str | None) -> None:
-    """emit_square's bytes, to the file at path or else to stdout's binary buffer once its text layer is
-    flushed, or as text to a stdout with none (an io.StringIO)."""
+def _file_format(path: str | None, csv: bool = False) -> str:
+    """A square file's format, read or written: CSV when csv is set or path ends in .csv, else JSON."""
+    return "csv" if csv or (path is not None and path.endswith(".csv")) else "json"
+
+
+def _write_output(doc: SquareDocument, csv: bool, path: str | None) -> None:
+    """emit_square's bytes in _file_format's format, to the file at path or else to stdout's binary buffer once
+    its text layer is flushed, or as text to a stdout with none (an io.StringIO)."""
+    fmt = _file_format(path, csv)
     if path is not None and path != "-":
         emit_square(doc, fmt, path)
     elif hasattr(sys.stdout, "buffer"):
@@ -381,7 +387,7 @@ def _write_output(doc: SquareDocument, fmt: str, path: str | None) -> None:
 def _load(path: str | None, p: int) -> SquareDocument:
     """Read a square and check its p against p; its grid is a NaturalSquare if natural."""
     text = _read_input(path)
-    doc = parse_square(text, "csv" if path and path.endswith(".csv") else "json")
+    doc = parse_square(text, _file_format(path))
     if doc.p is not None and doc.p != p:
         raise SquareFormatError(f"document has p={doc.p}, but --p is {p}")
     return doc
@@ -405,7 +411,7 @@ def _cmd_construct(args) -> int:
     config = GeneratorConfig(p=args.p, r=args.r, seed=args.seed, family=args.family)
     square = generate_most_perfect(config)
     doc = SquareDocument(square, p=args.p, r=args.r, metadata={"generator": args.family, "seed": args.seed})
-    _write_output(doc, "csv" if args.csv else "json", args.out)
+    _write_output(doc, args.csv, args.out)
     return EXIT_OK
 
 
@@ -414,7 +420,7 @@ def _cmd_theta(args) -> int:
     doc = SquareDocument(  # rebinding frees the input square before the output text is built
         theta(doc.grid, TypeParams(args.p, doc.order)), p=args.p, metadata={**doc.metadata, "transform": "theta"}
     )
-    _write_output(doc, "csv" if args.csv else "json", args.out)
+    _write_output(doc, args.csv, args.out)
     return EXIT_OK
 
 
@@ -428,7 +434,7 @@ def _cmd_pattern(args) -> int:
             raise SquareFormatError(f"square order {doc.order} does not match n={params.n}")
         print(sum(doc.grid.entries[cells.rows, cells.cols].tolist()))  # Python ints: a plain Grid's int64 sum may wrap
     else:
-        print(json.dumps([[r, c] for r, c in cells.sorted_cells()], separators=(",", ":")))
+        print(json.dumps([[r, c] for r, c in sorted(cells)], separators=(",", ":")))
     return EXIT_OK
 
 
@@ -458,7 +464,7 @@ def _cmd_fixtures(args) -> int:
     square, params = table.get(args.export, (None, None))
     if square is None:
         raise SquareFormatError(f"unknown fixture {args.export!r}")
-    _write_output(SquareDocument(square, p=params.p, metadata={"name": args.export}), "json", args.out)
+    _write_output(SquareDocument(square, p=params.p, metadata={"name": args.export}), False, args.out)
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fixtures as _fixtures
 from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
-from .properties import REQUIRED_VERDICTS, verify_all
+from .properties import verify_all
 
 _TABLE_ROWS = 32  # the most rows of one digit table; of 16, 32, 64 and 256, 32 measured fastest
 FAMILIES = ("digit_linear", "fixtures_only")  # the generator families; the first is the default
@@ -142,10 +142,6 @@ def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate
     return DigitLinearCandidate.of(np.block([[a, b], [b, a]]), offset)
 
 
-def most_perfect_requirements_met(report) -> bool:
-    return REQUIRED_VERDICTS["most_perfect_type_p"] <= report.passed_names()
-
-
 def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
     """The closed-form square for config.seed, screened by the five most-perfect checks:
     natural, semi-magic, pandiagonal, complementary and p x p.
@@ -163,7 +159,7 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
 
     candidate = closed_form_candidate(config.p, config.r, config.seed)
     square = candidate_to_square(candidate, config.p, config.r)
-    if most_perfect_requirements_met(verify_all(square, params, required_for="most_perfect_type_p")):
+    if verify_all(square, params, required_for="most_perfect_type_p").classification == "most_perfect_type_p":
         return square
     raise GeneratorExhaustedError(
         f"the closed-form square for p={config.p}, r={config.r}, seed={config.seed} "
@@ -175,6 +171,6 @@ def builtin_fixtures() -> list[tuple[str, NaturalSquare, TypeParams]]:
     """The embedded reference squares, bit-exact as printed."""
     out = []
     for name, p, rows in _fixtures.FIXTURE_TABLE:
-        square = NaturalSquare.from_rows(rows)
+        square = NaturalSquare(rows)
         out.append((name, square, TypeParams(p, square.order)))
     return out

@@ -87,9 +87,6 @@ class Grid:
         """(min, max) of the entries as Python ints, found once, when the entries were stored."""
         return self._span
 
-    def to_lists(self) -> list[list[int]]:
-        return self._a.tolist()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
@@ -125,17 +122,9 @@ class NaturalSquare(Grid):
         if lo < 0 or hi >= n * n or not _is_permutation(self._a):  # range first: see _is_permutation
             raise ValueError(f"entries are not a permutation of 0..{n * n - 1}")
 
-    @classmethod
-    def from_rows(cls, rows) -> "NaturalSquare":
-        return cls(rows)
-
     @property
     def order(self) -> int:
         return self.rows
-
-    @property
-    def grid(self) -> Grid:
-        return self
 
     def __repr__(self) -> str:
         return f"NaturalSquare(order={self.order})"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class PatternSpec:
 @dataclass(frozen=True, eq=False)
 class CellSet:
     """Resolved pattern cells (rows[i], cols[i]), n of them, distinct as one line is a permutation of 0..n-1.
-    Iteration and sorted_cells read the lines; cells, the frozenset that == and hash use, is built when read."""
+    Iteration reads the lines; cells, the frozenset that == and hash use, is built when read."""
 
     rows: Sequence[int]
     cols: Sequence[int]
@@ -94,9 +94,6 @@ class CellSet:
     @cached_property
     def cells(self) -> frozenset:
         return frozenset(zip(self.rows, self.cols))
-
-    def sorted_cells(self) -> list[tuple[int, int]]:
-        return sorted(zip(self.rows, self.cols))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -225,9 +222,14 @@ def block_intersection(block: BandBlock, alpha: int) -> list[tuple[int, int]]:
     return cells
 
 
-class SplitRows(tuple):
-    """split_rows' (first, rest), with rows[alpha - 1, c], the offset-0 up row of column c (read-only, (p - 1) x n),
+class SplitRows(NamedTuple):
+    """split_rows' first and rest; rows[alpha - 1, c], the offset-0 up row of column c (read-only, (p - 1) x n);
     and runs, the groups cut from the left into the longest runs with one step rest - first and arithmetic first rows."""
+
+    first: tuple
+    rest: tuple
+    rows: np.ndarray
+    runs: tuple
 
 
 @lru_cache(maxsize=16)  # a constant: all 521 Franklin orders <= 3000 hold ~31 MiB, the 16 largest 2.3 MiB
@@ -252,9 +254,8 @@ def split_rows(params: TypeParams) -> SplitRows:
         for r, c in block_intersection(block, 1):
             col = addr.col_origin + c
             (rest if col % p else first)[col // p] = addr.row_origin + r
-    table = SplitRows((tuple(first), tuple(rest)))
-    table.rows = np.where(np.arange(n) % p < np.arange(1, p)[:, None], np.repeat(first, p), np.repeat(rest, p))
-    table.rows.flags.writeable = False
+    rows = np.where(np.arange(n) % p < np.arange(1, p)[:, None], np.repeat(first, p), np.repeat(rest, p))
+    rows.flags.writeable = False
     runs, g = [], 0  # (g, count, first[g], slope, step): the longest run from g with one step and first arithmetic
     while g < len(first):
         step, end = rest[g] - first[g], g + 1
@@ -263,8 +264,7 @@ def split_rows(params: TypeParams) -> SplitRows:
             end += 1
         runs.append((g, end - g, first[g], slope, step))
         g = end
-    table.runs = tuple(runs)
-    return table
+    return SplitRows(tuple(first), tuple(rest), rows, tuple(runs))
 
 
 def franklin_cells(spec: PatternSpec) -> CellSet:

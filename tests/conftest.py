@@ -56,7 +56,7 @@ def f27(fixture_map):
 def random_natural_square(n: int, rng: random.Random) -> ff.NaturalSquare:
     symbols = list(range(n * n))
     rng.shuffle(symbols)
-    return ff.NaturalSquare.from_rows([symbols[i * n : (i + 1) * n] for i in range(n)])
+    return ff.NaturalSquare([symbols[i * n : (i + 1) * n] for i in range(n)])
 
 
 def kotzig_square(p: int, n: int) -> ff.NaturalSquare:

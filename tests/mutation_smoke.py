@@ -158,6 +158,12 @@ MUTANTS = [
     ("fixtures_only ignores (p, r)", CONSTRUCT, ".get((config.p, config.r))", ".get((2, 3))",
      ["tests/test_construct.py::TestGenerator::test_fixtures_only_returns_figure_square",
       "tests/test_construct.py::TestGenerator::test_fixtures_only_unavailable_pair_exhausts"]),
+    ("screen accepts any pandiagonal magic square", CONSTRUCT, '.classification == "most_perfect_type_p":',
+     '.classification != "none":',
+     ["tests/test_construct.py::TestGenerator::test_screen_rejects_a_pandiagonal_magic_square_that_fails_complementary"]),
+    ("write format ignores the .csv extension", CLI, "    fmt = _file_format(path, csv)\n",
+     '    fmt = "csv" if csv else "json"\n',
+     ["tests/test_cli.py::TestStreamedOutput::test_a_csv_path_is_written_as_csv_as_it_is_read"]),
 ]
 
 TIMEOUT_S = 120

@@ -60,7 +60,7 @@ class TestFormats:
 
     def test_minimal_json_document(self):
         doc = parse_square('{"order":2,"entries":[[0,1],[2,3]]}')
-        assert doc.order == 2 and doc.grid.to_lists() == [[0, 1], [2, 3]]
+        assert doc.order == 2 and doc.grid.entries.tolist() == [[0, 1], [2, 3]]
 
     def test_dimension_error(self):
         rows = [",".join(str(8 * i + j) for j in range(7)) for i in range(8)]
@@ -146,7 +146,7 @@ class TestCommands:
 
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         doc = SquareDocument(
-            ff.NaturalSquare.from_rows([[8 * i + j for j in range(8)] for i in range(8)])
+            ff.NaturalSquare([[8 * i + j for j in range(8)] for i in range(8)])
         )
         path = tmp_path / "reading.json"
         path.write_text(emit_square(doc))
@@ -348,7 +348,7 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_csv_tokens_may_carry_a_sign_and_spaces(self):
-        assert parse_square(" 0 , +1\n2,\t3 ", "csv").grid.to_lists() == [[0, 1], [2, 3]]
+        assert parse_square(" 0 , +1\n2,\t3 ", "csv").grid.entries.tolist() == [[0, 1], [2, 3]]
 
     @pytest.mark.parametrize("row0", [[2**62, 2**62, 2**62 - 3], [2**62, 2**62, 12 - 2**63]])
     def test_overflowing_grid_exit_code(self, tmp_path, capsys, row0):
@@ -756,7 +756,7 @@ def test_both_layouts_take_the_plain_path(monkeypatch):
     monkeypatch.setattr(ff.cli, "_json_object", lambda text: decodes.append(text) or full_decode(text))
     square = ff.generate_most_perfect(ff.GeneratorConfig(p=3, r=3))
     canonical = emit_square(SquareDocument(square, p=3, metadata={"name": "x"}))
-    dumped = json.dumps({"schema": "franklin-forge/1", "order": 27, "p": 3, "entries": square.to_lists(),
+    dumped = json.dumps({"schema": "franklin-forge/1", "order": 27, "p": 3, "entries": square.entries.tolist(),
                          "metadata": {}})
     for text in (canonical, dumped):
         assert isinstance(parse_square(text).grid, ff.NaturalSquare)
@@ -774,14 +774,14 @@ def test_tail_after_the_block_takes_the_plain_path(after, monkeypatch):
     full_decode = ff.cli._json_object
     monkeypatch.setattr(ff.cli, "_json_object", lambda text: decodes.append(text) or full_decode(text))
     square = ff.generate_most_perfect(ff.GeneratorConfig(p=3, r=3))
-    text = json.dumps({"order": 27, "entries": square.to_lists()})[:-1] + ", " + after + "}"
+    text = json.dumps({"order": 27, "entries": square.entries.tolist()})[:-1] + ", " + after + "}"
     assert parse_outcome(parse_square, text) == parse_outcome(reference_parse_json, text)
     assert decodes == []
 
 
 def reference_emit(doc, fmt="json"):
     """emit_square written with json.dumps and str per row, as the reference for the array kernel."""
-    rows = doc.grid.to_lists()
+    rows = doc.grid.entries.tolist()
     if fmt == "csv":
         return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
     lines = ["{", '  "schema": "franklin-forge/1",', f'  "order": {doc.order},']
@@ -867,6 +867,19 @@ class TestStreamedOutput:
             assert text.getvalue() == out.read_text()
         assert out.read_text() == (GOLDEN_DIR / "figure2_mp9.json").read_text()
 
+    def test_a_csv_path_is_written_as_csv_as_it_is_read(self, tmp_path, capsys):
+        """Without --csv, an --out path ending in .csv gets CSV, the format --in reads there: construct, theta
+        and verify chain through .csv files, and fixtures --export writes emit_square's CSV bytes."""
+        a, b, f = (str(tmp_path / name) for name in ("a.csv", "b.csv", "f.csv"))
+        assert main(["construct", "--p", "2", "--r", "3", "--out", a]) == EXIT_OK
+        square = ff.generate_most_perfect(ff.GeneratorConfig(2, 3))
+        assert Path(a).read_bytes() == emit_square(SquareDocument(square), "csv").encode()
+        assert main(["theta", "--p", "2", "--in", a, "--out", b]) == EXIT_OK
+        assert main(["verify", "--p", "2", "--in", b, "--expect", "pandiagonal_franklin_type_p"]) == EXIT_OK
+        assert main(["fixtures", "--export", "figure2_mp9", "--out", f]) == EXIT_OK
+        mp9 = {name: fixture for name, fixture, _ in ff.builtin_fixtures()}["figure2_mp9"]
+        assert Path(f).read_bytes() == emit_square(SquareDocument(mp9), "csv").encode()
+
     def test_theta_writes_emit_square_bytes(self, tmp_path):
         square = ff.generate_most_perfect(ff.GeneratorConfig(3, 3))
         src, out = tmp_path / "mp.json", tmp_path / "f.csv"
@@ -892,7 +905,7 @@ class TestStreamedOutput:
     def test_format_checked_before_the_file_is_opened(self, tmp_path):
         out = tmp_path / "never"
         with pytest.raises(SquareFormatError, match="unknown format 'xml'"):
-            ff.cli._write_output(SquareDocument(ff.Grid([[0]])), "xml", str(out))
+            emit_square(SquareDocument(ff.Grid([[0]])), "xml", str(out))
         assert not out.exists()
 
 

@@ -8,8 +8,11 @@ import pytest
 
 import franklin_forge as ff
 from franklin_forge import construct
-from franklin_forge.construct import closed_form_candidate, most_perfect_requirements_met
+from franklin_forge.construct import closed_form_candidate
 from franklin_forge.core import MAX_ORDER, is_prime
+from franklin_forge.properties import REQUIRED_VERDICTS
+
+from test_orbits import converse_counterexample
 
 # sha256 prefixes of the seed-0 squares, pinned so seed-0 output stays byte-stable
 SEED0_DIGESTS = {
@@ -37,7 +40,7 @@ def identity_candidate(p, r):
 class TestCandidateToSquare:
     def test_identity_gives_reading_order(self):
         square = ff.candidate_to_square(identity_candidate(2, 2), 2, 2)
-        assert square.to_lists() == [[4 * i + j for j in range(4)] for i in range(4)]
+        assert square.entries.tolist() == [[4 * i + j for j in range(4)] for i in range(4)]
 
     def test_singular_matrix_rejected(self):
         size = 4
@@ -137,7 +140,7 @@ class TestGenerator:
         square = ff.generate_most_perfect(ff.GeneratorConfig(p=2, r=3, seed=5))
         params = ff.TypeParams(2, 8)
         report = ff.verify_all(square, params)
-        assert most_perfect_requirements_met(report)
+        assert REQUIRED_VERDICTS["most_perfect_type_p"] <= report.passed_names()
         # post-condition examples: the screened candidate satisfies both
         # structural checks individually
         assert ff.check_complementary(square, params).passed
@@ -167,18 +170,19 @@ class TestGenerator:
         # force the screen to reject: the generator must raise, not fall back
         screened = []
 
-        def reject(report):
-            screened.append(report)
-            return False
+        def reject(square, params, **kwargs):
+            screened.append(ff.verify_all(square, params, **kwargs))
+            return ff.PropertyReport.build(params, ())  # no verdicts, so classification "none"
 
-        monkeypatch.setattr(construct, "most_perfect_requirements_met", reject)
+        monkeypatch.setattr(construct, "verify_all", reject)
         with pytest.raises(ff.GeneratorExhaustedError):
             ff.generate_most_perfect(ff.GeneratorConfig(p=2, r=3))
         assert len(screened) == 1  # one closed-form candidate, no search
+        assert screened[0].classification == "most_perfect_type_p"
 
     @pytest.mark.parametrize("p,r", [(2, 4), (3, 3), (11, 3)])
     def test_screen_skips_the_franklin_and_one_over_p_checks(self, monkeypatch, p, r):
-        """most_perfect_requirements_met reads neither, so the screen runs neither."""
+        """The most-perfect classification requires neither, so the screen runs neither."""
         def refuse(*args, **kwargs):
             raise AssertionError("the screen ran a check that most-perfect does not require")
 
@@ -202,6 +206,16 @@ class TestGenerator:
         monkeypatch.setattr(construct, "candidate_to_square", swapped)
         with pytest.raises(ff.GeneratorExhaustedError):
             ff.generate_most_perfect(ff.GeneratorConfig(p, r))
+
+    def test_screen_rejects_a_pandiagonal_magic_square_that_fails_complementary(self, monkeypatch):
+        """The (2, 4) converse counterexample is natural, semi-magic, pandiagonal and p x p, and fails only the
+        complementary check: a screen that took any pandiagonal magic square would hand it back."""
+        square, params = converse_counterexample(), ff.TypeParams.for_power(2, 4)
+        report = ff.verify_all(square, params, required_for="most_perfect_type_p")
+        assert [v.property_name for v in report.verdicts if not v.passed] == ["complementary"]
+        monkeypatch.setattr(construct, "candidate_to_square", lambda candidate, p, r: square)
+        with pytest.raises(ff.GeneratorExhaustedError):
+            ff.generate_most_perfect(ff.GeneratorConfig(2, 4))
 
     @pytest.mark.parametrize("p,r", sorted(SEED0_DIGESTS))
     def test_seed0_bytes_are_pinned(self, p, r):
@@ -269,7 +283,8 @@ class TestRequiredChecks:
             screened = ff.verify_all(s, params, required_for="most_perfect_type_p")
             assert [v.property_name for v in screened.verdicts] == ["natural", "semi_magic", "pandiagonal",
                                                                     "complementary", "pxp"]
-            assert most_perfect_requirements_met(screened) == most_perfect_requirements_met(full)
+            most_perfect = REQUIRED_VERDICTS["most_perfect_type_p"] <= full.passed_names()
+            assert (screened.classification == "most_perfect_type_p") == most_perfect
 
     @pytest.mark.parametrize("label", ["none", "most_perfect", "", 0])
     def test_required_for_an_unknown_classification_raises(self, mp9, label):
@@ -297,7 +312,7 @@ class TestBuiltinFixtures:
         fig1, _ = fixture_map["figure1_franklin8"]
         assert int(fig1.entries[0, 0]) == 51
         mp9, _ = fixture_map["figure2_mp9"]
-        assert mp9.to_lists()[0] == [0, 16, 23, 63, 79, 59, 45, 34, 41]
+        assert mp9.entries.tolist()[0] == [0, 16, 23, 63, 79, 59, 45, 34, 41]
         f27, _ = fixture_map["sec14_franklin27"]
         assert int(f27.entries[0, 0]) == 0 and int(f27.entries[0, 1]) == 691
 

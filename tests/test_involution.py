@@ -32,15 +32,15 @@ def test_digit_swap_range_check():
 
 
 def test_theta_on_order4_single_cell_blocks():
-    square = ff.NaturalSquare.from_rows(
+    square = ff.NaturalSquare(
         [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
     )
     out = ff.theta(square, ff.TypeParams(2, 4))
-    assert out.to_lists() == [[0, 2, 1, 3], [8, 10, 9, 11], [4, 6, 5, 7], [12, 14, 13, 15]]
+    assert out.entries.tolist() == [[0, 2, 1, 3], [8, 10, 9, 11], [4, 6, 5, 7], [12, 14, 13, 15]]
 
 
 def test_theta_requires_p_squared_divisor():
-    square = ff.NaturalSquare.from_rows([[0, 1], [2, 3]])
+    square = ff.NaturalSquare([[0, 1], [2, 3]])
     with pytest.raises(ValueError):
         ff.theta(square, ff.TypeParams(2, 2))
 
@@ -54,7 +54,7 @@ def test_theta_requires_matching_order(mp8):
 @pytest.mark.parametrize("transform", [ff.theta, ff.theta_row, ff.theta_col])
 def test_theta_returns_the_input_type(transform, mp8):
     square, params = mp8
-    grid = ff.Grid(square.to_lists())
+    grid = ff.Grid(square.entries.tolist())
     assert type(transform(grid, params)) is ff.Grid
     assert type(transform(square, params)) is ff.NaturalSquare
     assert transform(grid, params) == transform(square, params)

@@ -100,14 +100,19 @@ def test_near_miss_franklin_verdicts_match_reference():
     assert outcomes == {True, False}
 
 
+def converse_counterexample():
+    """The pinned near miss S at (2, 4), a digit-linear square."""
+    rows = "00010010 01100001 00010110 00011010 00110001 10100001 00010011 00100001".split()
+    matrix, offset = [[int(d) for d in row] for row in rows], [int(d) for d in "01011010"]
+    return candidate_to_square(DigitLinearCandidate.of(matrix, offset), 2, 4)
+
+
 def test_converse_counterexample_at_order_16():
     """A near miss S at (2, 4) that fails only complementary among the most-perfect checks, yet θ(S) classifies
     pandiagonal Franklin: θ of a pandiagonal Franklin square need not be most-perfect. S itself is pandiagonal
     Franklin too, each of the two fails complementary at the first main-diagonal p-set, and θ(θ(S)) = S."""
-    rows = "00010010 01100001 00010110 00011010 00110001 10100001 00010011 00100001".split()
-    matrix, offset = [[int(d) for d in row] for row in rows], [int(d) for d in "01011010"]
     params = ff.TypeParams.for_power(2, 4)
-    square = candidate_to_square(DigitLinearCandidate.of(matrix, offset), 2, 4)
+    square = converse_counterexample()
     franklin = ff.theta(square, params)
     for candidate in (square, franklin):
         report = ff.verify_all(candidate, params)

@@ -48,7 +48,7 @@ def record_views(monkeypatch):
 
 
 def reading_order_square(n):
-    return ff.NaturalSquare.from_rows([[n * i + j for j in range(n)] for i in range(n)])
+    return ff.NaturalSquare([[n * i + j for j in range(n)] for i in range(n)])
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -73,7 +73,7 @@ class TestSemiMagic:
         assert ff.check_semi_magic(*f27).passed
 
     def test_forced_counterexample_names_row0(self):
-        square = ff.NaturalSquare.from_rows([[0, 1], [2, 3]])
+        square = ff.NaturalSquare([[0, 1], [2, 3]])
         verdict = ff.check_semi_magic(square, ff.TypeParams(2, 2))
         assert not verdict.passed
         assert verdict.witness.location == "row 0"
@@ -100,7 +100,7 @@ class TestPandiagonal:
 
     def test_order2_failures(self):
         # an order-2 arrangement whose diagonal pairs are not {0,3} and {1,2}
-        square = ff.NaturalSquare.from_rows([[0, 1], [3, 2]])
+        square = ff.NaturalSquare([[0, 1], [3, 2]])
         assert not ff.check_pandiagonal(square, ff.TypeParams(2, 2)).passed
         # no order-2 square is pandiagonal magic: rows always break
         report = ff.verify_all(reading_order_square(2), ff.TypeParams(2, 2))
@@ -949,7 +949,7 @@ class TestInputValidation:
             ff.check_complementary(*mp8, direction="up")
 
     def test_p_that_does_not_divide_the_order_refused(self):
-        square, params = ff.NaturalSquare.from_rows([[0]]), ff.TypeParams(2, 1)
+        square, params = ff.NaturalSquare([[0]]), ff.TypeParams(2, 1)
         for check in (ff.check_complementary, ff.check_one_over_p):
             with pytest.raises(ValueError, match="^p=2 does not divide order 1$"):
                 check(square, params)
