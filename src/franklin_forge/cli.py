@@ -494,8 +494,13 @@ def _cmd_report(args) -> int:
     return EXIT_OK if report.classification != "none" else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse drops a write error, so --help into a closed stdout would exit 0
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="franklin-forge",
         description="Construct, transform, and verify type-p Franklin and most-perfect squares.",
     )
@@ -555,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:  # stdout's reader left: no error line, and devnull takes the exit flush (signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

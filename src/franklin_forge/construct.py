@@ -1,15 +1,15 @@
 """Closed-form type-p most-perfect squares of order p^r.
 
-A digit-linear candidate gives cell (i, j), with base-p digit vector v (row
-digits first, most significant first), the symbol whose digit vector is
-matrix @ v + offset (mod p). An invertible matrix makes the square natural.
-Symbol digit d is (R_d[i] + C_d[j]) mod p, R_d (row digits and offset) and C_d
-(column digits) reduced on length-n vectors, with weight w_d = p^(2r-1-d). The
-digits go in groups g of k, the most with p^k <= _TABLE_ROWS; with c_g[i] the
-group's R digits read in base p and U_g[v, j] = sum_{d in g} w_d*((v_d + C_d[j])
-mod p), row i is the sum of U_g[c_g[i]], so every partial sum lies in 0..n^2-1.
-Rows are gathered in bands of about BAND_CELLS cells (loop blocking: Lam,
-Rothberg & Wolf, ASPLOS 1991) into the square's own int64 array, adopted uncopied.
+A digit-linear candidate gives cell (i, j), with base-p digit vector v (row digits first, most
+significant first), the symbol whose digit vector is matrix @ v + offset (mod p). An invertible
+matrix makes the square natural. Symbol digit d, of weight w_d = p^(2r-1-d), is R_d[i] + C_d[j]
+mod p, R_d from the row digits and offset, C_d from the column digits. If the matrix is
+[[A, B], [B', A']] with A and A' zero outside their last column, as every closed form is, the r
+high and r low digits make two p x n half tables, and one broadcast add writes S[i, j] =
+H[i mod p, j] + L[j mod p, i], L tiled to the least width p^k >= _TABLE_ROWS. Else the digits go
+in groups g of k, the most with p^k <= _TABLE_ROWS; with c_g[i] the group's R digits in base p and
+U_g[v, j] = sum_{d in g} w_d*((v_d + C_d[j]) mod p), row i is the sum of U_g[c_g[i]], in bands of
+about BAND_CELLS cells (Lam, Rothberg & Wolf, ASPLOS 1991). Partial sums stay in 0..n^2-1.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -31,7 +31,7 @@ from . import fixtures as _fixtures
 from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
 from .properties import verify_all
 
-_TABLE_ROWS = 32  # the most rows of one digit table; of 16, 32, 64 and 256, 32 measured fastest
+_TABLE_ROWS = 32  # the most rows of a digit table (of 16, 32, 64 and 256, 32 measured fastest); L's least tile width
 FAMILIES = ("digit_linear", "fixtures_only")  # the generator families; the first is the default
 
 
@@ -102,8 +102,16 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     if not is_invertible_mod(m, p):
         raise ValueError("candidate matrix is singular mod p")
     n = p**r
-    tables, codes = _digit_tables(m, b, p, r)
     out, band = np.empty((n, n), dtype=np.int64), max(1, BAND_CELLS // n)
+    if not m[:r, : r - 1].any() and not m[r:, r:-1].any():  # A and A' zero outside their last column
+        high = _half_table(m[:r, r - 1], m[:r, r:] @ np.indices((p,) * r).reshape(r, n) + b[:r, None], p, n)
+        low = _half_table(m[r:, -1], m[r:, :r] @ np.indices((p,) * r).reshape(r, n) + b[r:, None], p, 1)
+        wide = next(p**k for k in range(1, r + 1) if p**k >= min(n, _TABLE_ROWS))
+        np.add(high.reshape(1, p, n // wide, wide), np.tile(low.T, wide // p).reshape(n // p, p, 1, wide),
+               out=out.reshape(n // p, p, n // wide, wide))  # S[i, j] = H[i mod p, j] + L[j mod p, i]
+        del high, low  # freed before the naturalness proof allocates its marks
+        return NaturalSquare(_Owned(out))
+    tables, codes = _digit_tables(m, b, p, r)
     for top in range(0, n, band):
         rows = out[top : top + band]  # mode="clip": codes are in range, and "raise" would buffer the output
         np.take(tables[0], codes[0][top : top + band], axis=0, out=rows, mode="clip")
@@ -111,6 +119,14 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
             rows += np.take(table, code[top : top + band], axis=0, mode="clip")
     del tables  # freed before the naturalness proof allocates its marks
     return NaturalSquare(_Owned(out))
+
+
+def _half_table(a: np.ndarray, res: np.ndarray, p: int, scale: int) -> np.ndarray:
+    """T[u, x] = scale * ((a*u + res[:, x]) mod p read in base p), from every digit vector moved on by a*u."""
+    moved = np.zeros((p, 1), dtype=np.int64)
+    for a_d in a:  # moved[u] gains a least significant digit y_d, moved on by a_d*u
+        moved = (moved[:, :, None] * p + (np.add.outer(a_d * np.arange(p), np.arange(p)) % p)[:, None]).reshape(p, -1)
+    return np.take(moved * scale, p ** np.arange(len(a) - 1, -1, -1) @ (res % p), axis=1)
 
 
 def _digit_tables(m: np.ndarray, b: np.ndarray, p: int, r: int) -> tuple:

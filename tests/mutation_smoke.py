@@ -38,6 +38,7 @@ GUARD_TESTS = ["tests/test_properties.py::TestInt64Guard"]
 BATTERY = ["tests/test_certificate_bytes.py"]
 CLI = "src/franklin_forge/cli.py"
 CONSTRUCT = "src/franklin_forge/construct.py"
+DIGIT_MAP = "tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
                "tests/test_cli.py::test_plain_path_compares_gap_bytes"]
 
@@ -115,7 +116,13 @@ MUTANTS = [
      ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
     ("group code read with the wrong place value", CONSTRUCT,
      "codes.append(places @ row_res[group])", "codes.append(places[::-1] @ row_res[group])",
-     ["tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"]),
+     [DIGIT_MAP]),
+    ("half table H read at j mod p", CONSTRUCT, "high.reshape(1, p, n // wide, wide)",
+     "high[np.arange(n) % p, np.arange(n)].reshape(1, 1, n // wide, wide)", [DIGIT_MAP]),
+    ("half table L's tile shifted one column", CONSTRUCT, "np.tile(low.T, wide // p)",
+     "np.roll(np.tile(low.T, wide // p), 1, axis=1)", [DIGIT_MAP]),
+    ("two-table structure test ignores the bottom-right block", CONSTRUCT,
+     "if not m[:r, : r - 1].any() and not m[r:, r:-1].any():", "if not m[:r, : r - 1].any():", [DIGIT_MAP]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
      "((0, 1, 2) if swap_rows", ["tests/test_involution.py"]),
     ("theta of a plain Grid comes back as a NaturalSquare", "src/franklin_forge/involution.py",

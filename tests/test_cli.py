@@ -902,6 +902,33 @@ class TestStreamedOutput:
             assert proc.wait(timeout=120) == 1
         assert stderr == b""
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_help_into_a_closed_stdout_exits_1_with_nothing_on_stderr(self, unbuffered):
+        """--help, at the top level and on every command, into a pipe whose reader has already left, exits 1 with
+        an empty stderr, as every command does there: stdout unbuffered (the write fails) or buffered (the flush
+        fails). argparse drops the write error of its own print_help, which exited 0."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        commands = next(a.choices for a in ff.cli.build_parser()._actions if isinstance(a.choices, dict))
+        assert len(commands) == 6
+        for argv in [["--help"]] + [[command, "-h"] for command in commands]:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                done = subprocess.run([sys.executable, "-m", "franklin_forge.cli", *argv], stdout=write,
+                                      stderr=subprocess.PIPE, env=env, timeout=60)
+            finally:
+                os.close(write)
+            assert (done.returncode, done.stderr) == (1, b""), argv
+
+    def test_help_into_an_open_stdout_exits_0(self, capsys):
+        for argv in (["--help"], ["construct", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: franklin-forge")
+
     def test_format_checked_before_the_file_is_opened(self, tmp_path):
         out = tmp_path / "never"
         with pytest.raises(SquareFormatError, match="unknown format 'xml'"):

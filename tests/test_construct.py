@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ SEED0_DIGESTS = {
     (5, 3): "8a48de2163ccc13b",
     (7, 3): "4a3f22dffc5ffbec",
     (11, 2): "3d8857e5b40e0e55",
+}
+
+# sha256 prefixes of the squares at seeds 0 and p^(2r) - 1 (every offset digit p - 1) at the orders whose
+# build the two half tables changed most
+EDGE_SEED_DIGESTS = {
+    (11, 3): ("86197d1cce467bd9", "c58502aad96dea22"),
+    (3, 7): ("ab888e44fd8322b1", "0880926a219f62d2"),
+    (2, 11): ("a37be16cd63e69a0", "9e44ab712707d5cc"),
+    (13, 3): ("efe9935236957f6b", "7882f11c13cefd2a"),
+    (53, 2): ("b1c07b425ef13088", "1d08062a71f66e3e"),
 }
 
 ORDERS_UP_TO_729 = [
@@ -80,28 +91,39 @@ class TestCandidateToSquare:
             produced += 1
 
     def test_digit_map_matches_reference_at_every_order(self):
-        """At every order p^r <= MAX_ORDER, a random unreduced invertible candidate. Below n = 100 the
-        whole square is the Python-int reference's, and so is digit_map_cells'. At every order, every
-        row on a sample of columns, and the rows at each band edge and a sample, are digit_map_cells'.
-        Digit groups of k = 5 (p = 2) and 3 (p = 3) do not divide 2r at most of these orders."""
+        """At every order p^r <= MAX_ORDER: a random unreduced invertible candidate, the closed form at seed 0
+        and at a random seed, and the closed form with an extra 1 in the first column of either A. Below n = 100
+        the whole square is the Python-int reference's, and so is digit_map_cells'. At every order, every row
+        on a sample of columns, and the rows at each band edge, at each edge of the first and last p-row
+        residue groups and a sample, are digit_map_cells'. The closed forms take the two half tables, the
+        perturbed ones the digit tables. Digit groups of k = 5 (p = 2) and 3 (p = 3) do not divide 2r at most orders."""
         from test_reference import random_unreduced_candidate, ref_candidate_to_square
 
         rng = random.Random(3000)
         orders = [(p, r) for p in range(2, 60) if is_prime(p) for r in range(2, 12) if p**r <= MAX_ORDER]
         assert len(orders) == 36
+        extra = 0
         for p, r in orders:
             n = p**r
-            candidate = random_unreduced_candidate(p, r, rng)
-            square = ff.candidate_to_square(candidate, p, r).entries
-            every = np.arange(n)
-            if n < 100:
-                expected = ref_candidate_to_square(candidate, p, r)
-                assert square.tolist() == expected == digit_map_cells(candidate, p, r, every, every).tolist()
-            band = max(1, ff.core.BAND_CELLS // n)
-            edges = {i for top in range(0, n, band) for i in (top, min(top + band, n) - 1)}
-            sample = sorted(edges | set(rng.sample(range(n), min(n, 32))) | {n - 1})
-            assert np.array_equal(square[:, sample], digit_map_cells(candidate, p, r, every, sample)), (p, r)
-            assert np.array_equal(square[sample], digit_map_cells(candidate, p, r, sample, every)), (p, r)
+            closed = [closed_form_candidate(p, r, seed) for seed in (0, rng.randrange(p ** (2 * r)))]
+            perturbed = [c for c in (closed_form_with_an_extra_one(p, r, corner) for corner in (0, r)) if c]
+            extra += len(perturbed)
+            for candidate in [random_unreduced_candidate(p, r, rng)] + closed + perturbed:
+                with mock.patch.object(construct, "_digit_tables", wraps=construct._digit_tables) as tables:
+                    square = ff.candidate_to_square(candidate, p, r).entries
+                every = np.arange(n)
+                if n < 100:
+                    expected = ref_candidate_to_square(candidate, p, r)
+                    assert square.tolist() == expected == digit_map_cells(candidate, p, r, every, every).tolist()
+                band = max(1, ff.core.BAND_CELLS // n)
+                edges = {i for top in range(0, n, band) for i in (top, min(top + band, n) - 1)}
+                edges |= {0, p - 1, p, 2 * p - 1, n - 2 * p, n - p - 1, n - p, n - 1}
+                sample = sorted(edges | set(rng.sample(range(n), min(n, 32))))
+                assert np.array_equal(square[:, sample], digit_map_cells(candidate, p, r, every, sample)), (p, r)
+                assert np.array_equal(square[sample], digit_map_cells(candidate, p, r, sample, every)), (p, r)
+                if candidate in closed + perturbed:  # the closed forms take the half tables, the others do not
+                    assert tables.call_count == (candidate in perturbed), (p, r)
+        assert extra == 70  # at (2, 2) no row of either A's first column keeps the matrix invertible
 
     @pytest.mark.parametrize("p,r", [(3, 6), (2, 10)])
     def test_generator_peaks_below_two_squares(self, p, r):
@@ -118,6 +140,18 @@ class TestCandidateToSquare:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * square_bytes, peak / square_bytes
+
+
+def closed_form_with_an_extra_one(p, r, corner):
+    """The closed form at seed 1 with 1 added to the first column of its top-left (corner 0) or bottom-right
+    (corner r) A, in the first row where the matrix stays invertible mod p; None where no row does."""
+    base = closed_form_candidate(p, r, seed=1)
+    for row in range(corner, corner + r):
+        m = np.array(base.matrix)
+        m[row, corner] += 1
+        if construct.is_invertible_mod(m, p):
+            return ff.DigitLinearCandidate.of(m, base.offset)
+    return None
 
 
 def digit_map_cells(candidate, p, r, rows, cols):
@@ -222,6 +256,12 @@ class TestGenerator:
         square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, 0))
         digest = hashlib.sha256(square.entries.astype("<i8").tobytes()).hexdigest()[:16]
         assert digest == SEED0_DIGESTS[(p, r)]
+
+    @pytest.mark.parametrize("p,r", sorted(EDGE_SEED_DIGESTS))
+    def test_edge_seed_bytes_are_pinned(self, p, r):
+        for seed, pinned in zip((0, p ** (2 * r) - 1), EDGE_SEED_DIGESTS[(p, r)]):
+            square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed))
+            assert hashlib.sha256(square.entries.astype("<i8").tobytes()).hexdigest()[:16] == pinned, seed
 
     @pytest.mark.parametrize("p,r", ORDERS_UP_TO_729)
     def test_every_order_and_seed_is_most_perfect(self, p, r):
