@@ -1,15 +1,16 @@
 """Closed-form type-p most-perfect squares of order p^r.
 
 A digit-linear candidate gives cell (i, j), with base-p digit vector v (row digits first, most
-significant first), the symbol whose digit vector is matrix @ v + offset (mod p). An invertible
+significant first), the symbol whose digit vector is matrix @ v + offset (mod p); an invertible
 matrix makes the square natural. Symbol digit d, of weight w_d = p^(2r-1-d), is R_d[i] + C_d[j]
-mod p, R_d from the row digits and offset, C_d from the column digits. If the matrix is
-[[A, B], [B', A']] with A and A' zero outside their last column, as every closed form is, the r
-high and r low digits make two p x n half tables, and one broadcast add writes S[i, j] =
-H[i mod p, j] + L[j mod p, i], L tiled to the least width p^k >= _TABLE_ROWS. Else the digits go
-in groups g of k, the most with p^k <= _TABLE_ROWS; with c_g[i] the group's R digits in base p and
-U_g[v, j] = sum_{d in g} w_d*((v_d + C_d[j]) mod p), row i is the sum of U_g[c_g[i]], in bands of
-about BAND_CELLS cells (Lam, Rothberg & Wolf, ASPLOS 1991). Partial sums stay in 0..n^2-1.
+mod p, R_d from the row digits and offset, C_d from the column digits. Every table is one kernel's
+T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), gathered from every digit vector moved on
+by each shift. A closed form, [[A, B], [B', A']] with A and A' zero outside their last column, has
+two p x n half tables (shifts R_d[u] and C_d[u] for u < p), and one broadcast add writes S[i, j] =
+H[i mod p, j] + L[j mod p, i], L tiled to the least width p^k >= _TABLE_ROWS. Else the digits go in
+groups g of k, the most with p^k <= _TABLE_ROWS, each with every digit vector of g as shifts; row i
+is the sum of U_g[c_g[i]], c_g[i] the group's R digits in base p, in bands of about BAND_CELLS
+cells (Lam, Rothberg & Wolf, ASPLOS 1991). Partial sums stay in 0..n^2-1.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -67,51 +68,40 @@ class DigitLinearCandidate:
                    tuple(int(x) for x in offset))
 
 
-def _rank_mod(matrix: np.ndarray, p: int) -> int:
-    a = matrix.astype(np.int64).copy() % p
-    m = a.shape[0]
-    rank = 0
-    for col in range(a.shape[1]):
-        piv = None
-        for row in range(rank, m):
-            if a[row, col]:
-                piv = row
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
-        for row in range(m):
-            if row != rank and a[row, col]:
-                a[row] = (a[row] - a[row, col] * a[rank]) % p
-        rank += 1
-    return rank
-
-
 def is_invertible_mod(matrix, p: int) -> bool:
-    a = np.asarray(matrix)
-    return a.shape[0] == a.shape[1] and _rank_mod(a, p) == a.shape[0]
+    """Is the square matrix invertible mod the prime p? Forward elimination, False at a column with no pivot left."""
+    a = np.asarray(matrix, dtype=np.int64) % p
+    for col in range(a.shape[1]):
+        pivots = col + np.flatnonzero(a[col:, col])  # the rows left that can take the pivot
+        if not len(pivots):
+            return False
+        a[[col, pivots[0]]] = a[[pivots[0], col]]
+        a[col + 1 :] = (a[col + 1 :] - np.outer(a[col + 1 :, col] * pow(int(a[col, col]), p - 2, p) % p, a[col])) % p
+    return a.shape[0] == a.shape[1]  # a taller matrix has a pivot in every column, and is still not invertible
 
 
 def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> NaturalSquare:
-    """Materialize the digit map in table form (see the module docstring); raises on a singular matrix."""
+    """Materialize the digit map in table form (module docstring); raises on a bad order or p, or a singular matrix."""
+    n = TypeParams.for_power(p, r).n  # bounds the order and checks p is prime before anything of size n exists
     m = np.asarray(candidate.matrix, dtype=np.int64) % p
     b = np.asarray(candidate.offset, dtype=np.int64) % p
     if m.shape != (2 * r, 2 * r) or b.shape != (2 * r,):
         raise ValueError(f"candidate dimensions {m.shape}/{b.shape} do not fit 2r={2 * r}")
     if not is_invertible_mod(m, p):
         raise ValueError("candidate matrix is singular mod p")
-    n = p**r
+    digits = np.indices((p,) * r).reshape(r, n)  # the digit vector of each index, msb first
+    row_res, col_res = m[:, :r] @ digits + b[:, None], m[:, r:] @ digits  # R_d and C_d, reduced where read
     out, band = np.empty((n, n), dtype=np.int64), max(1, BAND_CELLS // n)
     if not m[:r, : r - 1].any() and not m[r:, r:-1].any():  # A and A' zero outside their last column
-        high = _half_table(m[:r, r - 1], m[:r, r:] @ np.indices((p,) * r).reshape(r, n) + b[:r, None], p, n)
-        low = _half_table(m[r:, -1], m[r:, :r] @ np.indices((p,) * r).reshape(r, n) + b[r:, None], p, 1)
+        w = p ** np.arange(r - 1, -1, -1)  # the low digits' weights; the high ones' are n times these
+        high = _table(n * w, row_res[:r, :p].T, col_res[:r], p)  # row u < p has R_d[u] = a_d*u + b_d
+        low = _table(w, col_res[r:, :p].T, row_res[r:], p)
         wide = next(p**k for k in range(1, r + 1) if p**k >= min(n, _TABLE_ROWS))
         np.add(high.reshape(1, p, n // wide, wide), np.tile(low.T, wide // p).reshape(n // p, p, 1, wide),
                out=out.reshape(n // p, p, n // wide, wide))  # S[i, j] = H[i mod p, j] + L[j mod p, i]
         del high, low  # freed before the naturalness proof allocates its marks
         return NaturalSquare(_Owned(out))
-    tables, codes = _digit_tables(m, b, p, r)
+    tables, codes = _digit_tables(row_res, col_res, p)
     for top in range(0, n, band):
         rows = out[top : top + band]  # mode="clip": codes are in range, and "raise" would buffer the output
         np.take(tables[0], codes[0][top : top + band], axis=0, out=rows, mode="clip")
@@ -121,28 +111,24 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     return NaturalSquare(_Owned(out))
 
 
-def _half_table(a: np.ndarray, res: np.ndarray, p: int, scale: int) -> np.ndarray:
-    """T[u, x] = scale * ((a*u + res[:, x]) mod p read in base p), from every digit vector moved on by a*u."""
-    moved = np.zeros((p, 1), dtype=np.int64)
-    for a_d in a:  # moved[u] gains a least significant digit y_d, moved on by a_d*u
-        moved = (moved[:, :, None] * p + (np.add.outer(a_d * np.arange(p), np.arange(p)) % p)[:, None]).reshape(p, -1)
-    return np.take(moved * scale, p ** np.arange(len(a) - 1, -1, -1) @ (res % p), axis=1)
+def _table(w: np.ndarray, shifts: np.ndarray, res: np.ndarray, p: int) -> np.ndarray:
+    """T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), gathered at the base-p code of each column of
+    res mod p from the table of every digit vector y moved on by each shift."""
+    moved = np.zeros((len(shifts), 1), dtype=np.int64)
+    for w_d, s_d in zip(w, shifts.T):  # moved[s] gains a least significant digit y_d, moved on by s_d
+        moved = (moved[:, :, None] + w_d * ((s_d[:, None] + np.arange(p)) % p)[:, None]).reshape(len(shifts), -1)
+    return np.take(moved, p ** np.arange(len(w) - 1, -1, -1) @ (res % p), axis=1)
 
 
-def _digit_tables(m: np.ndarray, b: np.ndarray, p: int, r: int) -> tuple:
-    """The tables U_g and row codes c_g of the digit groups of the reduced matrix m and offset b."""
-    idx = np.arange(p**r)
-    digits = np.stack([(idx // p ** (r - 1 - d)) % p for d in range(r)])  # msb first
-    row_res = (m[:, :r] @ digits + b[:, None]) % p  # R_d, symbol digits msb first
-    col_res = (m[:, r:] @ digits) % p  # C_d
+def _digit_tables(row_res: np.ndarray, col_res: np.ndarray, p: int) -> tuple:
+    """The tables U_g and row codes c_g of the digit groups, from the residues R_d and C_d."""
     k = next(j for j in range(1, _TABLE_ROWS) if p ** (j + 1) > _TABLE_ROWS)  # the most with p^k <= 32, or 1
     tables, codes = [], []
-    for lo in range(0, 2 * r, k):
-        group = np.arange(lo, min(lo + k, 2 * r))
-        places = p ** (group[-1] - group)  # each digit's place in the group's code
-        v = np.arange(p ** len(group))[:, None] // places % p  # the digits of every code
-        tables.append(((v[:, :, None] + col_res[group]) % p * p ** (2 * r - 1 - group)[:, None]).sum(axis=1))
-        codes.append(places @ row_res[group])
+    for lo in range(0, len(row_res), k):
+        group = np.arange(lo, min(lo + k, len(row_res)))
+        every = np.indices((p,) * len(group)).reshape(len(group), -1).T  # every digit vector of the group
+        tables.append(_table(p ** (len(row_res) - 1 - group), every, col_res[group], p))
+        codes.append(p ** (group[-1] - group) @ (row_res[group] % p))  # the group's R digits in base p
     return tables, codes
 
 

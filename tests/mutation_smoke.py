@@ -39,53 +39,55 @@ BATTERY = ["tests/test_certificate_bytes.py"]
 CLI = "src/franklin_forge/cli.py"
 CONSTRUCT = "src/franklin_forge/construct.py"
 DIGIT_MAP = "tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"
+INVERTIBLE = "tests/test_construct.py::TestCandidateToSquare::test_invertible_matches_the_determinant_mod_p"
+ORDER_BOUND = "tests/test_construct.py::TestCandidateToSquare::test_order_and_prime_checked_before_anything_of_size_n"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
                "tests/test_cli.py::test_plain_path_compares_gap_bytes"]
 
 # (name, file, old, new, tests that must fail)
 MUTANTS = [
     ("p x p wrap compare dropped", PROPERTIES,
-     "np.not_equal(f[:m, :width], f[:m, -width:], out=lag[:m, -width:])", "pass", PXP_TESTS),
+     "np.not_equal(f[:m, :width], f[:m, -width:], out=lag[:m, -width:])", "pass", PXP_TESTS + [ORBITS]),
     ("first-column windows without the wrap rows", PROPERTIES, "v[: width - 1] if toric", "v[:0] if toric",
      PXP_TESTS),
-    ("row 0 not decided", PROPERTIES, "        found = 0\n", "        pass\n", PXP_TESTS),
+    ("row 0 not decided", PROPERTIES, "        found = 0\n", "        pass\n", PXP_TESTS + [ORBITS]),
     ("F read width - 1 rows below", PROPERTIES, "a[lo + width : lo + width + k], a[lo : lo + k]",
-     "a[lo + width - 1 : lo + width - 1 + k], a[lo : lo + k]", PXP_TESTS),
+     "a[lo + width - 1 : lo + width - 1 + k], a[lo : lo + k]", PXP_TESTS + [ORBITS]),
     ("failing row reported one late", PROPERTIES, ".argmax()) + 1\n", ".argmax()) + 2\n", PXP_TESTS),
     ("wrapped rows clipped instead of wrapped", PROPERTIES, "a[lo + width + k - rows : lo + width + m - rows]",
-     "a[[rows - 1] * (m - k)]", PXP_TESTS),
+     "a[[rows - 1] * (m - k)]", PXP_TESTS + [ORBITS]),
     ("flat lag compare one column short", PROPERTIES,
      "f.ravel()[width : m * cols], f.ravel()[: m * cols - width], out=lag.ravel()[: m * cols - width]",
      "f.ravel()[width : m * cols - 1], f.ravel()[: m * cols - width - 1], out=lag.ravel()[: m * cols - width - 1]",
-     PXP_TESTS),
+     PXP_TESTS + [ORBITS]),
     ("last F row skipped", PROPERTIES, "range(0, found - 1, band)", "range(0, found - 2, band)", PXP_TESTS),
     ("p x p witness windows read unwrapped", PROPERTIES, "_windows(v, p, True)", "_windows(v, p, False)", PXP_TESTS),
-    ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py"]),
+    ("shift offset", PROPERTIES, "-k % vec.shape[-1]", "(1 - k) % vec.shape[-1]", ["tests/test_reference.py", ORBITS]),
     ("anti windows read on the main stride", PROPERTIES, "(2 * n - 1, 1)", "(2 * n + 1, 1)",
-     ["tests/test_reference.py", DIAGONALS]),
+     ["tests/test_reference.py", DIAGONALS, ORBITS]),
     ("diagonal window starting one column on", PROPERTIES, "_view(band, top, (len(band), n)",
      "_view(band, top + 1, (len(band), n)", ["tests/test_reference.py", DIAGONALS]),
     ("p-set slab t shifted by (t+1)*m", PROPERTIES, "sign * t * m)", "sign * (t + 1) * m)", ["tests/test_reference.py"]),
     ("Franklin run slope sign flipped", PROPERTIES, "+ tau * slope, stride", "- tau * slope, stride",
      [FRANKLIN_REFERENCE, ORBITS]),
     ("Franklin wrap margin one cell short", PROPERTIES, "e = n // p - 1\n", "e = n // p - 2\n",
-     [FRANKLIN_REFERENCE]),
+     [FRANKLIN_REFERENCE, ORBITS]),
     ("Franklin backward direction read forward", PROPERTIES, "e + tau * (f0 + slope", "e + (f0 + slope",
-     [FRANKLIN_REFERENCE]),
+     [FRANKLIN_REFERENCE, ORBITS]),
     ("Franklin run piece one group past its band", PROPERTIES, "min(g0 + count, lo + m // p)",
-     "min(g0 + count, lo + m // p + 1)", [FRANKLIN_BANDS]),
+     "min(g0 + count, lo + m // p + 1)", [FRANKLIN_BANDS, ORBITS]),
     ("Franklin rest read -step columns on", PROPERTIES, "_shift_add(totals, tail, step)",
      "_shift_add(totals, tail, -step)", ["tests/test_reference.py", ORBITS]),
     ("Franklin rest read from the whole group", PROPERTIES, "sums[:, -1:] - heads", "sums[:, -1:]",
      ["tests/test_reference.py", ORBITS]),
     ("Franklin backward sums not turned round", PROPERTIES, "sums if tau > 0 else sums[..., ::-1]", "sums",
-     [FRANKLIN_REFERENCE]),
+     [FRANKLIN_REFERENCE, ORBITS]),
     ("walker right margin filled from the line's end", PROPERTIES, "lines[:, :right]", "lines[:, n - right :]",
-     [BANDS, FRANKLIN_REFERENCE]),
+     [BANDS, FRANKLIN_REFERENCE, ORBITS]),
     ("walker column band copied without the transpose", PROPERTIES, "strip[:, :m].T if columns",
-     "strip[:, :m].reshape(m, n) if columns", [BANDS, FRANKLIN_REFERENCE]),
+     "strip[:, :m].reshape(m, n) if columns", [BANDS, FRANKLIN_REFERENCE, ORBITS]),
     ("walker's last partial band read one line long", PROPERTIES, "yield top, buf[:m]", "yield top, buf[: m + 1]",
-     [BANDS, DIAGONALS]),
+     [BANDS, DIAGONALS, ORBITS]),
     ("probe compares with the wrong target", PROPERTIES, "if (sums == target).all():",
      "if (sums == target + 1).all():", [REFERENCE_PROBE]),
     ("probe reports the second failing entry", PROPERTIES, "first = int(bad.argmax())",
@@ -99,7 +101,7 @@ MUTANTS = [
     ("loosened int64 guard", PROPERTIES, "** 2 > 2**63 - 1", "** 2 > 2**64 - 1", GUARD_TESTS),
     ("guard > becomes >=", PROPERTIES, "** 2 > 2**63 - 1", "** 2 >= 2**63 - 1", GUARD_TESTS),
     ("rest used for first", PATTERNS, "(rest if col % p else first)",
-     "(rest if col % p else rest)", ["tests/test_patterns.py"]),
+     "(rest if col % p else rest)", ["tests/test_patterns.py", ORBITS]),
     ("split-row memo keyed on p alone", PATTERNS, "@lru_cache(maxsize=16)",
      "def _keyed_on_p(f):\n"
      "    memo = {}\n"
@@ -107,7 +109,7 @@ MUTANTS = [
      "    lookup.cache_clear = memo.clear\n"
      "    return lookup\n\n\n"
      "@_keyed_on_p",
-     ["tests/test_patterns.py::TestSplitRowsMemo::test_table_is_the_reference_walk_cold_and_after_eviction"]),
+     ["tests/test_patterns.py::TestSplitRowsMemo::test_table_is_the_reference_walk_cold_and_after_eviction", ORBITS]),
     ("alpha-row table read at alpha", PATTERNS, "up = split_rows(spec.params).rows[spec.alpha - 1]",
      "up = split_rows(spec.params).rows[spec.alpha % (spec.params.p - 1)]",
      ["tests/test_reference.py::test_franklin_cells_match_reference"]),
@@ -115,16 +117,22 @@ MUTANTS = [
      "CellSet(cols, line) if q % 2 == 0 else CellSet(line, cols)",
      ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
     ("group code read with the wrong place value", CONSTRUCT,
-     "codes.append(places @ row_res[group])", "codes.append(places[::-1] @ row_res[group])",
-     [DIGIT_MAP]),
+     "codes.append(p ** (group[-1] - group) @ (row_res[group] % p))",
+     "codes.append(p ** (group - group[0]) @ (row_res[group] % p))", [DIGIT_MAP, ORBITS]),
+    ("table kernel moves digits by -y instead of +y", CONSTRUCT, "(s_d[:, None] + np.arange(p)) % p",
+     "(s_d[:, None] - np.arange(p)) % p", [DIGIT_MAP, "tests/test_reference.py::test_digit_map_matches_reference"]),
+    ("pivot searched from row 0 instead of row col", CONSTRUCT, "pivots = col + np.flatnonzero(a[col:, col])",
+     "pivots = np.flatnonzero(a[:, col])", [INVERTIBLE]),
+    ("order not bounded before the square is allocated", CONSTRUCT, "n = TypeParams.for_power(p, r).n", "n = p**r",
+     [ORDER_BOUND]),
     ("half table H read at j mod p", CONSTRUCT, "high.reshape(1, p, n // wide, wide)",
-     "high[np.arange(n) % p, np.arange(n)].reshape(1, 1, n // wide, wide)", [DIGIT_MAP]),
+     "high[np.arange(n) % p, np.arange(n)].reshape(1, 1, n // wide, wide)", [DIGIT_MAP, ORBITS]),
     ("half table L's tile shifted one column", CONSTRUCT, "np.tile(low.T, wide // p)",
      "np.roll(np.tile(low.T, wide // p), 1, axis=1)", [DIGIT_MAP]),
     ("two-table structure test ignores the bottom-right block", CONSTRUCT,
      "if not m[:r, : r - 1].any() and not m[r:, r:-1].any():", "if not m[:r, : r - 1].any():", [DIGIT_MAP]),
     ("unswapped theta axis", "src/franklin_forge/involution.py", "((1, 0, 2) if swap_rows",
-     "((0, 1, 2) if swap_rows", ["tests/test_involution.py"]),
+     "((0, 1, 2) if swap_rows", ["tests/test_involution.py", ORBITS]),
     ("theta of a plain Grid comes back as a NaturalSquare", "src/franklin_forge/involution.py",
      "return type(grid)(_Owned(", "return __import__('franklin_forge').NaturalSquare(_Owned(", [REARRANGEMENTS]),
     ("a plain Grid's rearrangement taken as proved", CORE, "isinstance(entries.source, NaturalSquare)",

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import itertools
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -13,7 +15,7 @@ from franklin_forge.construct import closed_form_candidate
 from franklin_forge.core import MAX_ORDER, is_prime
 from franklin_forge.properties import REQUIRED_VERDICTS
 
-from test_orbits import converse_counterexample
+from test_orbits import converse_counterexample, orbit_square
 
 # sha256 prefixes of the seed-0 squares, pinned so seed-0 output stays byte-stable
 SEED0_DIGESTS = {
@@ -35,6 +37,14 @@ EDGE_SEED_DIGESTS = {
     (2, 11): ("a37be16cd63e69a0", "9e44ab712707d5cc"),
     (13, 3): ("efe9935236957f6b", "7882f11c13cefd2a"),
     (53, 2): ("b1c07b425ef13088", "1d08062a71f66e3e"),
+}
+
+# sha256 prefixes of whole squares built from the digit tables: a random unreduced invertible candidate, then a
+# near-miss orbit square, both drawn from random.Random(p^r), at orders where the reference compares samples only
+GENERAL_DIGESTS = {
+    (2, 11): ("e9194e2b0a0f8dcc", "1d12bb6b0c5a9176"),
+    (3, 7): ("9d8d26c17ee299f7", "6df23a39c996ca90"),
+    (53, 2): ("64fb7ae38c9e6e9e", "e3ce52ffbdcd9659"),
 }
 
 ORDERS_UP_TO_729 = [
@@ -63,6 +73,39 @@ class TestCandidateToSquare:
         with pytest.raises(ValueError):
             ff.candidate_to_square(identity_candidate(2, 2), 2, 3)
 
+    def test_order_and_prime_checked_before_anything_of_size_n(self):
+        """An order above MAX_ORDER is refused before the n^2 square is allocated, and a p that is not prime is
+        refused as everywhere else."""
+        candidate = identity_candidate(2, 12)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"outside 1..{MAX_ORDER}"):
+                ff.candidate_to_square(candidate, 2, 12)  # n = 4096
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        with pytest.raises(ValueError, match="not prime"):
+            ff.candidate_to_square(identity_candidate(4, 2), 4, 2)
+
+    @pytest.mark.parametrize("size,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
+    def test_invertible_matches_the_determinant_mod_p(self, size, p):
+        """Every size x size matrix over 0..p-1: is_invertible_mod against the Leibniz determinant in Python ints."""
+        terms = [(sign_of(perm), [i * size + j for i, j in enumerate(perm)])
+                 for perm in itertools.permutations(range(size))]  # the cells of each term, in the flat matrix
+        verdicts = set()
+        for flat in itertools.product(range(p), repeat=size * size):
+            det = sum(sign * math.prod(flat[k] for k in cells) for sign, cells in terms)
+            verdict = construct.is_invertible_mod(np.reshape(flat, (size, size)), p)
+            assert verdict == (det % p != 0), flat
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_a_matrix_that_is_not_square_is_not_invertible(self):
+        for shape in ((2, 3), (3, 2)):
+            assert not construct.is_invertible_mod(np.eye(*shape, dtype=np.int64), 5), shape
+
     def test_digit_tables_and_partial_sums_stay_below_n_squared(self):
         """At every accepted p^r with r >= 2, every entry of every digit table, and so every partial
         sum of gathered table rows, lies in 0..n^2-1: the tables' maxima sum to exactly n^2 - 1."""
@@ -71,8 +114,8 @@ class TestCandidateToSquare:
         assert (2, 11) in orders and (53, 2) in orders
         for p, r in orders:
             candidate = closed_form_candidate(p, r, seed=p ** (2 * r) - 1)  # every offset digit p - 1
-            m, b = np.array(candidate.matrix), np.array(candidate.offset)
-            tables, codes = construct._digit_tables(m, b, p, r)
+            row_res, col_res = residues(candidate, p, r, np.arange(p**r), np.arange(p**r))
+            tables, codes = construct._digit_tables(row_res, col_res, p)
             assert all(t.dtype == np.int64 and t.shape[0] <= max(p, construct._TABLE_ROWS) for t in tables)
             assert min(int(t.min()) for t in tables) == 0, (p, r)
             assert sum(int(t.max()) for t in tables) == p ** (2 * r) - 1, (p, r)
@@ -142,6 +185,11 @@ class TestCandidateToSquare:
         assert peak <= 2 * square_bytes, peak / square_bytes
 
 
+def sign_of(perm):
+    """+1 for an even permutation, -1 for an odd one, by counting inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def closed_form_with_an_extra_one(p, r, corner):
     """The closed form at seed 1 with 1 added to the first column of its top-left (corner 0) or bottom-right
     (corner r) A, in the first row where the matrix stays invertible mod p; None where no row does."""
@@ -154,15 +202,21 @@ def closed_form_with_an_extra_one(p, r, corner):
     return None
 
 
-def digit_map_cells(candidate, p, r, rows, cols):
-    """Cells (rows x cols) of the digit map by its definition, in int64: symbol digit d of cell (i, j)
-    is row d of matrix @ (digits of i, then of j) + offset, mod p, most significant digit first."""
+def residues(candidate, p, r, rows, cols):
+    """R_d at rows and C_d at cols, reduced mod p: symbol digit d of cell (i, j) is
+    R_d[i] + C_d[j] mod p, with R from the row digits and the offset, C from the column digits."""
     m, b = np.array(candidate.matrix, dtype=np.int64), np.array(candidate.offset, dtype=np.int64)
 
     def digits(x):
         return np.stack([(np.asarray(x) // p ** (r - 1 - d)) % p for d in range(r)])
 
-    row_part, col_part = m[:, :r] @ digits(rows) + b[:, None], m[:, r:] @ digits(cols)
+    return (m[:, :r] @ digits(rows) + b[:, None]) % p, (m[:, r:] @ digits(cols)) % p
+
+
+def digit_map_cells(candidate, p, r, rows, cols):
+    """Cells (rows x cols) of the digit map by its definition, in int64: symbol digit d of cell (i, j)
+    is row d of matrix @ (digits of i, then of j) + offset, mod p, most significant digit first."""
+    row_part, col_part = residues(candidate, p, r, rows, cols)
     out = np.zeros((len(rows), len(cols)), dtype=np.int64)
     for d in range(2 * r):
         out = out * p + np.add.outer(row_part[d], col_part[d]) % p
@@ -262,6 +316,18 @@ class TestGenerator:
         for seed, pinned in zip((0, p ** (2 * r) - 1), EDGE_SEED_DIGESTS[(p, r)]):
             square = ff.generate_most_perfect(ff.GeneratorConfig(p, r, seed))
             assert hashlib.sha256(square.entries.astype("<i8").tobytes()).hexdigest()[:16] == pinned, seed
+
+    @pytest.mark.parametrize("p,r", sorted(GENERAL_DIGESTS))
+    def test_general_candidate_bytes_are_pinned(self, p, r):
+        from test_reference import random_unreduced_candidate
+
+        rng = random.Random(p**r)
+        with mock.patch.object(construct, "_digit_tables", wraps=construct._digit_tables) as tables:
+            squares = (ff.candidate_to_square(random_unreduced_candidate(p, r, rng), p, r),
+                       orbit_square(p, r, rng, near_miss=True))
+        assert tables.call_count == 2  # both took the digit tables
+        digests = tuple(hashlib.sha256(s.entries.astype("<i8").tobytes()).hexdigest()[:16] for s in squares)
+        assert digests == GENERAL_DIGESTS[(p, r)]
 
     @pytest.mark.parametrize("p,r", ORDERS_UP_TO_729)
     def test_every_order_and_seed_is_most_perfect(self, p, r):

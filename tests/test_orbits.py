@@ -5,7 +5,8 @@ D @ M with a random offset is another digit-linear square. Every such square dra
 classifies most-perfect and its θ pandiagonal Franklin, so the checks run on many squares
 per order, not only the closed form. Permuting the row digits among themselves and the
 column digits among themselves as well (D @ M @ Q) gives near misses, most of which fail
-most-perfect; at n <= 81 their Franklin verdicts are compared with the brute-force reference.
+most-perfect; at n <= 81 their Franklin, p x p, complementary and pandiagonal verdicts, and those of
+their θ, are compared with the brute-force reference.
 One near miss at (2, 4) is pinned: it shows that the converse of the paper's direction fails.
 The Kotzig orbit squares (conftest.kotzig_square) are most-perfect at every order with a p x p target.
 """
@@ -18,7 +19,7 @@ import franklin_forge as ff
 from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
 
 from conftest import kotzig_square
-from test_reference import ref_complementary, ref_franklin
+from test_reference import ref_complementary, ref_franklin, ref_pandiagonal, ref_pxp
 
 # (p, r, squares drawn): 523 squares over 11 orders, n from 8 to 1331
 ORBIT_ORDERS = [(2, 3, 80), (2, 4, 80), (2, 5, 70), (2, 6, 50), (2, 7, 20), (3, 3, 80), (3, 4, 60),
@@ -79,25 +80,48 @@ def test_kotzig_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
             assert franklin.classification == "pandiagonal_franklin_type_p"
 
 
-def test_near_miss_franklin_verdicts_match_reference():
-    """Each near miss and its θ: the Franklin verdict, witness included, equals the brute-force one,
-    and every failing verdict's witness re-sums to its actual value. Both verdicts occur."""
+def near_misses():
+    """(params, square) for 8 near misses at each NEAR_MISS_ORDERS order, each followed by its θ."""
     rng = random.Random(81)
-    outcomes = set()
     for p, r in NEAR_MISS_ORDERS:
         params = ff.TypeParams.for_power(p, r)
         for _ in range(8):
             square = orbit_square(p, r, rng, near_miss=True)
-            for candidate in (square, ff.theta(square, params)):
-                verdict = ff.check_franklin_patterns(candidate, params)
-                assert verdict == ref_franklin(candidate, params, None)
-                outcomes.add(verdict.passed)
-                entries = candidate.entries.tolist()
-                for failed in (v for v in ff.verify_all(candidate, params).verdicts if not v.passed):
-                    w = failed.witness
-                    if w.cells:
-                        assert sum(entries[i][j] for i, j in w.cells) == w.actual != w.expected
+            yield params, square
+            yield params, ff.theta(square, params)
+
+
+def test_near_miss_franklin_verdicts_match_reference():
+    """Each near miss and its θ: the Franklin verdict, witness included, equals the brute-force one,
+    and every failing verdict's witness re-sums to its actual value. Both verdicts occur."""
+    outcomes = set()
+    for params, candidate in near_misses():
+        verdict = ff.check_franklin_patterns(candidate, params)
+        assert verdict == ref_franklin(candidate, params, None)
+        outcomes.add(verdict.passed)
+        entries = candidate.entries.tolist()
+        for failed in (v for v in ff.verify_all(candidate, params).verdicts if not v.passed):
+            w = failed.witness
+            if w.cells:
+                assert sum(entries[i][j] for i, j in w.cells) == w.actual != w.expected
     assert outcomes == {True, False}
+
+
+def test_near_miss_pxp_complementary_and_pandiagonal_verdicts_match_reference():
+    """Each near miss and its θ: the p x p, complementary and pandiagonal verdicts, witnesses included, equal
+    the brute-force ones. Each check passes on some of them and fails on others."""
+    checks = {
+        "pxp": (ff.check_pxp, ref_pxp),
+        "complementary": (ff.check_complementary, lambda square, params: ref_complementary(square, params, "main")),
+        "pandiagonal": (ff.check_pandiagonal, ref_pandiagonal),
+    }
+    outcomes = {name: set() for name in checks}
+    for params, candidate in near_misses():
+        for name, (check, reference) in checks.items():
+            verdict = check(candidate, params)
+            assert verdict == reference(candidate, params), (name, params)
+            outcomes[name].add(verdict.passed)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def converse_counterexample():
