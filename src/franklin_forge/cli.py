@@ -17,12 +17,12 @@ Square text is written and read without a Python int or str per cell. emit_squar
 rows in numpy as bytes (fixed-width digit tokens padded with NUL bytes, which are dropped) that the
 commands write as they come, to a file opened "wb" or stdout's binary buffer.
 parse_square first tries the plain reader. A document is plain when its entries are n rows of n
-unsigned decimals of at most 18 digits, with no leading zero (RFC 8259 section 6), laid out byte
+unsigned decimals of at most 8 digits, with no leading zero (RFC 8259 section 6), laid out byte
 for byte as emit_square writes them or, in JSON, as json.dumps does by default (_LAYOUTS). That
 block is read as bytes; in JSON the rest is decoded with NaN in its place, and the NaN must come
 back as the value of "entries", since the last duplicate key wins and "entries" may also sit
 inside metadata. The plain reader only accepts. On anything else (another layout, a sign, a
-fraction or exponent, true, a leading zero, a 19-digit token, ragged rows, an order mismatch, a
+fraction or exponent, true, a leading zero, a 9-digit token, ragged rows, an order mismatch, a
 byte-order mark, any other NaN, a decode error) the whole text is decoded with json.loads, or
 split into CSV lines, and checked row by row, so every document is accepted, or rejected with
 the same message, on either path.
@@ -64,11 +64,9 @@ _LAYOUTS = {
     "csv": (("", ",", "\n", "\n"),),
 }
 _ENTRIES_FIELD = '"entries": '
-_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a plain token always fits int64
-# _KEEP_HIGH[step][length]: the bytes of the 8-byte word ending 8 * step digits before the end
-# of a run of that length that hold the run's digits; they are the word's high bytes
-_KEEP_HIGH = np.array([[2**64 - 2 ** (64 - 8 * min(max(length - 8 * step, 0), 8))
-                        for length in range(_MAX_DIGITS + 1)] for step in range((_MAX_DIGITS + 7) // 8)], np.uint64)
+_MAX_DIGITS = 8  # a plain token is one 8-byte word; no natural square entry has over 7 digits (3000**2 - 1)
+# _KEEP_HIGH[length]: the high bytes of the 8-byte word ending at a run's last digit, which hold a run of that length
+_KEEP_HIGH = np.array([2**64 - 2 ** (64 - 8 * length) for length in range(_MAX_DIGITS + 1)], np.uint64)
 # parse reads whole rows in bands of about this many bytes, which bounds its temporaries
 _BAND_BYTES = 1 << 18
 
@@ -200,7 +198,7 @@ def _plain_json(text: str):
 def _read_block(text: str, start: int, end: int, layout: tuple):
     """The n x n values of the block text[start:end], or None unless it is plain in layout.
 
-    Plain means the head, n rows of n unsigned decimals of at most 18 digits without a leading
+    Plain means the head, n rows of n unsigned decimals of at most 8 digits without a leading
     zero, joined by the separator in a row and the row gap between rows, then the tail, byte for
     byte. Row 0 fixes n. The block is read as bytes in bands of whole rows, so no run is cut."""
     head, sep, gap, tail = layout
@@ -227,7 +225,7 @@ def _read_block(text: str, start: int, end: int, layout: tuple):
         starts, ends = (np.ascontiguousarray(side).reshape(-1, n) for side in (edges[0::2], edges[1::2]))
         lengths = ends - starts
         if lengths.max() > _MAX_DIGITS or ((band[starts] == 48) & (lengths > 1)).any():
-            return None  # too long to be sure of int64, or a leading zero, which JSON forbids
+            return None  # longer than one word, or a leading zero, which JSON forbids
         if not _gaps_are(band, ends[:, :-1], starts[:, 1:], sep):
             return None
         if not _gaps_are(band, ends[:-1, -1], starts[1:, 0], gap):
@@ -249,20 +247,16 @@ def _gaps_are(band: np.ndarray, after: np.ndarray, before: np.ndarray, gap: str)
 
 
 def _decimal_values(data: bytes, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int64 values of the digit runs of data whose last digit is byte at + 7, of the given lengths.
+    """The int64 values of the digit runs of data whose last digit is byte at + 7, of the given lengths, at most 8.
 
-    Each step reads the 8 bytes ending at a run's last unread digit as one little-endian word,
-    zeroes the bytes before the run, and folds the digits pairwise into one number (SWAR)."""
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # the 8 bytes from each offset
-    value = 0
-    for step in range((int(lengths.max()) + 7) // 8):
-        w = words[np.maximum(at - 8 * step, 0) if step else at] & _KEEP_HIGH[step][lengths]
-        w &= 0x0F0F0F0F0F0F0F0F  # ASCII digits to digit values
-        w = ((w * 2561) >> 8) & 0x00FF00FF00FF00FF  # 10 * first + second, per pair of bytes
-        w = ((w * 6553601) >> 16) & 0x0000FFFF0000FFFF  # per four bytes
-        w = (w * 42949672960001) >> 32  # all eight
-        value = value + w * 10 ** (8 * step) if step else w
-    return value.view(np.int64)
+    It reads the 8 bytes ending at each run's last digit as one little-endian word, zeroes the
+    bytes before the run, and folds the digits pairwise into one number (SWAR)."""
+    w = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))[at] & _KEEP_HIGH[lengths]  # each run's last word
+    w &= 0x0F0F0F0F0F0F0F0F  # ASCII digits to digit values
+    w = ((w * 2561) >> 8) & 0x00FF00FF00FF00FF  # 10 * first + second, per pair of bytes
+    w = ((w * 6553601) >> 16) & 0x0000FFFF0000FFFF  # per four bytes
+    w = (w * 42949672960001) >> 32  # all eight
+    return w.view(np.int64)
 
 
 def _format_rows(grid: Grid, layout: tuple):

@@ -4,13 +4,12 @@ A digit-linear candidate gives cell (i, j), with base-p digit vector v (row digi
 significant first), the symbol whose digit vector is matrix @ v + offset (mod p); an invertible
 matrix makes the square natural. Symbol digit d, of weight w_d = p^(2r-1-d), is R_d[i] + C_d[j]
 mod p, R_d from the row digits and offset, C_d from the column digits. Every table is one kernel's
-T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), gathered from every digit vector moved on
-by each shift. A closed form, [[A, B], [B', A']] with A and A' zero outside their last column, has
-two p x n half tables (shifts R_d[u] and C_d[u] for u < p), and one broadcast add writes S[i, j] =
-H[i mod p, j] + L[j mod p, i], L tiled to the least width p^k >= _TABLE_ROWS. Else the digits go in
-groups g of k, the most with p^k <= _TABLE_ROWS, each with every digit vector of g as shifts; row i
-is the sum of U_g[c_g[i]], c_g[i] the group's R digits in base p, in bands of about BAND_CELLS
-cells (Lam, Rothberg & Wolf, ASPLOS 1991). Partial sums stay in 0..n^2-1.
+T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), summed one digit at a time. A closed form,
+[[A, B], [B', A']] with A and A' zero outside their last column, has two p x n half tables (shifts R_d[u] and
+C_d[u] for u < p), and one broadcast add writes S[i, j] = H[i mod p, j] + L[j mod p, i], L tiled to the least
+width p^k >= _MIN_TILE_WIDTH. Else each symbol digit d has a p x n table U_d, shifted by every residue v, and
+row i is the sum of U_d[R_d[i] mod p], in bands of about BAND_CELLS cells (Lam, Rothberg & Wolf, ASPLOS 1991).
+Partial sums stay in 0..n^2-1.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -32,7 +31,7 @@ from . import fixtures as _fixtures
 from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
 from .properties import verify_all
 
-_TABLE_ROWS = 32  # the most rows of a digit table (of 16, 32, 64 and 256, 32 measured fastest); L's least tile width
+_MIN_TILE_WIDTH = 32  # L's least tile width: at (2, 11), width 2 took 38 ms and width 32 took 9 ms
 FAMILIES = ("digit_linear", "fixtures_only")  # the generator families; the first is the default
 
 
@@ -96,7 +95,7 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
         w = p ** np.arange(r - 1, -1, -1)  # the low digits' weights; the high ones' are n times these
         high = _table(n * w, row_res[:r, :p].T, col_res[:r], p)  # row u < p has R_d[u] = a_d*u + b_d
         low = _table(w, col_res[r:, :p].T, row_res[r:], p)
-        wide = next(p**k for k in range(1, r + 1) if p**k >= min(n, _TABLE_ROWS))
+        wide = next(p**k for k in range(1, r + 1) if p**k >= min(n, _MIN_TILE_WIDTH))
         np.add(high.reshape(1, p, n // wide, wide), np.tile(low.T, wide // p).reshape(n // p, p, 1, wide),
                out=out.reshape(n // p, p, n // wide, wide))  # S[i, j] = H[i mod p, j] + L[j mod p, i]
         del high, low  # freed before the naturalness proof allocates its marks
@@ -112,24 +111,18 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
 
 
 def _table(w: np.ndarray, shifts: np.ndarray, res: np.ndarray, p: int) -> np.ndarray:
-    """T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), gathered at the base-p code of each column of
-    res mod p from the table of every digit vector y moved on by each shift."""
-    moved = np.zeros((len(shifts), 1), dtype=np.int64)
-    for w_d, s_d in zip(w, shifts.T):  # moved[s] gains a least significant digit y_d, moved on by s_d
-        moved = (moved[:, :, None] + w_d * ((s_d[:, None] + np.arange(p)) % p)[:, None]).reshape(len(shifts), -1)
-    return np.take(moved, p ** np.arange(len(w) - 1, -1, -1) @ (res % p), axis=1)
+    """T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), summed one digit at a time: w_d*((s + y) mod p)
+    for each shift s and residue y, read from a 2p-entry table, is taken at y = res[d, x] mod p."""
+    mod = np.arange(2 * p) % p  # (a + b) mod p for residues a and b
+    return sum(np.take((w_d * mod)[s_d[:, None] % p + np.arange(p)], r_d % p, axis=1)
+               for w_d, s_d, r_d in zip(w, shifts.T, res))
 
 
 def _digit_tables(row_res: np.ndarray, col_res: np.ndarray, p: int) -> tuple:
-    """The tables U_g and row codes c_g of the digit groups, from the residues R_d and C_d."""
-    k = next(j for j in range(1, _TABLE_ROWS) if p ** (j + 1) > _TABLE_ROWS)  # the most with p^k <= 32, or 1
-    tables, codes = [], []
-    for lo in range(0, len(row_res), k):
-        group = np.arange(lo, min(lo + k, len(row_res)))
-        every = np.indices((p,) * len(group)).reshape(len(group), -1).T  # every digit vector of the group
-        tables.append(_table(p ** (len(row_res) - 1 - group), every, col_res[group], p))
-        codes.append(p ** (group[-1] - group) @ (row_res[group] % p))  # the group's R digits in base p
-    return tables, codes
+    """The p x n table U_d[v, j] = w_d*((v + C_d[j]) mod p) of each symbol digit d, and its row code R_d mod p."""
+    w = p ** np.arange(len(row_res) - 1, -1, -1)
+    tables = [_table([w_d], np.arange(p)[:, None], c_d[None], p) for w_d, c_d in zip(w, col_res)]
+    return tables, [res % p for res in row_res]
 
 
 def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate:

@@ -41,6 +41,7 @@ CONSTRUCT = "src/franklin_forge/construct.py"
 DIGIT_MAP = "tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"
 INVERTIBLE = "tests/test_construct.py::TestCandidateToSquare::test_invertible_matches_the_determinant_mod_p"
 ORDER_BOUND = "tests/test_construct.py::TestCandidateToSquare::test_order_and_prime_checked_before_anything_of_size_n"
+EIGHT_DIGITS = "tests/test_cli.py::test_plain_reader_reads_tokens_of_at_most_eight_digits"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
                "tests/test_cli.py::test_plain_path_compares_gap_bytes"]
 
@@ -53,6 +54,14 @@ MUTANTS = [
     ("row 0 not decided", PROPERTIES, "        found = 0\n", "        pass\n", PXP_TESTS + [ORBITS]),
     ("F read width - 1 rows below", PROPERTIES, "a[lo + width : lo + width + k], a[lo : lo + k]",
      "a[lo + width - 1 : lo + width - 1 + k], a[lo : lo + k]", PXP_TESTS + [ORBITS]),
+    ("failing row found from W(i, 0) alone", PROPERTIES,  # row 0's windows unchecked, and no F row scanned
+     "    if (_windows(a[:width].sum(axis=0), width, toric) != target).any():  # row 0's windows\n"
+     "        found = 0\n"
+     "    band = -(-BAND_CELLS // cols)  # rows of F, each band read from a's rows "
+     "and the rows width below them alone\n"
+     "    f, lag = np.empty((band, cols), dtype=heads.dtype), np.empty((band, cols), dtype=bool)\n"
+     "    for lo in range(0, found - 1, band):",
+     "    f = lag = None\n    for lo in ():", PXP_TESTS + [ORBITS]),
     ("failing row reported one late", PROPERTIES, ".argmax()) + 1\n", ".argmax()) + 2\n", PXP_TESTS),
     ("wrapped rows clipped instead of wrapped", PROPERTIES, "a[lo + width + k - rows : lo + width + m - rows]",
      "a[[rows - 1] * (m - k)]", PXP_TESTS + [ORBITS]),
@@ -116,11 +125,10 @@ MUTANTS = [
     ("CellSet lines swapped", PATTERNS, "CellSet(line, cols) if q % 2 == 0 else CellSet(cols, line)",
      "CellSet(cols, line) if q % 2 == 0 else CellSet(line, cols)",
      ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
-    ("group code read with the wrong place value", CONSTRUCT,
-     "codes.append(p ** (group[-1] - group) @ (row_res[group] % p))",
-     "codes.append(p ** (group - group[0]) @ (row_res[group] % p))", [DIGIT_MAP, ORBITS]),
-    ("table kernel moves digits by -y instead of +y", CONSTRUCT, "(s_d[:, None] + np.arange(p)) % p",
-     "(s_d[:, None] - np.arange(p)) % p", [DIGIT_MAP, "tests/test_reference.py::test_digit_map_matches_reference"]),
+    ("row codes read one digit off", CONSTRUCT, "zip(tables[1:], codes[1:])", "zip(tables[1:], codes[:-1])",
+     [DIGIT_MAP, ORBITS]),
+    ("table kernel moves digits by -y instead of +y", CONSTRUCT, "s_d[:, None] % p + np.arange(p)",
+     "s_d[:, None] % p - np.arange(p)", [DIGIT_MAP, "tests/test_reference.py::test_digit_map_matches_reference"]),
     ("pivot searched from row 0 instead of row col", CONSTRUCT, "pivots = col + np.flatnonzero(a[col:, col])",
      "pivots = np.flatnonzero(a[:, col])", [INVERTIBLE]),
     ("order not bounded before the square is allocated", CONSTRUCT, "n = TypeParams.for_power(p, r).n", "n = p**r",
@@ -145,7 +153,10 @@ MUTANTS = [
      "self._a = entries._a", GUARD_TESTS + BATTERY),
     ("leading-zero token read as plain", CLI, " or ((band[starts] == 48) & (lengths > 1)).any()", "",
      PLAIN_TESTS),
-    ("19-digit tokens read as plain", CLI, "_MAX_DIGITS = 18", "_MAX_DIGITS = 19", PLAIN_TESTS),
+    ("9-digit tokens read as plain", CLI, "lengths.max() > _MAX_DIGITS", "lengths.max() > _MAX_DIGITS + 1",
+     [EIGHT_DIGITS]),
+    ("digit pairs folded with their weights swapped", CLI, "(w * 2561) >> 8", "(w * 266) >> 8",
+     ["tests/test_cli.py::test_plain_path_matches_reference"]),
     ("a block one row short read as plain", CLI, "if (done == n * n) != final", "if (done >= n * n - n) != final",
      PLAIN_TESTS),
     ("a band's first run not checked to open a row", CLI, " or edges[0] != 0", "",

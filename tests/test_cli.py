@@ -1082,6 +1082,22 @@ def test_csv_output_takes_the_plain_path(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plain_reader_reads_tokens_of_at_most_eight_digits(fmt, monkeypatch):
+    """A token of 8 digits, one 8-byte word, is read as plain; one of 9 makes the plain reader decline, and
+    the full decode reads it. Both give the reference parse's result."""
+    decodes, row_reads = [], []
+    full_decode, parse_grid = ff.cli._json_object, ff.cli._parse_grid
+    monkeypatch.setattr(ff.cli, "_json_object", lambda text: decodes.append(text) or full_decode(text))
+    monkeypatch.setattr(ff.cli, "_parse_grid", lambda rows, order: row_reads.append(order) or parse_grid(rows, order))
+    reference = reference_parse_json if fmt == "json" else reference_parse_csv
+    for widest, full in ((10**8 - 1, 0), (10**8, 1)):
+        text = emit_square(SquareDocument(ff.Grid([[0, widest], [2, 3]])), fmt)
+        assert parse_outcome(lambda t: parse_square(t, fmt), text) == parse_outcome(reference, text)
+        assert len(row_reads) == full, widest  # the full decode checks the rows one by one
+        assert len(decodes) == (full if fmt == "json" else 0), widest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_plain_load_adopts_the_array_it_reads(fmt):
     """The plain reader's int64 array becomes the Grid's entries with no second copy: a load peaks at
     about one square plus the proof's marks and the reader's bands, not at two squares."""

@@ -45,6 +45,9 @@ GENERAL_DIGESTS = {
     (2, 11): ("e9194e2b0a0f8dcc", "1d12bb6b0c5a9176"),
     (3, 7): ("9d8d26c17ee299f7", "6df23a39c996ca90"),
     (53, 2): ("64fb7ae38c9e6e9e", "e3ce52ffbdcd9659"),
+    (5, 4): ("569f32943400dc5c", "105b9fb8e365830b"),
+    (2, 9): ("e6036fcdcb0ac9f2", "bb42b608ba8fb2e7"),
+    (3, 6): ("9887f49ca0e315ac", "684302e022cf04f7"),
 }
 
 ORDERS_UP_TO_729 = [
@@ -107,8 +110,9 @@ class TestCandidateToSquare:
             assert not construct.is_invertible_mod(np.eye(*shape, dtype=np.int64), 5), shape
 
     def test_digit_tables_and_partial_sums_stay_below_n_squared(self):
-        """At every accepted p^r with r >= 2, every entry of every digit table, and so every partial
-        sum of gathered table rows, lies in 0..n^2-1: the tables' maxima sum to exactly n^2 - 1."""
+        """At every accepted p^r with r >= 2, each symbol digit has one p x n table, and every entry of every
+        table, and so every partial sum of gathered table rows, lies in 0..n^2-1: the tables' maxima sum to
+        exactly n^2 - 1."""
         orders = [(p, r) for p in range(2, MAX_ORDER + 1) if is_prime(p)
                   for r in range(2, MAX_ORDER.bit_length()) if p**r <= MAX_ORDER]
         assert (2, 11) in orders and (53, 2) in orders
@@ -116,7 +120,7 @@ class TestCandidateToSquare:
             candidate = closed_form_candidate(p, r, seed=p ** (2 * r) - 1)  # every offset digit p - 1
             row_res, col_res = residues(candidate, p, r, np.arange(p**r), np.arange(p**r))
             tables, codes = construct._digit_tables(row_res, col_res, p)
-            assert all(t.dtype == np.int64 and t.shape[0] <= max(p, construct._TABLE_ROWS) for t in tables)
+            assert len(tables) == 2 * r and all(t.dtype == np.int64 and t.shape == (p, p**r) for t in tables)
             assert min(int(t.min()) for t in tables) == 0, (p, r)
             assert sum(int(t.max()) for t in tables) == p ** (2 * r) - 1, (p, r)
             assert all(0 <= int(c.min()) and int(c.max()) < len(t) for t, c in zip(tables, codes)), (p, r)
@@ -139,7 +143,7 @@ class TestCandidateToSquare:
         the whole square is the Python-int reference's, and so is digit_map_cells'. At every order, every row
         on a sample of columns, and the rows at each band edge, at each edge of the first and last p-row
         residue groups and a sample, are digit_map_cells'. The closed forms take the two half tables, the
-        perturbed ones the digit tables. Digit groups of k = 5 (p = 2) and 3 (p = 3) do not divide 2r at most orders."""
+        perturbed ones the per-digit tables."""
         from test_reference import random_unreduced_candidate, ref_candidate_to_square
 
         rng = random.Random(3000)
