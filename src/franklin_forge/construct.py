@@ -2,14 +2,14 @@
 
 A digit-linear candidate gives cell (i, j), with base-p digit vector v (row digits first, most
 significant first), the symbol whose digit vector is matrix @ v + offset (mod p); an invertible
-matrix makes the square natural. Symbol digit d, of weight w_d = p^(2r-1-d), is R_d[i] + C_d[j]
-mod p, R_d from the row digits and offset, C_d from the column digits. Every table is one kernel's
-T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), summed one digit at a time. A closed form,
-[[A, B], [B', A']] with A and A' zero outside their last column, has two p x n half tables (shifts R_d[u] and
-C_d[u] for u < p), and one broadcast add writes S[i, j] = H[i mod p, j] + L[j mod p, i], L tiled to the least
-width p^k >= _MIN_TILE_WIDTH. Else each symbol digit d has a p x n table U_d, shifted by every residue v, and
-row i is the sum of U_d[R_d[i] mod p], in bands of about BAND_CELLS cells (Lam, Rothberg & Wolf, ASPLOS 1991).
-Partial sums stay in 0..n^2-1.
+matrix makes the square natural. Symbol digit d, of weight w_d = p^(2r-1-d), is R_d[i] + C_d[j] mod p, R_d from
+the row digits and offset, C_d from the column digits, each reduced mod p once. One kernel writes every table,
+T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), one digit at a time, for two writers. A closed form,
+[[A, B], [B', A']] with A and A' zero outside their last column, has two p x n half tables over the p residues: H
+of the high r digits, shifts R_d[u] for u < p, and L of the low r, shifts C_d[u]. One broadcast add writes
+S[i, j] = H[i mod p, j] + L[j mod p, i], L tiled to the least width p^k >= _MIN_TILE_WIDTH. Any other matrix is
+written in bands of about BAND_CELLS cells (Lam, Rothberg & Wolf, ASPLOS 1991), each band's rows the table of all
+2r digits with shifts R_d[i] for its rows i. Partial sums stay in 0..n^2-1.
 
 The generator uses one matrix at every order: [[A, B], [B, A]], where A has 1s
 in its last column and B has 1s in its first column plus B[i, r-i] = 1 for
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures as _fixtures
-from .core import BAND_CELLS, NaturalSquare, TypeParams, _Owned
+from .core import BAND_CELLS, NaturalSquare, TypeParams, _integer, _Owned
 from .properties import verify_all
 
 _MIN_TILE_WIDTH = 32  # L's least tile width: at (2, 11), width 2 took 38 ms and width 32 took 9 ms
@@ -47,6 +47,8 @@ class GeneratorConfig:
     family: str = FAMILIES[0]
 
     def __post_init__(self):
+        for name in ("p", "r", "seed"):  # core._integer's rule, before any arithmetic on them
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.r < 2:
             raise ValueError("most-perfect construction needs r >= 2")
         TypeParams.for_power(self.p, self.r)  # bounds r, then the order, then checks p is prime
@@ -89,40 +91,30 @@ def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> Natu
     if not is_invertible_mod(m, p):
         raise ValueError("candidate matrix is singular mod p")
     digits = np.indices((p,) * r).reshape(r, n)  # the digit vector of each index, msb first
-    row_res, col_res = m[:, :r] @ digits + b[:, None], m[:, r:] @ digits  # R_d and C_d, reduced where read
-    out, band = np.empty((n, n), dtype=np.int64), max(1, BAND_CELLS // n)
+    row_res, col_res = (m[:, :r] @ digits + b[:, None]) % p, (m[:, r:] @ digits) % p  # R_d and C_d
+    out, w = np.empty((n, n), dtype=np.int64), p ** np.arange(2 * r - 1, -1, -1)  # w_d = p^(2r-1-d)
     if not m[:r, : r - 1].any() and not m[r:, r:-1].any():  # A and A' zero outside their last column
-        w = p ** np.arange(r - 1, -1, -1)  # the low digits' weights; the high ones' are n times these
-        high = _table(n * w, row_res[:r, :p].T, col_res[:r], p)  # row u < p has R_d[u] = a_d*u + b_d
-        low = _table(w, col_res[r:, :p].T, row_res[r:], p)
+        high, low = np.empty((2, p, n), dtype=np.int64)
+        _table(w[:r], row_res[:r, :p].T, col_res[:r], p, high)  # row u < p has R_d[u] = a_d*u + b_d
+        _table(w[r:], col_res[r:, :p].T, row_res[r:], p, low)
         wide = next(p**k for k in range(1, r + 1) if p**k >= min(n, _MIN_TILE_WIDTH))
         np.add(high.reshape(1, p, n // wide, wide), np.tile(low.T, wide // p).reshape(n // p, p, 1, wide),
                out=out.reshape(n // p, p, n // wide, wide))  # S[i, j] = H[i mod p, j] + L[j mod p, i]
         del high, low  # freed before the naturalness proof allocates its marks
         return NaturalSquare(_Owned(out))
-    tables, codes = _digit_tables(row_res, col_res, p)
-    for top in range(0, n, band):
-        rows = out[top : top + band]  # mode="clip": codes are in range, and "raise" would buffer the output
-        np.take(tables[0], codes[0][top : top + band], axis=0, out=rows, mode="clip")
-        for table, code in zip(tables[1:], codes[1:]):
-            rows += np.take(table, code[top : top + band], axis=0, mode="clip")
-    del tables  # freed before the naturalness proof allocates its marks
+    band = max(1, BAND_CELLS // n)
+    for top in range(0, n, band):  # row i is T[i] with shifts R_d[i]
+        _table(w, row_res[:, top : top + band].T, col_res, p, out[top : top + band])
     return NaturalSquare(_Owned(out))
 
 
-def _table(w: np.ndarray, shifts: np.ndarray, res: np.ndarray, p: int) -> np.ndarray:
-    """T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), summed one digit at a time: w_d*((s + y) mod p)
-    for each shift s and residue y, read from a 2p-entry table, is taken at y = res[d, x] mod p."""
+def _table(w: np.ndarray, shifts: np.ndarray, res: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write T[s, x] = sum_d w_d*((shifts[s, d] + res[d, x]) mod p), over residues, into out one digit at a time:
+    w_d*((s + y) mod p) for each shift s and residue y, read from a 2p-entry table, is taken at y = res[d, x]."""
     mod = np.arange(2 * p) % p  # (a + b) mod p for residues a and b
-    return sum(np.take((w_d * mod)[s_d[:, None] % p + np.arange(p)], r_d % p, axis=1)
-               for w_d, s_d, r_d in zip(w, shifts.T, res))
-
-
-def _digit_tables(row_res: np.ndarray, col_res: np.ndarray, p: int) -> tuple:
-    """The p x n table U_d[v, j] = w_d*((v + C_d[j]) mod p) of each symbol digit d, and its row code R_d mod p."""
-    w = p ** np.arange(len(row_res) - 1, -1, -1)
-    tables = [_table([w_d], np.arange(p)[:, None], c_d[None], p) for w_d, c_d in zip(w, col_res)]
-    return tables, [res % p for res in row_res]
+    out[...] = 0
+    for w_d, s_d, r_d in zip(w, shifts.T, res):
+        out += np.take((w_d * mod)[s_d[:, None] + np.arange(p)], r_d, axis=1)
 
 
 def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate:

@@ -8,6 +8,7 @@ read-only entries instead of copying them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,14 @@ def is_prime(m: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _integer(value, name: str) -> int:
+    """value as an int: an int, or a non-bool numbers.Integral such as a NumPy integer. A float or bool
+    is refused, as the JSON and CSV readers refuse it; an int skips the slower ABC test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _is_permutation(a: np.ndarray) -> bool:
@@ -145,6 +154,8 @@ class TypeParams:
     n: int
 
     def __post_init__(self):
+        for name in ("p", "n"):  # a NumPy integer becomes an int, so targets and certificates hold Python ints
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         # Bounds before primality: trial division of a huge p would not finish.
         if not 1 <= self.n <= MAX_ORDER:
             raise ValueError(f"order n={self.n} outside 1..{MAX_ORDER}")

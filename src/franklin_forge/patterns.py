@@ -23,14 +23,13 @@ and down) and a column range; its frozenset of cells is built only when read.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BlockAddress, TypeParams, block_at
+from .core import BlockAddress, TypeParams, _integer, block_at
 
 DIRECTIONS = ("up", "right", "down", "left")
 
@@ -44,14 +43,6 @@ def _franklin_k(params: TypeParams) -> int:
     if params.franklin_k is None:
         raise ValueError(f"order {params.n} is not of the form k*p^3 for p={params.p}")
     return params.franklin_k
-
-
-def _integer(value, name: str) -> int:
-    """value as an int: an int, or a non-bool numbers.Integral such as a NumPy integer. A float or bool
-    is refused, as the JSON and CSV readers refuse it; an int skips the slower ABC test."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BAND_CELLS, Grid, NaturalSquare, TypeParams
+from .core import BAND_CELLS, Grid, NaturalSquare, TypeParams, _integer
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells, select_alphas, split_rows
 
 PROBE = 4  # the sums of each table that _verdict takes from their cells before it builds the table
@@ -374,7 +374,7 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     certificate depends on the wrapper: a natural square held as a plain Grid is compared with window (0, 0).
     """
     typed = isinstance(params, TypeParams)
-    p = params.p if typed else int(params)
+    p = params.p if typed else _integer(params, "p")
     a = _array(square_or_grid, params if typed else None)
     rows, cols = a.shape
     target = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else int(a[:p, :p].sum())

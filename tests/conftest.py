@@ -59,7 +59,7 @@ def random_natural_square(n: int, rng: random.Random) -> ff.NaturalSquare:
     return ff.NaturalSquare([symbols[i * n : (i + 1) * n] for i in range(n)])
 
 
-def kotzig_square(p: int, n: int) -> ff.NaturalSquare:
+def kotzig_square(p: int, n: int, rng: random.Random | None = None) -> ff.NaturalSquare:
     """The orbit square of order n, p^2 | n, for which p^2(n^2-1)/2 is an integer: a most-perfect square whether
     n is a prime power or not (its windows and p-sets for the reasons below, its lines and diagonals as tested).
 
@@ -69,6 +69,11 @@ def kotzig_square(p: int, n: int) -> ff.NaturalSquare:
     sigma^(i mod p)(g(j)): p consecutive columns add one whole orbit to a row's high part, p consecutive rows one
     to a column's low part, so every p x p window sums to p^2(n^2-1)/2, and the p cells (i + t*m, j + t*m) meet
     the whole orbit of g(i) and of g(j), so each p-set sums to p(n^2-1)/2.
+
+    With rng, the weakened family: g gives each residue class mod p of 0..n-1 m/p whole orbits drawn by rng, their
+    elements in random order. The square stays natural and every line, broken diagonal and window keeps its
+    target (each sums whole orbits, or sigma's powers of a union of them), but a p-set need no longer meet a
+    whole orbit, so the complementary constraint is dropped.
     """
     m = n // p
     a = np.arange(m)
@@ -80,6 +85,11 @@ def kotzig_square(p: int, n: int) -> ff.NaturalSquare:
         rows = [a, shifted, (3 * h - a - shifted) % m] + [a, m - 1 - a] * ((p - 3) // 2)
     orbits = (np.arange(p)[:, None] * m + np.array(rows)).T  # orbits[a, t] = O_a[t]
     g = orbits.T.ravel()
+    if rng is not None:  # a fresh g, as the ravel above is a view of orbits
+        g, drawn = np.empty(n, dtype=np.int64), orbits[rng.sample(range(m), m)].reshape(p, -1)
+        for c, elements in enumerate(drawn.tolist()):  # residue class c takes the m/p orbits in row c
+            rng.shuffle(elements)
+            g[c::p] = elements
     powers = [np.arange(n)]  # powers[s][x] = sigma^s(x)
     sigma = np.empty(n, dtype=np.int64)
     sigma[orbits] = np.roll(orbits, -1, axis=1)

@@ -40,6 +40,8 @@ CLI = "src/franklin_forge/cli.py"
 CONSTRUCT = "src/franklin_forge/construct.py"
 DIGIT_MAP = "tests/test_construct.py::TestCandidateToSquare::test_digit_map_matches_reference_at_every_order"
 INVERTIBLE = "tests/test_construct.py::TestCandidateToSquare::test_invertible_matches_the_determinant_mod_p"
+GENERAL_PINS = "tests/test_construct.py::TestGenerator::test_general_candidate_bytes_are_pinned"
+INTEGER_RULE = "tests/test_core.py::TestTypeParams::test_one_integer_rule_at_the_library_boundary"
 ORDER_BOUND = "tests/test_construct.py::TestCandidateToSquare::test_order_and_prime_checked_before_anything_of_size_n"
 EIGHT_DIGITS = "tests/test_cli.py::test_plain_reader_reads_tokens_of_at_most_eight_digits"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
@@ -125,10 +127,13 @@ MUTANTS = [
     ("CellSet lines swapped", PATTERNS, "CellSet(line, cols) if q % 2 == 0 else CellSet(cols, line)",
      "CellSet(cols, line) if q % 2 == 0 else CellSet(line, cols)",
      ["tests/test_reference.py::test_franklin_cells_match_reference", "tests/test_patterns.py::TestCellSet"]),
-    ("row codes read one digit off", CONSTRUCT, "zip(tables[1:], codes[1:])", "zip(tables[1:], codes[:-1])",
-     [DIGIT_MAP, ORBITS]),
-    ("table kernel moves digits by -y instead of +y", CONSTRUCT, "s_d[:, None] % p + np.arange(p)",
-     "s_d[:, None] % p - np.arange(p)", [DIGIT_MAP, "tests/test_reference.py::test_digit_map_matches_reference"]),
+    ("band rows read R_d one row down", CONSTRUCT, "_table(w, row_res[:, top : top + band].T, col_res, p, out",
+     "_table(w, np.roll(row_res, -1, axis=1)[:, top : top + band].T, col_res, p, out",
+     [DIGIT_MAP, GENERAL_PINS, ORBITS]),
+    ("table kernel moves digits by -y instead of +y", CONSTRUCT, "s_d[:, None] + np.arange(p)",
+     "s_d[:, None] - np.arange(p)", [DIGIT_MAP, "tests/test_reference.py::test_digit_map_matches_reference"]),
+    ("residues not reduced mod p", CONSTRUCT, "(m[:, :r] @ digits + b[:, None]) % p, (m[:, r:] @ digits) % p",
+     "m[:, :r] @ digits + b[:, None], m[:, r:] @ digits", [DIGIT_MAP, GENERAL_PINS, ORBITS]),
     ("pivot searched from row 0 instead of row col", CONSTRUCT, "pivots = col + np.flatnonzero(a[col:, col])",
      "pivots = np.flatnonzero(a[:, col])", [INVERTIBLE]),
     ("order not bounded before the square is allocated", CONSTRUCT, "n = TypeParams.for_power(p, r).n", "n = p**r",
@@ -145,6 +150,9 @@ MUTANTS = [
      "return type(grid)(_Owned(", "return __import__('franklin_forge').NaturalSquare(_Owned(", [REARRANGEMENTS]),
     ("a plain Grid's rearrangement taken as proved", CORE, "isinstance(entries.source, NaturalSquare)",
      "isinstance(entries.source, Grid)", [REARRANGEMENTS]),
+    ("integer rule accepts floats", CORE, "not isinstance(value, numbers.Integral)",
+     "not isinstance(value, numbers.Real)",
+     [INTEGER_RULE, "tests/test_patterns.py::TestFranklinCells::test_spec_refuses_a_non_integer_alpha_or_offset"]),
     ("range from the first row only", CORE, "(int(a.min()), int(a.max()))",
      "(int(a[0].min()), int(a[0].max()))", ["tests/test_core.py"] + GUARD_TESTS),
     ("no range test in the naturalness proof", CORE, "if lo < 0 or hi >= n * n or not _is_permutation",

@@ -39,7 +39,7 @@ EDGE_SEED_DIGESTS = {
     (53, 2): ("b1c07b425ef13088", "1d08062a71f66e3e"),
 }
 
-# sha256 prefixes of whole squares built from the digit tables: a random unreduced invertible candidate, then a
+# sha256 prefixes of whole squares written band by band: a random unreduced invertible candidate, then a
 # near-miss orbit square, both drawn from random.Random(p^r), at orders where the reference compares samples only
 GENERAL_DIGESTS = {
     (2, 11): ("e9194e2b0a0f8dcc", "1d12bb6b0c5a9176"),
@@ -110,20 +110,28 @@ class TestCandidateToSquare:
             assert not construct.is_invertible_mod(np.eye(*shape, dtype=np.int64), 5), shape
 
     def test_digit_tables_and_partial_sums_stay_below_n_squared(self):
-        """At every accepted p^r with r >= 2, each symbol digit has one p x n table, and every entry of every
-        table, and so every partial sum of gathered table rows, lies in 0..n^2-1: the tables' maxima sum to
-        exactly n^2 - 1."""
+        """At every accepted p^r with r >= 2, the table kernel run on one symbol digit at a time, over the p
+        shifts, writes 2r int64 p x n tables whose entries, and so every partial sum over digits, lie in
+        0..n^2-1: the tables' maxima sum to exactly n^2 - 1. The general writer's first and last band tables,
+        all 2r digits at once, lie in 0..n^2-1 too."""
         orders = [(p, r) for p in range(2, MAX_ORDER + 1) if is_prime(p)
                   for r in range(2, MAX_ORDER.bit_length()) if p**r <= MAX_ORDER]
         assert (2, 11) in orders and (53, 2) in orders
         for p, r in orders:
+            n, w = p**r, p ** np.arange(2 * r - 1, -1, -1)
             candidate = closed_form_candidate(p, r, seed=p ** (2 * r) - 1)  # every offset digit p - 1
-            row_res, col_res = residues(candidate, p, r, np.arange(p**r), np.arange(p**r))
-            tables, codes = construct._digit_tables(row_res, col_res, p)
-            assert len(tables) == 2 * r and all(t.dtype == np.int64 and t.shape == (p, p**r) for t in tables)
+            row_res, col_res = residues(candidate, p, r, np.arange(n), np.arange(n))
+            tables = np.full((2 * r, p, n), -1, dtype=np.int64)  # written over, not added to
+            for d, table in enumerate(tables):
+                construct._table(w[d : d + 1], np.arange(p)[:, None], col_res[d : d + 1], p, table)
+            assert all(t.dtype == np.int64 and t.shape == (p, n) for t in tables), (p, r)
             assert min(int(t.min()) for t in tables) == 0, (p, r)
             assert sum(int(t.max()) for t in tables) == p ** (2 * r) - 1, (p, r)
-            assert all(0 <= int(c.min()) and int(c.max()) < len(t) for t, c in zip(tables, codes)), (p, r)
+            band = max(1, ff.core.BAND_CELLS // n)
+            for top in (0, (n - 1) // band * band):
+                rows = np.full((min(band, n - top), n), -1, dtype=np.int64)
+                construct._table(w, row_res[:, top : top + band].T, col_res, p, rows)
+                assert rows.dtype == np.int64 and 0 <= int(rows.min()) and int(rows.max()) < n * n, (p, r, top)
 
     def test_random_invertible_candidates_are_natural(self):
         rng = random.Random(17)
@@ -142,8 +150,8 @@ class TestCandidateToSquare:
         and at a random seed, and the closed form with an extra 1 in the first column of either A. Below n = 100
         the whole square is the Python-int reference's, and so is digit_map_cells'. At every order, every row
         on a sample of columns, and the rows at each band edge, at each edge of the first and last p-row
-        residue groups and a sample, are digit_map_cells'. The closed forms take the two half tables, the
-        perturbed ones the per-digit tables."""
+        residue groups and a sample, are digit_map_cells'. The closed forms take the two half tables, shifts of
+        r digits, and the perturbed ones one table per band of rows, shifts of all 2r digits."""
         from test_reference import random_unreduced_candidate, ref_candidate_to_square
 
         rng = random.Random(3000)
@@ -156,7 +164,7 @@ class TestCandidateToSquare:
             perturbed = [c for c in (closed_form_with_an_extra_one(p, r, corner) for corner in (0, r)) if c]
             extra += len(perturbed)
             for candidate in [random_unreduced_candidate(p, r, rng)] + closed + perturbed:
-                with mock.patch.object(construct, "_digit_tables", wraps=construct._digit_tables) as tables:
+                with mock.patch.object(construct, "_table", wraps=construct._table) as tables:
                     square = ff.candidate_to_square(candidate, p, r).entries
                 every = np.arange(n)
                 if n < 100:
@@ -168,8 +176,11 @@ class TestCandidateToSquare:
                 sample = sorted(edges | set(rng.sample(range(n), min(n, 32))))
                 assert np.array_equal(square[:, sample], digit_map_cells(candidate, p, r, every, sample)), (p, r)
                 assert np.array_equal(square[sample], digit_map_cells(candidate, p, r, sample, every)), (p, r)
-                if candidate in closed + perturbed:  # the closed forms take the half tables, the others do not
-                    assert tables.call_count == (candidate in perturbed), (p, r)
+                widths = [call.args[1].shape[1] for call in tables.call_args_list]  # digits in each table's shifts
+                if candidate in closed:
+                    assert widths == [r, r], (p, r)
+                elif candidate in perturbed:
+                    assert widths == [2 * r] * -(-n // band), (p, r)
         assert extra == 70  # at (2, 2) no row of either A's first column keeps the matrix invertible
 
     @pytest.mark.parametrize("p,r", [(3, 6), (2, 10)])
@@ -326,10 +337,11 @@ class TestGenerator:
         from test_reference import random_unreduced_candidate
 
         rng = random.Random(p**r)
-        with mock.patch.object(construct, "_digit_tables", wraps=construct._digit_tables) as tables:
+        with mock.patch.object(construct, "_table", wraps=construct._table) as tables:
             squares = (ff.candidate_to_square(random_unreduced_candidate(p, r, rng), p, r),
                        orbit_square(p, r, rng, near_miss=True))
-        assert tables.call_count == 2  # both took the digit tables
+        bands = -(-p**r // max(1, ff.core.BAND_CELLS // p**r))
+        assert [call.args[1].shape[1] for call in tables.call_args_list] == [2 * r] * (2 * bands)  # both by bands
         digests = tuple(hashlib.sha256(s.entries.astype("<i8").tobytes()).hexdigest()[:16] for s in squares)
         assert digests == GENERAL_DIGESTS[(p, r)]
 

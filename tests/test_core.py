@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -74,6 +76,25 @@ class TestTypeParams:
         for r in (0, -1):
             with pytest.raises(ValueError, match="^r must be positive$"):
                 ff.TypeParams.for_power(2, r)
+
+    def test_one_integer_rule_at_the_library_boundary(self):
+        """TypeParams' p and n, GeneratorConfig's p, r and seed and check_pxp's bare p take any non-bool integer,
+        a NumPy one included, as a Python int, and refuse a float or a bool: NumPy-integer params give the same
+        squares and certificate bytes as ints."""
+        square = ff.generate_most_perfect(ff.GeneratorConfig(np.int64(2), np.int32(3), np.uint8(5)))
+        assert square == ff.generate_most_perfect(ff.GeneratorConfig(2, 3, 5))
+        numpy_params, params = ff.TypeParams(np.int64(2), np.int16(8)), ff.TypeParams(2, 8)
+        assert (type(numpy_params.p), type(numpy_params.n)) == (int, int) and numpy_params == params
+        certificate = json.dumps(ff.verify_all(square, numpy_params).to_json_dict())
+        assert certificate == json.dumps(ff.verify_all(square, params).to_json_dict())
+        assert ff.check_pxp(square, np.int64(2)) == ff.check_pxp(square, 2)
+        refused = [lambda: ff.TypeParams(2.0, 8), lambda: ff.TypeParams(2, 8.0), lambda: ff.TypeParams(True, 8),
+                   lambda: ff.TypeParams.for_power(2, 3.0), lambda: ff.GeneratorConfig(2.0, 3),
+                   lambda: ff.GeneratorConfig(2, True), lambda: ff.GeneratorConfig(2, 3, 1.0),
+                   lambda: ff.check_pxp(square, 2.5), lambda: ff.check_pxp(square, True)]
+        for make in refused:
+            with pytest.raises(ValueError, match="must be an integer, got"):
+                make()
 
     def test_franklin_k(self):
         assert ff.TypeParams(2, 8).franklin_k == 1

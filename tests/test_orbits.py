@@ -8,12 +8,17 @@ column digits among themselves as well (D @ M @ Q) gives near misses, most of wh
 most-perfect; at n <= 81 their Franklin, p x p, complementary and pandiagonal verdicts, and those of
 their θ, are compared with the brute-force reference.
 One near miss at (2, 4) is pinned: it shows that the converse of the paper's direction fails.
-The Kotzig orbit squares (conftest.kotzig_square) are most-perfect at every order with a p x p target.
+The Kotzig orbit squares (conftest.kotzig_square) are most-perfect at every order with a p x p target. In
+their weakened family, pinned at n = 16 and 27, each residue class of rows takes whole orbits in random
+order: those squares fail only complementary of the most-perfect checks, and their θ is pandiagonal magic,
+not Franklin, so θ needs more than the other four checks.
 """
 
+import hashlib
 import random
 
 import numpy as np
+import pytest
 
 import franklin_forge as ff
 from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
@@ -25,6 +30,7 @@ from test_reference import ref_complementary, ref_franklin, ref_pandiagonal, ref
 ORBIT_ORDERS = [(2, 3, 80), (2, 4, 80), (2, 5, 70), (2, 6, 50), (2, 7, 20), (3, 3, 80), (3, 4, 60),
                 (3, 5, 20), (5, 3, 40), (7, 3, 20), (11, 3, 3)]
 NEAR_MISS_ORDERS = [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]  # every Franklin order p^r <= 81
+WEAKENED_DIGESTS = {(2, 16): "bc8540d384d057e3", (3, 27): "545f78d4a1f0030b"}  # kotzig_square(p, n, Random(n))
 
 
 def monomial(p, size, rng):
@@ -78,6 +84,25 @@ def test_kotzig_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
         if params.franklin_k is not None:
             franklin = ff.verify_all(ff.theta(square, params), params)
             assert franklin.classification == "pandiagonal_franklin_type_p"
+
+
+@pytest.mark.parametrize("p,n", sorted(WEAKENED_DIGESTS))
+def test_weakened_kotzig_square_fails_complementary_and_its_theta_is_pandiagonal_magic(p, n):
+    """The pinned weakened-family square is natural, semi-magic, pandiagonal and p x p, and fails complementary;
+    its θ classifies pandiagonal magic. The complementary, pandiagonal, p x p and Franklin verdicts of the square
+    and of its θ, witnesses included, equal the brute-force ones."""
+    params, square = ff.TypeParams(p, n), kotzig_square(p, n, random.Random(n))
+    assert hashlib.sha256(square.entries.astype("<i8").tobytes()).hexdigest()[:16] == WEAKENED_DIGESTS[(p, n)]
+    report = ff.verify_all(square, params)
+    assert {"natural", "semi_magic", "pandiagonal", "pxp"} <= report.passed_names()
+    assert not report.verdict("complementary").passed
+    franklin = ff.theta(square, params)
+    assert ff.verify_all(franklin, params).classification == "pandiagonal_magic"
+    for candidate in (square, franklin):
+        assert ff.check_complementary(candidate, params) == ref_complementary(candidate, params, "main")
+        assert ff.check_pandiagonal(candidate, params) == ref_pandiagonal(candidate, params)
+        assert ff.check_pxp(candidate, params) == ref_pxp(candidate, params)
+        assert ff.check_franklin_patterns(candidate, params) == ref_franklin(candidate, params, None)
 
 
 def near_misses():
