@@ -7,7 +7,6 @@ witnessed certificates.
 """
 
 from .construct import (
-    DigitLinearCandidate,
     GeneratorConfig,
     GeneratorExhaustedError,
     builtin_fixtures,
@@ -63,7 +62,6 @@ __all__ = [
     "CLASSIFICATIONS",
     "CellSet",
     "DIRECTIONS",
-    "DigitLinearCandidate",
     "GeneratorConfig",
     "GeneratorExhaustedError",
     "Grid",

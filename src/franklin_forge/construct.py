@@ -56,19 +56,6 @@ class GeneratorConfig:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-@dataclass(frozen=True)
-class DigitLinearCandidate:
-    """2r x 2r matrix and 2r offset over residues mod p."""
-
-    matrix: tuple
-    offset: tuple
-
-    @classmethod
-    def of(cls, matrix, offset) -> "DigitLinearCandidate":
-        return cls(tuple(tuple(int(x) for x in row) for row in matrix),
-                   tuple(int(x) for x in offset))
-
-
 def is_invertible_mod(matrix, p: int) -> bool:
     """Is the square matrix invertible mod the prime p? Forward elimination, False at a column with no pivot left."""
     a = np.asarray(matrix, dtype=np.int64) % p
@@ -81,11 +68,12 @@ def is_invertible_mod(matrix, p: int) -> bool:
     return a.shape[0] == a.shape[1]  # a taller matrix has a pivot in every column, and is still not invertible
 
 
-def candidate_to_square(candidate: DigitLinearCandidate, p: int, r: int) -> NaturalSquare:
-    """Materialize the digit map in table form (module docstring); raises on a bad order or p, or a singular matrix."""
+def candidate_to_square(matrix, offset, p: int, r: int) -> NaturalSquare:
+    """Materialize the digit map of the 2r x 2r matrix and 2r offset, read as int64 mod p, in table form (module
+    docstring); raises on a bad order or p, or a singular matrix."""
     n = TypeParams.for_power(p, r).n  # bounds the order and checks p is prime before anything of size n exists
-    m = np.asarray(candidate.matrix, dtype=np.int64) % p
-    b = np.asarray(candidate.offset, dtype=np.int64) % p
+    p = _integer(p, "p")  # a NumPy p would overflow p**k or reach pow() as a NumPy integer
+    m, b = np.asarray(matrix, dtype=np.int64) % p, np.asarray(offset, dtype=np.int64) % p
     if m.shape != (2 * r, 2 * r) or b.shape != (2 * r,):
         raise ValueError(f"candidate dimensions {m.shape}/{b.shape} do not fit 2r={2 * r}")
     if not is_invertible_mod(m, p):
@@ -117,16 +105,15 @@ def _table(w: np.ndarray, shifts: np.ndarray, res: np.ndarray, p: int, out: np.n
         out += np.take((w_d * mod)[s_d[:, None] + np.arange(p)], r_d, axis=1)
 
 
-def closed_form_candidate(p: int, r: int, seed: int = 0) -> DigitLinearCandidate:
-    """The matrix [[A, B], [B, A]] with the offset read off the seed's base-p digits."""
+def closed_form_candidate(p: int, r: int, seed: int = 0) -> tuple[np.ndarray, list]:
+    """(matrix, offset): the matrix [[A, B], [B, A]] and the offset read off the seed's base-p digits."""
     a = np.zeros((r, r), dtype=np.int64)
     a[:, r - 1] = 1
     b = np.zeros((r, r), dtype=np.int64)
     b[:, 0] = 1
     rows = np.arange(1, r)
     b[rows, r - rows] = 1
-    offset = [(seed // p**d) % p for d in range(2 * r)]
-    return DigitLinearCandidate.of(np.block([[a, b], [b, a]]), offset)
+    return np.block([[a, b], [b, a]]), [(seed // p**d) % p for d in range(2 * r)]
 
 
 def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
@@ -144,8 +131,7 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
             raise GeneratorExhaustedError(f"no embedded most-perfect square for p={config.p}, r={config.r}")
         return square
 
-    candidate = closed_form_candidate(config.p, config.r, config.seed)
-    square = candidate_to_square(candidate, config.p, config.r)
+    square = candidate_to_square(*closed_form_candidate(config.p, config.r, config.seed), config.p, config.r)
     if verify_all(square, params, required_for="most_perfect_type_p").classification == "most_perfect_type_p":
         return square
     raise GeneratorExhaustedError(

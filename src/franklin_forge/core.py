@@ -174,6 +174,7 @@ class TypeParams:
     @classmethod
     def for_franklin(cls, p: int, k: int) -> "TypeParams":
         """Frame for the Franklin context n = k*p^3."""
+        p, k = _integer(p, "p"), _integer(k, "k")
         if k < 1:
             raise ValueError("k must be positive")
         return cls(p, k * p**3)
@@ -181,6 +182,7 @@ class TypeParams:
     @classmethod
     def for_power(cls, p: int, r: int) -> "TypeParams":
         """Frame for a prime-power order n = p^r."""
+        p, r = _integer(p, "p"), _integer(r, "r")
         if r < 1:
             raise ValueError("r must be positive")
         if r >= MAX_ORDER.bit_length():  # p^r >= 2^r > MAX_ORDER; refused before p**r is computed

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +75,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class PropertyVerdict:
+    """One property's verdict: it passed exactly when it carries no witness of a failure."""
+
     property_name: str
-    passed: bool
     witness: Witness | None = None
 
-    def __post_init__(self):
-        if self.passed == (self.witness is not None):
-            raise ValueError("verdict must carry a witness exactly when it fails")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         d = {"property": self.property_name, "passed": self.passed}
@@ -101,17 +102,12 @@ class PropertyReport:
 
     params: TypeParams
     verdicts: tuple
-    classification: str = field(default="none")
 
-    @classmethod
-    def build(cls, params: TypeParams, verdicts) -> "PropertyReport":
-        verdicts = tuple(verdicts)
-        passed = {v.property_name for v in verdicts if v.passed}
-        label = "none"
-        for candidate in CLASSIFICATIONS[1:]:
-            if REQUIRED_VERDICTS[candidate] <= passed:
-                label = candidate
-        return cls(params, verdicts, label)
+    @property
+    def classification(self) -> str:
+        """The last label of CLASSIFICATIONS whose REQUIRED_VERDICTS all passed, else "none"."""
+        passed = self.passed_names()
+        return next((c for c in reversed(CLASSIFICATIONS[1:]) if REQUIRED_VERDICTS[c] <= passed), "none")
 
     def verdict(self, property_name: str) -> PropertyVerdict | None:
         for v in self.verdicts:
@@ -288,8 +284,8 @@ def _verdict(name: str, target: int, a: np.ndarray, tables) -> PropertyVerdict:
             i, j = divmod(first, width)
             flat = cells(np.array([i]), np.array([j]))[0]
             at = [x.tolist() for x in np.divmod(flat[flat.argsort()], cols)]  # rows and columns, in (row, col) order
-            return PropertyVerdict(name, False, Witness(location(i=i, j=j), target, int(sums[first]), tuple(zip(*at))))
-    return PropertyVerdict(name, True)
+            return PropertyVerdict(name, Witness(location(i=i, j=j), target, int(sums[first]), tuple(zip(*at))))
+    return PropertyVerdict(name)
 
 
 def _franklin_pass(a: np.ndarray, p: int, runs, columns: bool) -> tuple:
@@ -323,14 +319,14 @@ def check_natural(square_or_grid, params: TypeParams) -> PropertyVerdict:
     """Entries are exactly the symbols 0..n^2-1, each once."""
     a = _array(square_or_grid, params)
     if isinstance(square_or_grid, NaturalSquare):
-        return PropertyVerdict(NATURAL, True)  # proved at construction; the entries are read-only
+        return PropertyVerdict(NATURAL)  # proved at construction; the entries are read-only
     flat = np.sort(a, axis=None)
     bad = np.nonzero(flat != np.arange(a.size))[0]
     if bad.size == 0:
-        return PropertyVerdict(NATURAL, True)
+        return PropertyVerdict(NATURAL)
     k = int(bad[0])
     w = Witness(f"sorted entry {k}", expected=k, actual=int(flat[k]))
-    return PropertyVerdict(NATURAL, False, w)
+    return PropertyVerdict(NATURAL, w)
 
 
 def check_semi_magic(square_or_grid, params: TypeParams) -> PropertyVerdict:
@@ -380,12 +376,12 @@ def check_pxp(square_or_grid, params) -> PropertyVerdict:
     target = params.pxp_sum if typed and isinstance(square_or_grid, NaturalSquare) else int(a[:p, :p].sum())
     failing = _first_failing_row(a, p, True, target)
     if failing is None:
-        return PropertyVerdict(PXP, True)
+        return PropertyVerdict(PXP)
     i, v = failing
     windows = _windows(v, p, True)  # W(i, j) = V(i, j) + ... + V(i, j+p-1), wrapping past the last column
     j = int((windows != target).argmax())  # the first failing window, of the row that has one
     cells = tuple(((i + dr) % rows, (j + dc) % cols) for dr in range(p) for dc in range(p))
-    return PropertyVerdict(PXP, False, Witness(f"window at ({i}, {j})", target, int(windows[j]), cells))
+    return PropertyVerdict(PXP, Witness(f"window at ({i}, {j})", target, int(windows[j]), cells))
 
 
 def check_one_over_p(square_or_grid, params: TypeParams, axis: str = "rows") -> PropertyVerdict:
@@ -470,7 +466,7 @@ def verify_all(square_or_grid, params: TypeParams, franklin_alphas=None, *, requ
         (FRANKLIN_PATTERNS, params.franklin_k is not None, lambda: check_franklin_patterns(g, params, alphas)),
     )
     verdicts = (check() for name, applicable, check in checks if applicable and (wanted is None or name in wanted))
-    return PropertyReport.build(params, verdicts)
+    return PropertyReport(params, tuple(verdicts))
 
 
 def band_sums(square_or_grid, params: TypeParams, alpha: int, frame_offset: int,

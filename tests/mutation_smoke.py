@@ -42,6 +42,8 @@ DIGIT_MAP = "tests/test_construct.py::TestCandidateToSquare::test_digit_map_matc
 INVERTIBLE = "tests/test_construct.py::TestCandidateToSquare::test_invertible_matches_the_determinant_mod_p"
 GENERAL_PINS = "tests/test_construct.py::TestGenerator::test_general_candidate_bytes_are_pinned"
 INTEGER_RULE = "tests/test_core.py::TestTypeParams::test_one_integer_rule_at_the_library_boundary"
+R_AND_K_RULE = "tests/test_core.py::TestTypeParams::test_integer_rule_for_r_and_k"
+LABELS = "tests/test_properties.py::TestVerifyAll::test_each_label_from_exactly_its_required_verdicts"
 ORDER_BOUND = "tests/test_construct.py::TestCandidateToSquare::test_order_and_prime_checked_before_anything_of_size_n"
 EIGHT_DIGITS = "tests/test_cli.py::test_plain_reader_reads_tokens_of_at_most_eight_digits"
 PLAIN_TESTS = ["tests/test_cli.py::test_plain_path_matches_reference",
@@ -153,6 +155,11 @@ MUTANTS = [
     ("integer rule accepts floats", CORE, "not isinstance(value, numbers.Integral)",
      "not isinstance(value, numbers.Real)",
      [INTEGER_RULE, "tests/test_patterns.py::TestFranklinCells::test_spec_refuses_a_non_integer_alpha_or_offset"]),
+    ("for_power skips the integer rule for r", CORE, ', _integer(r, "r")\n', ", r\n", [R_AND_K_RULE]),
+    ("classification takes the first label met", PROPERTIES, "for c in reversed(CLASSIFICATIONS[1:])",
+     "for c in CLASSIFICATIONS[1:]", [LABELS, "tests/test_properties.py::TestVerifyAll::test_mp9_classification"]),
+    ("passed read as carries a witness", PROPERTIES, "return self.witness is None", "return self.witness is not None",
+     [LABELS, "tests/test_properties.py::TestInputValidation::test_verdict_carries_a_witness_exactly_when_it_fails"]),
     ("range from the first row only", CORE, "(int(a.min()), int(a.max()))",
      "(int(a[0].min()), int(a[0].max()))", ["tests/test_core.py"] + GUARD_TESTS),
     ("no range test in the naturalness proof", CORE, "if lo < 0 or hi >= n * n or not _is_permutation",

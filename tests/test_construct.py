@@ -58,23 +58,42 @@ ORDERS_UP_TO_729 = [
 def identity_candidate(p, r):
     size = 2 * r
     matrix = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    return ff.DigitLinearCandidate.of(matrix, [0] * size)
+    return matrix, [0] * size
 
 
 class TestCandidateToSquare:
     def test_identity_gives_reading_order(self):
-        square = ff.candidate_to_square(identity_candidate(2, 2), 2, 2)
+        square = ff.candidate_to_square(*identity_candidate(2, 2), 2, 2)
         assert square.entries.tolist() == [[4 * i + j for j in range(4)] for i in range(4)]
 
     def test_singular_matrix_rejected(self):
         size = 4
         matrix = [[0] * size for _ in range(size)]
         with pytest.raises(ValueError):
-            ff.candidate_to_square(ff.DigitLinearCandidate.of(matrix, [0] * size), 2, 2)
+            ff.candidate_to_square(matrix, [0] * size, 2, 2)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ff.candidate_to_square(identity_candidate(2, 2), 2, 3)
+            ff.candidate_to_square(*identity_candidate(2, 2), 2, 3)
+
+    def test_list_tuple_and_array_candidates_give_the_same_bytes(self):
+        """The matrix and offset are read as int64 mod p whatever holds them: one unreduced candidate for each
+        writer (a random one, and the closed form shifted by multiples of p) as lists, tuples, int64 arrays and
+        narrower NumPy arrays gives the same square, byte for byte, and so do p and r as NumPy integers."""
+        from test_reference import random_unreduced_candidate
+
+        rng = random.Random(35)
+        for p, r in ((2, 3), (3, 2), (5, 2), (3, 3)):
+            closed_matrix, closed_offset = closed_form_candidate(p, r, seed=rng.randrange(p ** (2 * r)))
+            shifted = ((closed_matrix - 2 * p).tolist(), [b + 3 * p for b in closed_offset])
+            for matrix, offset in (random_unreduced_candidate(p, r, rng), shifted):
+                forms = [(matrix, offset), (tuple(map(tuple, matrix)), tuple(offset)),
+                         (np.array(matrix), np.array(offset)),
+                         (np.array(matrix, dtype=np.int16), np.array(offset, dtype=np.int32))]
+                squares = [ff.candidate_to_square(m, b, p, r).entries for m, b in forms]
+                squares.append(ff.candidate_to_square(matrix, offset, np.int8(p), np.int64(r)).entries)
+                assert all(s.dtype == np.int64 for s in squares), (p, r)
+                assert len({s.tobytes() for s in squares}) == 1, (p, r)
 
     def test_order_and_prime_checked_before_anything_of_size_n(self):
         """An order above MAX_ORDER is refused before the n^2 square is allocated, and a p that is not prime is
@@ -84,13 +103,13 @@ class TestCandidateToSquare:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"outside 1..{MAX_ORDER}"):
-                ff.candidate_to_square(candidate, 2, 12)  # n = 4096
+                ff.candidate_to_square(*candidate, 2, 12)  # n = 4096
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
         with pytest.raises(ValueError, match="not prime"):
-            ff.candidate_to_square(identity_candidate(4, 2), 4, 2)
+            ff.candidate_to_square(*identity_candidate(4, 2), 4, 2)
 
     @pytest.mark.parametrize("size,p", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)])
     def test_invertible_matches_the_determinant_mod_p(self, size, p):
@@ -141,7 +160,7 @@ class TestCandidateToSquare:
             if not construct.is_invertible_mod(np.array(matrix), 3):
                 continue
             offset = [rng.randrange(3) for _ in range(4)]
-            square = ff.candidate_to_square(ff.DigitLinearCandidate.of(matrix, offset), 3, 2)
+            square = ff.candidate_to_square(matrix, offset, 3, 2)
             assert sorted(square.entries.flatten().tolist()) == list(range(81))
             produced += 1
 
@@ -165,7 +184,7 @@ class TestCandidateToSquare:
             extra += len(perturbed)
             for candidate in [random_unreduced_candidate(p, r, rng)] + closed + perturbed:
                 with mock.patch.object(construct, "_table", wraps=construct._table) as tables:
-                    square = ff.candidate_to_square(candidate, p, r).entries
+                    square = ff.candidate_to_square(*candidate, p, r).entries
                 every = np.arange(n)
                 if n < 100:
                     expected = ref_candidate_to_square(candidate, p, r)
@@ -177,9 +196,9 @@ class TestCandidateToSquare:
                 assert np.array_equal(square[:, sample], digit_map_cells(candidate, p, r, every, sample)), (p, r)
                 assert np.array_equal(square[sample], digit_map_cells(candidate, p, r, sample, every)), (p, r)
                 widths = [call.args[1].shape[1] for call in tables.call_args_list]  # digits in each table's shifts
-                if candidate in closed:
+                if any(candidate is c for c in closed):  # a tuple holding an array has no value equality
                     assert widths == [r, r], (p, r)
-                elif candidate in perturbed:
+                elif any(candidate is c for c in perturbed):
                     assert widths == [2 * r] * -(-n // band), (p, r)
         assert extra == 70  # at (2, 2) no row of either A's first column keeps the matrix invertible
 
@@ -210,17 +229,17 @@ def closed_form_with_an_extra_one(p, r, corner):
     (corner r) A, in the first row where the matrix stays invertible mod p; None where no row does."""
     base = closed_form_candidate(p, r, seed=1)
     for row in range(corner, corner + r):
-        m = np.array(base.matrix)
+        m = np.array(base[0])
         m[row, corner] += 1
         if construct.is_invertible_mod(m, p):
-            return ff.DigitLinearCandidate.of(m, base.offset)
+            return m, base[1]
     return None
 
 
 def residues(candidate, p, r, rows, cols):
     """R_d at rows and C_d at cols, reduced mod p: symbol digit d of cell (i, j) is
     R_d[i] + C_d[j] mod p, with R from the row digits and the offset, C from the column digits."""
-    m, b = np.array(candidate.matrix, dtype=np.int64), np.array(candidate.offset, dtype=np.int64)
+    m, b = (np.array(x, dtype=np.int64) for x in candidate)
 
     def digits(x):
         return np.stack([(np.asarray(x) // p ** (r - 1 - d)) % p for d in range(r)])
@@ -275,7 +294,7 @@ class TestGenerator:
 
         def reject(square, params, **kwargs):
             screened.append(ff.verify_all(square, params, **kwargs))
-            return ff.PropertyReport.build(params, ())  # no verdicts, so classification "none"
+            return ff.PropertyReport(params, ())  # no verdicts, so classification "none"
 
         monkeypatch.setattr(construct, "verify_all", reject)
         with pytest.raises(ff.GeneratorExhaustedError):
@@ -301,8 +320,8 @@ class TestGenerator:
         """A two-cell swap of the closed form is natural and fails a required check."""
         closed = construct.candidate_to_square
 
-        def swapped(candidate, p, r):
-            a = closed(candidate, p, r).entries.copy()
+        def swapped(matrix, offset, p, r):
+            a = closed(matrix, offset, p, r).entries.copy()
             a[0, 0], a[0, 1] = a[0, 1], a[0, 0]
             return ff.NaturalSquare(a)
 
@@ -316,7 +335,7 @@ class TestGenerator:
         square, params = converse_counterexample(), ff.TypeParams.for_power(2, 4)
         report = ff.verify_all(square, params, required_for="most_perfect_type_p")
         assert [v.property_name for v in report.verdicts if not v.passed] == ["complementary"]
-        monkeypatch.setattr(construct, "candidate_to_square", lambda candidate, p, r: square)
+        monkeypatch.setattr(construct, "candidate_to_square", lambda matrix, offset, p, r: square)
         with pytest.raises(ff.GeneratorExhaustedError):
             ff.generate_most_perfect(ff.GeneratorConfig(2, 4))
 
@@ -338,7 +357,7 @@ class TestGenerator:
 
         rng = random.Random(p**r)
         with mock.patch.object(construct, "_table", wraps=construct._table) as tables:
-            squares = (ff.candidate_to_square(random_unreduced_candidate(p, r, rng), p, r),
+            squares = (ff.candidate_to_square(*random_unreduced_candidate(p, r, rng), p, r),
                        orbit_square(p, r, rng, near_miss=True))
         bands = -(-p**r // max(1, ff.core.BAND_CELLS // p**r))
         assert [call.args[1].shape[1] for call in tables.call_args_list] == [2 * r] * (2 * bands)  # both by bands
@@ -369,8 +388,8 @@ class TestGenerator:
 
     def test_closed_form_offset_is_seed_digits(self):
         candidate = closed_form_candidate(3, 2, 2 + 1 * 3 + 0 * 9 + 1 * 27)
-        assert candidate.offset == (2, 1, 0, 1)
-        assert closed_form_candidate(3, 2, 0).offset == (0, 0, 0, 0)
+        assert candidate[1] == [2, 1, 0, 1]
+        assert closed_form_candidate(3, 2, 0)[1] == [0, 0, 0, 0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -401,7 +420,7 @@ class TestRequiredChecks:
                 report = ff.verify_all(s, params, required_for=label)
                 kept = tuple(v for v in full.verdicts if v.property_name in required)
                 assert report.verdicts == kept
-                assert report == ff.PropertyReport.build(params, kept)
+                assert report == ff.PropertyReport(params, kept)
             screened = ff.verify_all(s, params, required_for="most_perfect_type_p")
             assert [v.property_name for v in screened.verdicts] == ["natural", "semi_magic", "pandiagonal",
                                                                     "complementary", "pxp"]

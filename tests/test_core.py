@@ -96,6 +96,21 @@ class TestTypeParams:
             with pytest.raises(ValueError, match="must be an integer, got"):
                 make()
 
+    def test_integer_rule_for_r_and_k(self):
+        """for_power's r and for_franklin's k follow core._integer's rule before their bounds: a bool or a float is
+        refused by its own name, and a NumPy integer gives the same params, of int fields, as an int. So does a
+        narrow NumPy p, whose power is taken in Python ints: 3^5 = 243 would wrap to -13 in int8."""
+        factories = {"r": ff.TypeParams.for_power, "k": ff.TypeParams.for_franklin}
+        for name, factory in factories.items():
+            for value in (True, False, 3.0, 0.5):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                    factory(2, value)
+            for value in (np.int64(3), np.int32(3), np.uint8(3)):
+                params = factory(np.int16(2), value)
+                assert params == factory(2, 3) and (type(params.p), type(params.n)) == (int, int)
+        narrow = ff.TypeParams.for_power(np.int8(3), 5), ff.TypeParams.for_franklin(np.int8(3), np.int8(9))
+        assert narrow == (ff.TypeParams(3, 243),) * 2
+
     def test_franklin_k(self):
         assert ff.TypeParams(2, 8).franklin_k == 1
         assert ff.TypeParams(2, 16).franklin_k == 2
@@ -264,3 +279,10 @@ class TestBlockAt:
         params = ff.TypeParams(3, 27)
         with pytest.raises(ValueError):
             ff.block_at(params, 0, 0, 9, 3)
+
+
+def test_every_export_resolves():
+    """Every name in franklin_forge.__all__ is bound in the package, once; the removed candidate record is not."""
+    assert len(set(ff.__all__)) == len(ff.__all__)
+    assert all(hasattr(ff, name) for name in ff.__all__)
+    assert "DigitLinearCandidate" not in ff.__all__ and not hasattr(ff, "DigitLinearCandidate")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import franklin_forge as ff
-from franklin_forge.construct import DigitLinearCandidate, candidate_to_square, closed_form_candidate
+from franklin_forge.construct import candidate_to_square, closed_form_candidate
 
 from conftest import kotzig_square
 from test_reference import ref_complementary, ref_franklin, ref_pandiagonal, ref_pxp
@@ -53,11 +53,11 @@ def digit_permutation(r, rng):
 
 
 def orbit_square(p, r, rng, near_miss=False):
-    matrix = monomial(p, 2 * r, rng) @ np.array(closed_form_candidate(p, r).matrix)
+    matrix = monomial(p, 2 * r, rng) @ closed_form_candidate(p, r)[0]
     if near_miss:
         matrix = matrix @ digit_permutation(r, rng)
     offset = [rng.randrange(p) for _ in range(2 * r)]
-    return candidate_to_square(DigitLinearCandidate.of(matrix % p, offset), p, r)
+    return candidate_to_square(matrix % p, offset, p, r)
 
 
 def test_orbit_squares_are_most_perfect_and_their_theta_pandiagonal_franklin():
@@ -153,7 +153,7 @@ def converse_counterexample():
     """The pinned near miss S at (2, 4), a digit-linear square."""
     rows = "00010010 01100001 00010110 00011010 00110001 10100001 00010011 00100001".split()
     matrix, offset = [[int(d) for d in row] for row in rows], [int(d) for d in "01011010"]
-    return candidate_to_square(DigitLinearCandidate.of(matrix, offset), 2, 4)
+    return candidate_to_square(matrix, offset, 2, 4)
 
 
 def test_converse_counterexample_at_order_16():

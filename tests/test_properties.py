@@ -751,6 +751,20 @@ class TestVerifyAll:
         assert PXP not in names and COMPLEMENTARY not in names
         assert FRANKLIN_PATTERNS in names  # geometry still applies at order 54
 
+    def test_each_label_from_exactly_its_required_verdicts(self):
+        """A report whose passing verdicts are exactly REQUIRED_VERDICTS[label], every other property failing with a
+        witness, classifies as label: the last label whose verdicts all passed. An empty report is "none"."""
+        params, names = ff.TypeParams(2, 8), sorted(set().union(*properties.REQUIRED_VERDICTS.values()))
+        witness = ff.Witness("row 0", 3, 1)
+        assert ff.PropertyReport(params, ()).classification == "none"
+        assert ff.CLASSIFICATIONS[0] == "none" and set(ff.CLASSIFICATIONS[1:]) == set(properties.REQUIRED_VERDICTS)
+        for label in ff.CLASSIFICATIONS[1:]:
+            required = properties.REQUIRED_VERDICTS[label]
+            verdicts = tuple(ff.PropertyVerdict(name, None if name in required else witness) for name in names)
+            report = ff.PropertyReport(params, verdicts)
+            assert report.passed_names() == required
+            assert report.classification == report.to_json_dict()["classification"] == label
+
 
 class TestWitnessReEvaluation:
     """A failing verdict's cells always re-sum to the reported actual value."""
@@ -930,10 +944,11 @@ class TestInputValidation:
     """The refusals of malformed verdicts, inputs and arguments, each with its message."""
 
     def test_verdict_carries_a_witness_exactly_when_it_fails(self):
+        """passed is read off the witness, so no verdict can pass with a witness or fail without one."""
         witness = ff.Witness("row 0", 3, 1)
-        for passed, carried in ((True, witness), (False, None)):
-            with pytest.raises(ValueError, match="^verdict must carry a witness exactly when it fails$"):
-                ff.PropertyVerdict(SEMI_MAGIC, passed, carried)
+        assert ff.PropertyVerdict(SEMI_MAGIC).passed and ff.PropertyVerdict(SEMI_MAGIC).to_json_dict()["passed"]
+        assert not ff.PropertyVerdict(SEMI_MAGIC, witness).passed
+        assert ff.PropertyVerdict(SEMI_MAGIC, witness).to_json_dict()["passed"] is False
 
     def test_report_verdict_of_an_absent_name_is_none(self, mp9):
         report = ff.verify_all(*mp9)  # order 9 is no Franklin order, so that check is omitted

@@ -40,16 +40,16 @@ def first_failure(name, candidates, a, expected=None):
         if expected is None:
             expected = total
         if total != expected:
-            return ff.PropertyVerdict(name, False, ff.Witness(location, expected, total, tuple(cells)))
-    return ff.PropertyVerdict(name, True)
+            return ff.PropertyVerdict(name, ff.Witness(location, expected, total, tuple(cells)))
+    return ff.PropertyVerdict(name)
 
 
 def ref_natural(obj, params):
     """The first sorted entry that differs from its index; the witness names the index, not a sum."""
     for k, value in enumerate(sorted(obj.entries.ravel().tolist())):
         if value != k:
-            return ff.PropertyVerdict(NATURAL, False, ff.Witness(f"sorted entry {k}", k, value))
-    return ff.PropertyVerdict(NATURAL, True)
+            return ff.PropertyVerdict(NATURAL, ff.Witness(f"sorted entry {k}", k, value))
+    return ff.PropertyVerdict(NATURAL)
 
 
 def semi_magic_sets(params):
@@ -540,14 +540,14 @@ def test_theta_matches_reference(p, n):
 def ref_candidate_to_square(candidate, p, r):
     """Cell (i, j) has digit vector v (row digits, then column digits, most significant first);
     its symbol's base-p digits are matrix @ v + offset mod p, in Python ints."""
-    n = p**r
+    n, (matrix, offset) = p**r, (np.asarray(x).tolist() for x in candidate)
 
     def digits(x):
         return [(x // p ** (r - 1 - d)) % p for d in range(r)]
 
     def symbol(v):
         value = 0
-        for row, b in zip(candidate.matrix, candidate.offset):
+        for row, b in zip(matrix, offset):
             value = value * p + (sum(x * y for x, y in zip(row, v)) + b) % p
         return value
 
@@ -557,8 +557,7 @@ def ref_candidate_to_square(candidate, p, r):
 def per_digit_modulo_square(candidate, p, r):
     """The digit map as 2r int64 passes of outer add and % p over the n^2 cells: the numpy form
     that the carry form replaced, kept as a second reference at orders too large for Python ints."""
-    m = np.asarray(candidate.matrix, dtype=np.int64) % p
-    b = np.asarray(candidate.offset, dtype=np.int64) % p
+    m, b = (np.asarray(x, dtype=np.int64) % p for x in candidate)
     n = p**r
     idx = np.arange(n)
     digits = np.stack([(idx // p ** (r - 1 - d)) % p for d in range(r)])
@@ -576,7 +575,7 @@ def random_unreduced_candidate(p, r, rng):
     while True:
         matrix = [[rng.randrange(-2 * p, 3 * p) for _ in range(size)] for _ in range(size)]
         if ff.construct.is_invertible_mod(np.array(matrix), p):
-            return ff.DigitLinearCandidate.of(matrix, [rng.randrange(-2 * p, 3 * p) for _ in range(size)])
+            return matrix, [rng.randrange(-2 * p, 3 * p) for _ in range(size)]
 
 
 DIGIT_MAP_ORDERS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
@@ -590,7 +589,7 @@ def test_digit_map_matches_reference(p, r):
     candidates = [random_unreduced_candidate(p, r, rng) for _ in range(3)]
     candidates.append(ff.construct.closed_form_candidate(p, r, rng.randrange(p ** (2 * r))))
     for candidate in candidates:
-        square = ff.candidate_to_square(candidate, p, r)
+        square = ff.candidate_to_square(*candidate, p, r)
         assert square.entries.dtype == np.int64
         assert square.entries.tolist() == ref_candidate_to_square(candidate, p, r)
 
@@ -602,7 +601,7 @@ def test_digit_map_matches_per_digit_modulo_at_the_widest_carry():
     for candidate in (ff.construct.closed_form_candidate(p, r, rng.randrange(p**4)),
                       random_unreduced_candidate(p, r, rng)):
         expected = per_digit_modulo_square(candidate, p, r)
-        assert np.array_equal(ff.candidate_to_square(candidate, p, r).entries, expected)
+        assert np.array_equal(ff.candidate_to_square(*candidate, p, r).entries, expected)
 
 
 def ref_window_sum_set(rows, p, toric, modulus=None):
