@@ -9,7 +9,6 @@ witnessed certificates.
 from .construct import (
     GeneratorConfig,
     GeneratorExhaustedError,
-    builtin_fixtures,
     candidate_to_square,
     generate_most_perfect,
 )
@@ -22,6 +21,7 @@ from .core import (
     get_toric,
     rotate_cw,
 )
+from .fixtures import builtin_fixtures
 from .involution import digit_swap, theta, theta_col, theta_row
 from .patterns import (
     DIRECTIONS,

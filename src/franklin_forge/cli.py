@@ -11,7 +11,7 @@ the document's only copy of the entries (the plain reader's array, uncopied), an
 proved natural once: a natural document holds a NaturalSquare, any other a plain
 Grid. p, k and r, if given, must be integers, and a loaded document's p must match
 --p. Exit codes: 0 success/pass, 1 verification fail or a closed stdout, 2 input error,
-3 generator exhaustion.
+3 generator exhaustion (the screen rejected the constructed square).
 
 Square text is written and read without a Python int or str per cell. emit_square renders bands of
 rows in numpy as bytes (fixed-width digit tokens padded with NUL bytes, which are dropped) that the
@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import FAMILIES, GeneratorConfig, GeneratorExhaustedError, builtin_fixtures, generate_most_perfect
+from .construct import FAMILIES, GeneratorConfig, GeneratorExhaustedError, generate_most_perfect
 from .core import BAND_CELLS, MAX_ORDER, Grid, NaturalSquare, TypeParams, _Owned
+from .fixtures import builtin_fixtures
 from .involution import theta
 from .patterns import DIRECTIONS, PatternSpec, franklin_cells
 from .properties import CLASSIFICATIONS, REQUIRED_VERDICTS, band_sums, check_complementary, verify_all

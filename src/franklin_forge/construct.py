@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixtures as _fixtures
 from .core import BAND_CELLS, NaturalSquare, TypeParams, _integer, _Owned
 from .properties import verify_all
 
 _MIN_TILE_WIDTH = 32  # L's least tile width: at (2, 11), width 2 took 38 ms and width 32 took 9 ms
-FAMILIES = ("digit_linear", "fixtures_only")  # the generator families; the first is the default
+FAMILIES = ("digit_linear",)  # the generator families; the first is the default
 
 
 class GeneratorExhaustedError(RuntimeError):
@@ -58,6 +57,7 @@ class GeneratorConfig:
 
 def is_invertible_mod(matrix, p: int) -> bool:
     """Is the square matrix invertible mod the prime p? Forward elimination, False at a column with no pivot left."""
+    p = _integer(p, "p")  # a NumPy p would reach pow() as a NumPy integer
     a = np.asarray(matrix, dtype=np.int64) % p
     for col in range(a.shape[1]):
         pivots = col + np.flatnonzero(a[col:, col])  # the rows left that can take the pivot
@@ -72,7 +72,7 @@ def candidate_to_square(matrix, offset, p: int, r: int) -> NaturalSquare:
     """Materialize the digit map of the 2r x 2r matrix and 2r offset, read as int64 mod p, in table form (module
     docstring); raises on a bad order or p, or a singular matrix."""
     n = TypeParams.for_power(p, r).n  # bounds the order and checks p is prime before anything of size n exists
-    p = _integer(p, "p")  # a NumPy p would overflow p**k or reach pow() as a NumPy integer
+    p = _integer(p, "p")  # a NumPy p would overflow p**k
     m, b = np.asarray(matrix, dtype=np.int64) % p, np.asarray(offset, dtype=np.int64) % p
     if m.shape != (2 * r, 2 * r) or b.shape != (2 * r,):
         raise ValueError(f"candidate dimensions {m.shape}/{b.shape} do not fit 2r={2 * r}")
@@ -120,17 +120,9 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
     """The closed-form square for config.seed, screened by the five most-perfect checks:
     natural, semi-magic, pandiagonal, complementary and p x p.
 
-    Raises GeneratorExhaustedError when the screen rejects it (or the
-    fixtures-only family has nothing for these parameters).
+    Raises GeneratorExhaustedError when the screen rejects it.
     """
     params = TypeParams.for_power(config.p, config.r)
-    if config.family == "fixtures_only":
-        wanted = {(2, 3): "figure2_mp8", (3, 2): "figure2_mp9"}.get((config.p, config.r))
-        square = {name: fixture for name, fixture, _ in builtin_fixtures()}.get(wanted)
-        if square is None:
-            raise GeneratorExhaustedError(f"no embedded most-perfect square for p={config.p}, r={config.r}")
-        return square
-
     square = candidate_to_square(*closed_form_candidate(config.p, config.r, config.seed), config.p, config.r)
     if verify_all(square, params, required_for="most_perfect_type_p").classification == "most_perfect_type_p":
         return square
@@ -138,12 +130,3 @@ def generate_most_perfect(config: GeneratorConfig) -> NaturalSquare:
         f"the closed-form square for p={config.p}, r={config.r}, seed={config.seed} "
         "failed the most-perfect screen"
     )
-
-
-def builtin_fixtures() -> list[tuple[str, NaturalSquare, TypeParams]]:
-    """The embedded reference squares, bit-exact as printed."""
-    out = []
-    for name, p, rows in _fixtures.FIXTURE_TABLE:
-        square = NaturalSquare(rows)
-        out.append((name, square, TypeParams(p, square.order)))
-    return out

@@ -2,10 +2,15 @@
 
 Each mutant is a (file, old, new) triple: the one occurrence of old in file is replaced
 by new, in a temporary copy of src/ and tests/. The named tests then run on that copy,
-and the mutant is killed when they fail (or time out). Exits 1 if any mutant survives
-or no longer applies. Run from anywhere:
+and the mutant is killed when they fail (or time out, or cannot be imported). Exits 1 if
+any mutant survives or no longer applies. Run from anywhere:
 
     python tests/mutation_smoke.py
+
+This process imports pytest, numpy and hypothesis once, and never franklin_forge. Each
+run of the named tests is a child forked from it, which runs pytest.main on the copy and
+so imports franklin_forge fresh from the mutated src/. Nothing of one mutant reaches the
+next, and no run pays for those imports again.
 
 pytest does not collect this file; CI runs it as its own step.
 """
@@ -13,12 +18,19 @@ pytest does not collect this file; CI runs it as its own step.
 from __future__ import annotations
 
 import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy's import: a BLAS thread alive at a fork can deadlock the child
+
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import hypothesis  # noqa: F401  imported once, before any fork, so that no child imports it again
+import numpy  # noqa: F401  likewise
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTIES = "src/franklin_forge/properties.py"
@@ -196,9 +208,8 @@ MUTANTS = [
     ("fixtures --export serves the first fixture for any known name", CLI, "table.get(args.export, (None, None))",
      "next(iter(table.values())) if args.export in table else (None, None)",
      ["tests/test_cli.py::TestCommands::test_fixtures_list_and_export_serve_the_golden_files"]),
-    ("fixtures_only ignores (p, r)", CONSTRUCT, ".get((config.p, config.r))", ".get((2, 3))",
-     ["tests/test_construct.py::TestGenerator::test_fixtures_only_returns_figure_square",
-      "tests/test_construct.py::TestGenerator::test_fixtures_only_unavailable_pair_exhausts"]),
+    ("exhaustion exits as an input error", CLI, "return EXIT_EXHAUSTED", "return EXIT_INPUT_ERROR",
+     ["tests/test_cli.py::TestCommands::test_construct_exhaustion_exit_code"]),
     ("screen accepts any pandiagonal magic square", CONSTRUCT, '.classification == "most_perfect_type_p":',
      '.classification != "none":',
      ["tests/test_construct.py::TestGenerator::test_screen_rejects_a_pandiagonal_magic_square_that_fails_complementary"]),
@@ -210,14 +221,27 @@ MUTANTS = [
 TIMEOUT_S = 120
 
 
-def tests_pass(work: Path, tests: list) -> bool:
-    """Do the tests pass on the copy in work? A run past TIMEOUT_S counts as a failure."""
-    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    try:
-        return subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S).returncode == 0
-    except subprocess.TimeoutExpired:
-        return False
+def tests_pass(work: Path, tests: list, pristine: bool = False) -> bool:
+    """Do the tests pass on the copy in work? They run in a forked child, whose output is dropped; a run past
+    TIMEOUT_S, or a child that dies, counts as a failure. Only a run on the pristine copy writes bytecode: a .pyc
+    records its source's mtime, and each later write of a file gives it a newer one, so no mutant's run reads a
+    .pyc of other text, and the test modules are not compiled and assert-rewritten again."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            os.chdir(work)
+            os.environ.update(PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")  # for the tests' subprocesses
+            sys.dont_write_bytecode = not pristine
+            sys.path[:1] = [str(work), str(work / "src")]  # as python -m pytest with that PYTHONPATH, run in work
+            signal.alarm(TIMEOUT_S)  # SIGALRM's default action ends the child
+            code = pytest.main(["-q", "-x", "-p", "no:cacheprovider", *tests])
+        finally:
+            os._exit(int(code))
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def run_mutant(work: Path, file: str, old: str, new: str, tests: list) -> str:
@@ -241,7 +265,7 @@ def main() -> int:
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
         every_test = sorted({t for *_, tests in MUTANTS for t in tests})
-        if not tests_pass(work, every_test):  # else a failure would not be the mutant's doing
+        if not tests_pass(work, every_test, pristine=True):  # else a failure would not be the mutant's doing
             print("the unmutated tests fail; no mutant can be judged")
             return 1
         for name, file, old, new, tests in MUTANTS:

@@ -257,12 +257,29 @@ class TestCommands:
             == EXIT_OK
         )
 
-    def test_construct_exhaustion_exit_code(self, tmp_path, capsys):
-        code = main(
-            ["construct", "--p", "5", "--r", "2", "--family", "fixtures_only",
-             "--out", str(tmp_path / "x.json")]
-        )
+    def test_construct_exhaustion_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A square that the screen rejects, here a two-cell swap of the closed form, exits 3 with one error line."""
+        closed = ff.construct.candidate_to_square
+
+        def swapped(matrix, offset, p, r):
+            a = closed(matrix, offset, p, r).entries.copy()
+            a[0, 0], a[0, 1] = a[0, 1], a[0, 0]
+            return ff.NaturalSquare(a)
+
+        monkeypatch.setattr(ff.construct, "candidate_to_square", swapped)
+        code = main(["construct", "--p", "5", "--r", "2", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_EXHAUSTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_construct_refuses_a_family_that_is_not_a_construction(self, capsys):
+        """The figure squares come from fixtures --export; --family names constructions only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--p", "3", "--r", "2", "--family", "fixtures_only"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fixtures_only'" in err and "Traceback" not in err
 
     def test_fixtures_list(self, capsys):
         assert main(["fixtures", "--list"]) == EXIT_OK

@@ -78,9 +78,9 @@ class TestTypeParams:
                 ff.TypeParams.for_power(2, r)
 
     def test_one_integer_rule_at_the_library_boundary(self):
-        """TypeParams' p and n, GeneratorConfig's p, r and seed and check_pxp's bare p take any non-bool integer,
-        a NumPy one included, as a Python int, and refuse a float or a bool: NumPy-integer params give the same
-        squares and certificate bytes as ints."""
+        """TypeParams' p and n, GeneratorConfig's p, r and seed, and the bare p of check_pxp and is_invertible_mod
+        take any non-bool integer, a NumPy one included, as a Python int, and refuse a float or a bool: NumPy-integer
+        params give the same squares, certificate bytes and invertibility as ints."""
         square = ff.generate_most_perfect(ff.GeneratorConfig(np.int64(2), np.int32(3), np.uint8(5)))
         assert square == ff.generate_most_perfect(ff.GeneratorConfig(2, 3, 5))
         numpy_params, params = ff.TypeParams(np.int64(2), np.int16(8)), ff.TypeParams(2, 8)
@@ -88,10 +88,13 @@ class TestTypeParams:
         certificate = json.dumps(ff.verify_all(square, numpy_params).to_json_dict())
         assert certificate == json.dumps(ff.verify_all(square, params).to_json_dict())
         assert ff.check_pxp(square, np.int64(2)) == ff.check_pxp(square, 2)
+        matrix, invertible = ff.construct.closed_form_candidate(13, 2)[0], ff.construct.is_invertible_mod
+        assert invertible(matrix, np.int64(13)) is invertible(matrix, 13) is True
         refused = [lambda: ff.TypeParams(2.0, 8), lambda: ff.TypeParams(2, 8.0), lambda: ff.TypeParams(True, 8),
                    lambda: ff.TypeParams.for_power(2, 3.0), lambda: ff.GeneratorConfig(2.0, 3),
                    lambda: ff.GeneratorConfig(2, True), lambda: ff.GeneratorConfig(2, 3, 1.0),
-                   lambda: ff.check_pxp(square, 2.5), lambda: ff.check_pxp(square, True)]
+                   lambda: ff.check_pxp(square, 2.5), lambda: ff.check_pxp(square, True),
+                   lambda: invertible(matrix, 13.0)]
         for make in refused:
             with pytest.raises(ValueError, match="must be an integer, got"):
                 make()
